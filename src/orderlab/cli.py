@@ -103,8 +103,6 @@ def _add_train(sub):
     p.add_argument("--seed", type=int, default=13)
     p.add_argument("--shuffle-fixed", action="store_true",
                    help="fix one shuffle permutation per example across epochs")
-    p.add_argument("--preset", choices=("paper",),
-                   help="use the full-scale hyperparameter preset")
 
 
 def _cmd_train(args):
@@ -121,8 +119,6 @@ def _cmd_train(args):
         train_perturb=perturb.parse_mode(args.perturb),
         weight_decay=args.weight_decay, shuffle_fixed=args.shuffle_fixed,
     )
-    if args.preset == "paper":
-        tcfg = replace(tcfg, **T.PAPER_PRESET)
     mdl = M.init(cfg, args.seed)
     hook = None
     if args.dev_triples:

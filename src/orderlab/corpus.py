@@ -255,12 +255,9 @@ def write_triples(triples: list[Triple], path):
 # oracle re-apply the same definitions)
 
 
-def overlap_grade(query_text: str, doc_text: str) -> int:
-    """Grade from the fraction of distinct query terms present in the doc."""
-    q_terms = set(query_text.split())
-    if not q_terms:
-        return 0
-    frac = len(q_terms & set(doc_text.split())) / len(q_terms)
+def overlap_grade_from_count(n_matched: int, n_terms: int) -> int:
+    """Overlap grade of a doc holding `n_matched` of `n_terms` distinct query terms."""
+    frac = n_matched / n_terms
     if frac >= 1.0:
         return 3
     if frac >= 0.75:
@@ -268,6 +265,19 @@ def overlap_grade(query_text: str, doc_text: str) -> int:
     if frac >= 0.5:
         return 1
     return 0
+
+
+def overlap_grade(query_text: str, doc_text: str) -> int:
+    """Grade from the fraction of distinct query terms present in the doc."""
+    q_terms = set(query_text.split())
+    if not q_terms:
+        return 0
+    return overlap_grade_from_count(len(q_terms & set(doc_text.split())), len(q_terms))
+
+
+def bigram_grade_from_count(n_bigrams: int) -> int:
+    """Bigram grade of a doc holding the marker bigram `n_bigrams` times."""
+    return min(3, n_bigrams)
 
 
 def bigram_grade(query_text: str, doc_text: str) -> int:
@@ -286,7 +296,7 @@ def bigram_grade(query_text: str, doc_text: str) -> int:
     count = sum(
         1 for i in range(len(d_tokens) - 1) if d_tokens[i] == a and d_tokens[i + 1] == b
     )
-    return min(3, count)
+    return bigram_grade_from_count(count)
 
 
 def relevance_grade(rule: str, query_text: str, doc_text: str) -> int:
@@ -453,33 +463,45 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Collection, QuerySet, Qrels
 
     collection = Collection({f"d{i:06d}": text for i, text in enumerate(docs)})
 
-    # qrels: exhaustive application of the rule; grade-0 rows kept only for
-    # the planted zero-grade docs so every query has a judged non-relevant doc
+    # qrels: the rule applied to every doc that shares a query term (overlap)
+    # or holds the marker bigram (bigram_order), found through postings;
+    # no other doc can grade above 0. Grade-0 rows are kept only for the
+    # planted zero-grade docs, so every query has a judged non-relevant doc
     qrels = Qrels()
     n_planted = 9 if spec.relevance_rule == "overlap" else 5
     doc_items = sorted(collection.entries.items())
+    # postings, each in doc-id order
     if spec.relevance_rule == "overlap":
-        doc_sets = {d: set(t.split()) for d, t in doc_items}
+        wanted = {t for terms in query_terms.values() for t in terms}
+        docs_with: dict[str, list[str]] = {}
+        for doc_id, text in doc_items:
+            for w in set(text.split()) & wanted:
+                docs_with.setdefault(w, []).append(doc_id)
     else:
-        doc_bigrams = {}
-        for d, t in doc_items:
-            toks = t.split()
-            bg: dict[tuple[str, str], int] = {}
-            for i in range(len(toks) - 1):
-                key = (toks[i], toks[i + 1])
-                bg[key] = bg.get(key, 0) + 1
-            doc_bigrams[d] = bg
+        wanted = {(terms[0], terms[1]) for terms in query_terms.values()}
+        bigram_counts: dict[tuple[str, str], dict[str, int]] = {}
+        for doc_id, text in doc_items:
+            toks = text.split()
+            for key in zip(toks, toks[1:]):
+                if key in wanted:
+                    counts = bigram_counts.setdefault(key, {})
+                    counts[doc_id] = counts.get(doc_id, 0) + 1
 
     for qi in range(spec.n_queries):
         qid = f"q{qi:04d}"
         terms = query_terms[qid]
-        for doc_id, _text in doc_items:
-            if spec.relevance_rule == "overlap":
-                frac = len(set(terms) & doc_sets[doc_id]) / len(set(terms))
-                grade = 3 if frac >= 1.0 else 2 if frac >= 0.75 else 1 if frac >= 0.5 else 0
-            else:
-                a, b = terms[0], terms[1]
-                grade = min(3, doc_bigrams[doc_id].get((a, b), 0))
+        if spec.relevance_rule == "overlap":
+            distinct = set(terms)
+            n_matched: dict[str, int] = {}
+            for t in distinct:
+                for doc_id in docs_with.get(t, ()):
+                    n_matched[doc_id] = n_matched.get(doc_id, 0) + 1
+            graded = [(d, overlap_grade_from_count(n_matched[d], len(distinct)))
+                      for d in sorted(n_matched)]
+        else:
+            graded = [(d, bigram_grade_from_count(n))
+                      for d, n in bigram_counts.get((terms[0], terms[1]), {}).items()]
+        for doc_id, grade in graded:
             if grade > 0:
                 qrels.grades[(qid, doc_id)] = grade
         # planted grade-0 docs for this query

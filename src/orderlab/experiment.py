@@ -20,6 +20,7 @@ from __future__ import annotations
 import configparser
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -28,9 +29,9 @@ from . import model as M
 from . import perturb
 from . import train as T
 from .corpus import (Collection, Qrels, QuerySet, Run, RunEntry, SyntheticSpec, Triple,
-                     generate_synthetic, write_collection, write_qrels,
+                     ValidationError, generate_synthetic, write_collection, write_qrels,
                      write_queries, write_run, write_triples)
-from .tokenizer import Vocab, build_vocab, encode_pair, save_vocab, _pretokenize
+from .tokenizer import PairMemo, Vocab, build_vocab, encode_pair, save_vocab, _pretokenize
 
 
 @dataclass(frozen=True)
@@ -192,26 +193,40 @@ def write_resolved_config(spec: ExperimentSpec, path):
 def rerank_run(run: Run, mdl: M.Model, vocab: Vocab, queries: QuerySet,
                collection: Collection, k: int,
                mode: perturb.PerturbMode = perturb.NATURAL,
-               tag: str = "rerank", batch_size: int = 64) -> Run:
+               tag: str = "rerank", batch_size: int = 64,
+               memo: PairMemo | None = None) -> Run:
     """Re-score the top-k block of each query with the model.
 
     The block is re-ordered by model score (ties by doc_id); entries
     below rank k keep their order, with scores remapped below the block
-    minimum so the run stays rank-consistent.
+    minimum so the run stays rank-consistent. `memo`, if given, supplies
+    the encoded pairs. A query or doc of the run that `queries` or
+    `collection` lacks is a `ValidationError`.
     """
+    max_len = mdl.config.max_len
+    if memo is None:
+        encode = partial(encode_pair, vocab=vocab, max_len=max_len)
+    else:
+        encode = memo.encoder(vocab, max_len)
     out = Run()
     for qid in sorted(run.entries):
         entries = run.entries[qid]
         block = entries[:k]
         tail = entries[k:]
-        pairs = [
-            perturb.apply(
-                encode_pair(queries.entries[qid], collection.entries[e.doc_id],
-                            vocab, mdl.config.max_len),
-                mode, f"{qid}:{e.doc_id}",
-            )
-            for e in block
-        ]
+        try:
+            query = queries.entries[qid]
+            pairs = [
+                perturb.apply(encode(query, collection.entries[e.doc_id]), mode, f"{qid}:{e.doc_id}")
+                for e in block
+            ]
+        except KeyError:
+            if qid not in queries.entries:
+                raise ValidationError(f"query {qid} of the run is not in the queries") from None
+            missing = next((e.doc_id for e in block if e.doc_id not in collection.entries), None)
+            if missing is None:
+                raise
+            raise ValidationError(
+                f"doc {missing} of the run (query {qid}) is not in the collection") from None
         scores = []
         for start in range(0, len(pairs), batch_size):
             scores.extend(M.forward(mdl, pairs[start:start + batch_size]).relevance_prob)
@@ -381,6 +396,9 @@ def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
     metrics.write_report(bm25_report, os.path.join(outdir, "metrics", "bm25.tsv"))
 
     model_cfg = replace(spec.model, vocab_size=len(vocab))
+    # every training, dev eval, condition and the CKA pairs share one
+    # memo, so the run encodes each (query, doc) pair once, on first use
+    memo = PairMemo(vocab, model_cfg.max_len)
 
     # -- train one model per distinct (position_mode, train_perturb)
     trained: dict[tuple, M.Model] = {}
@@ -400,10 +418,10 @@ def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
 
         def dev_hook(m, _mode=cond.train_perturb):
             reranked = rerank_run(dev_run, m, vocab, queries, collection,
-                                  spec.dev_rerank_k, _mode, tag="dev")
+                                  spec.dev_rerank_k, _mode, tag="dev", memo=memo)
             return metrics.evaluate(reranked, qrels).mean["ndcg@10"]
 
-        mdl, tlog = T.train(mdl, train_triples, tcfg, vocab, eval_hook=dev_hook)
+        mdl, tlog = T.train(mdl, train_triples, tcfg, vocab, eval_hook=dev_hook, memo=memo)
         M.save(mdl, ckpt)
         stem = ckpt[: -len(".ckpt")]
         T.write_train_log(tlog, stem + "_log.tsv")
@@ -423,7 +441,7 @@ def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
             continue
         try:
             reranked = rerank_run(test_run, trained[key], vocab, queries, collection,
-                                  spec.rerank_k, cond.eval_perturb, tag=label)
+                                  spec.rerank_k, cond.eval_perturb, tag=label, memo=memo)
             write_run(reranked, run_path)
             report = metrics.evaluate(reranked, qrels)
             metrics.write_report(report, metrics_path)
@@ -447,13 +465,11 @@ def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
             f.write("\t".join(row) + "\n")
 
     # -- CKA artifacts over test pairs
-    cka_pairs = []
-    for qid in test_ids:
-        for e in test_run.entries.get(qid, [])[: spec.cka_docs_per_query]:
-            cka_pairs.append(
-                encode_pair(queries.entries[qid], collection.entries[e.doc_id],
-                            vocab, model_cfg.max_len)
-            )
+    cka_pairs = [
+        memo.encode(queries.entries[qid], collection.entries[e.doc_id])
+        for qid in test_ids
+        for e in test_run.entries.get(qid, [])[: spec.cka_docs_per_query]
+    ]
     # a shuffle-trained model is compared on its own permutation seed,
     # any other model on the first shuffle stream the conditions use
     sh = next((m for c in spec.conditions for m in (c.train_perturb, c.eval_perturb)

@@ -159,13 +159,23 @@ def _erf(x):
     return scipy_erf(x)
 
 
-def gelu(x):
-    return 0.5 * x * (1.0 + _erf(x / np.asarray(math.sqrt(2.0), dtype=x.dtype)))
+def gelu_cdf2(x):
+    """1 + erf(x / sqrt 2): twice the standard normal CDF, GELU's gate."""
+    return 1.0 + _erf(x / np.asarray(math.sqrt(2.0), dtype=x.dtype))
 
 
-def gelu_grad(x):
+def gelu(x, cdf2=None):
+    """GELU; `cdf2` is `gelu_cdf2(x)` when the caller already has it."""
+    if cdf2 is None:
+        cdf2 = gelu_cdf2(x)
+    return 0.5 * x * cdf2
+
+
+def gelu_grad(x, cdf2=None):
+    if cdf2 is None:
+        cdf2 = gelu_cdf2(x)
     phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return 0.5 * (1.0 + _erf(x / np.asarray(math.sqrt(2.0), dtype=x.dtype))) + x * phi
+    return 0.5 * cdf2 + x * phi
 
 
 def layer_norm_fwd(x, g, b):
@@ -257,13 +267,14 @@ def _forward(model: Model, ids, segs, mask, train_mode=False, rng=None, capture=
         h1, ln1_cache = layer_norm_fwd(h + attn, P[p + "ln1_g"], P[p + "ln1_b"])
 
         z = h1 @ P[p + "W1"] + P[p + "b1"]
-        a = gelu(z)
+        cdf2 = gelu_cdf2(z)
+        a = gelu(z, cdf2)
         ff = a @ P[p + "W2"] + P[p + "b2"]
         ff, f_keep = _dropout(ff, drop, rng)
         h2, ln2_cache = layer_norm_fwd(h1 + ff, P[p + "ln2_g"], P[p + "ln2_b"])
 
         lt.update(qh=qh, kh=kh, vh=vh, A=A, A_d=A_d, a_keep=a_keep, ctx=ctx,
-                  o_keep=o_keep, ln1=ln1_cache, h1=h1, z=z, a=a, f_keep=f_keep,
+                  o_keep=o_keep, ln1=ln1_cache, h1=h1, z=z, cdf2=cdf2, a=a, f_keep=f_keep,
                   ln2=ln2_cache)
         tape["layers"].append(lt)
         h = h2
@@ -275,11 +286,19 @@ def _forward(model: Model, ids, segs, mask, train_mode=False, rng=None, capture=
     return logits, acts, tape
 
 
-def _backward(model: Model, tape, dlogits):
-    """Backpropagate dloss/dlogits through the tape; returns grad dict."""
+def _backward(model: Model, tape, dlogits, grads=None):
+    """Backpropagate dloss/dlogits through the tape; returns grad dict.
+
+    The gradients accumulate into `grads` (zeroed first) when given, else
+    into fresh arrays.
+    """
     cfg = model.config
     P = model.params
-    grads = {name: np.zeros_like(p) for name, p in model.params.items()}
+    if grads is None:
+        grads = {name: np.zeros_like(p) for name, p in model.params.items()}
+    else:
+        for g in grads.values():
+            g.fill(0.0)
     ids, segs = tape["ids"], tape["segs"]
     B, T = ids.shape
     scale = 1.0 / math.sqrt(cfg.head_dim)
@@ -306,7 +325,7 @@ def _backward(model: Model, tape, dlogits):
         grads[p + "W2"] += a2d.T @ dff2d
         grads[p + "b2"] += dff2d.sum(axis=0)
         da = dff @ P[p + "W2"].T
-        dz = da * gelu_grad(lt["z"])
+        dz = da * gelu_grad(lt["z"], lt["cdf2"])
         h12d = lt["h1"].reshape(-1, cfg.hidden)
         dz2d = dz.reshape(-1, cfg.ff_dim)
         grads[p + "W1"] += h12d.T @ dz2d
@@ -379,8 +398,12 @@ def forward(model: Model, pairs: list[TokenizedPair], capture=False,
 
 
 def loss_and_grads(model: Model, pairs: list[TokenizedPair], labels,
-                   train_mode=False, rng=None):
-    """Mean cross-entropy over the batch and gradients for every parameter."""
+                   train_mode=False, rng=None, grads=None):
+    """Mean cross-entropy over the batch and gradients for every parameter.
+
+    `grads`, if given, maps each parameter name to an array of its shape;
+    the gradients are written there and that dict is returned.
+    """
     ids, segs, mask = pad_batch(pairs, dtype=model.config.dtype)
     logits, _, tape = _forward(model, ids, segs, mask, train_mode=train_mode, rng=rng)
     B = logits.shape[0]
@@ -390,7 +413,7 @@ def loss_and_grads(model: Model, pairs: list[TokenizedPair], labels,
     dlogits = probs.copy()
     dlogits[np.arange(B), y] -= 1.0
     dlogits /= B
-    grads = _backward(model, tape, dlogits.astype(model.config.dtype))
+    grads = _backward(model, tape, dlogits.astype(model.config.dtype), grads)
     return float(loss), grads
 
 
@@ -434,26 +457,35 @@ def save(model: Model, path):
             f.write(arr.astype("<" + dtype_code.decode()).tobytes())
 
 
+def _read(f, n: int, what: str) -> bytes:
+    data = f.read(n)
+    if len(data) != n:
+        raise ValueError(f"truncated checkpoint: {what} needs {n} bytes, {len(data)} left")
+    return data
+
+
 def load(path) -> Model:
     with open(path, "rb") as f:
         if f.read(len(_MAGIC)) != _MAGIC:
             raise ValueError("not an orderlab checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", f.read(4))
+        (version,) = struct.unpack("<I", _read(f, 4, "version"))
         if version != _VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        (cfg_len,) = struct.unpack("<Q", f.read(8))
-        cfg = ModelConfig(**json.loads(f.read(cfg_len).decode("utf-8")))
+        (cfg_len,) = struct.unpack("<Q", _read(f, 8, "config length"))
+        cfg = ModelConfig(**json.loads(_read(f, cfg_len, "config").decode("utf-8")))
         cfg.validate()
-        (n_params,) = struct.unpack("<I", f.read(4))
+        (n_params,) = struct.unpack("<I", _read(f, 4, "parameter count"))
         params = {}
         for _ in range(n_params):
-            (name_len,) = struct.unpack("<H", f.read(2))
-            name = f.read(name_len).decode("utf-8")
-            dtype_code = f.read(2).decode()
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = tuple(struct.unpack("<Q", f.read(8))[0] for _ in range(ndim))
+            (name_len,) = struct.unpack("<H", _read(f, 2, "parameter name length"))
+            name = _read(f, name_len, "parameter name").decode("utf-8")
+            dtype_code = _read(f, 2, f"{name} dtype").decode()
+            (ndim,) = struct.unpack("<B", _read(f, 1, f"{name} rank"))
+            shape = tuple(struct.unpack("<Q", _read(f, 8, f"{name} shape"))[0]
+                          for _ in range(ndim))
             count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(f.read(count * int(dtype_code[1])), dtype="<" + dtype_code)
+            data = np.frombuffer(_read(f, count * int(dtype_code[1]), f"{name} data"),
+                                 dtype="<" + dtype_code)
             params[name] = data.reshape(shape).astype(cfg.dtype)
     expected = _param_shapes(cfg)
     if set(params) != set(expected):

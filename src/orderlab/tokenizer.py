@@ -219,5 +219,37 @@ def encode_pair(query_text: str, passage_text: str, vocab: Vocab, max_len: int) 
     return pair
 
 
+class PairMemo:
+    """Encoded (query, passage) pairs for one vocabulary and max_len.
+
+    A pair is encoded on first use and kept for the memo's lifetime, so a
+    caller that scores the same pairs many times encodes each once. The
+    returned pairs are shared: treat them as read-only (`perturb.apply`
+    copies before it changes anything).
+    """
+
+    def __init__(self, vocab: Vocab, max_len: int):
+        self.vocab = vocab
+        self.max_len = max_len
+        self._pairs: dict[tuple[str, str], TokenizedPair] = {}
+
+    def __len__(self):
+        return len(self._pairs)
+
+    def encode(self, query_text: str, passage_text: str) -> TokenizedPair:
+        key = (query_text, passage_text)
+        pair = self._pairs.get(key)
+        if pair is None:
+            pair = self._pairs[key] = encode_pair(query_text, passage_text,
+                                                  self.vocab, self.max_len)
+        return pair
+
+    def encoder(self, vocab: Vocab, max_len: int):
+        """`encode`, once the caller's vocab and max_len are the memo's own."""
+        if vocab is not self.vocab or max_len != self.max_len:
+            raise ValueError("pair memo was built for another vocabulary or max_len")
+        return self.encode
+
+
 def decode_ids(ids: list[int], vocab: Vocab) -> list[str]:
     return [vocab.tokens[i] for i in ids]

@@ -11,13 +11,14 @@ reproducible but re-drawn every epoch (unless `shuffle_fixed`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import model as M
 from . import perturb
 from .corpus import Triple
-from .tokenizer import Vocab, encode_pair
+from .tokenizer import PairMemo, Vocab, encode_pair
 
 
 class DivergenceError(RuntimeError):
@@ -47,14 +48,10 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 2 (balanced pos/neg)")
 
 
-# the paper's full-scale settings, kept as a named preset for reference;
-# from-scratch toy models need a much larger learning rate
-PAPER_PRESET = dict(batch_size=64, lr_peak=3e-6, warmup_steps=1000, epoch_size=1000)
-
-
 @dataclass
 class TrainLog:
-    steps: list[tuple[int, float, float]] = field(default_factory=list)  # (step, loss, lr)
+    # (step, loss, lr, grad norm before clipping)
+    steps: list[tuple[int, float, float, float]] = field(default_factory=list)
     evals: list[tuple[int, float]] = field(default_factory=list)         # (step, metric)
     best_step: int = -1
     best_metric: float = float("-inf")
@@ -62,9 +59,9 @@ class TrainLog:
 
 def write_train_log(log: TrainLog, path):
     with open(path, "w", encoding="utf-8") as f:
-        f.write("step\tloss\tlr\n")
-        for step, loss, lr in log.steps:
-            f.write(f"{step}\t{loss:.6f}\t{lr:.8f}\n")
+        f.write("step\tloss\tlr\tgrad_norm\n")
+        for step, loss, lr, gnorm in log.steps:
+            f.write(f"{step}\t{loss:.6f}\t{lr:.8f}\t{gnorm:.6f}\n")
 
 
 def write_eval_log(log: TrainLog, path):
@@ -93,28 +90,62 @@ def make_examples(triple: Triple, vocab: Vocab, max_len: int,
     return [(pos, 1), (neg, 0)]
 
 
+def _flat_layout(params: dict[str, np.ndarray]):
+    """Where each parameter sits in one flat buffer, matrices first.
+
+    Returns {name: (start, stop, shape)} in the dict's own order, and the
+    length of the leading part that holds the parameters with >= 2
+    dimensions, the ones weight decay applies to.
+    """
+    slots, start = {}, 0
+    for name in sorted(params, key=lambda n: params[n].ndim < 2):
+        slots[name] = (start, start + params[name].size, params[name].shape)
+        start += params[name].size
+    n_decay = sum(p.size for p in params.values() if p.ndim >= 2)
+    return {name: slots[name] for name in params}, n_decay
+
+
+def _views(buf: np.ndarray, layout) -> dict[str, np.ndarray]:
+    return {name: buf[start:stop].reshape(shape) for name, (start, stop, shape) in layout.items()}
+
+
 def train(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab,
-          eval_hook=None):
+          eval_hook=None, memo: PairMemo | None = None):
     """Run the optimization loop; returns (best model, TrainLog).
 
     `eval_hook(model) -> float` is called every `epoch_size` steps and at
     the end; the checkpoint with the highest metric is returned. Without
-    a hook the final parameters are returned.
+    a hook the final parameters are returned. `memo`, if given, supplies
+    the encoded pairs (see `PairMemo`). The model passed in is not
+    changed: training works on a copy whose parameters, gradients and
+    Adam moments each live in one flat buffer, with the per-name dicts
+    as views into it.
     """
     cfg.validate()
     if not triples:
         raise ValueError("empty triple stream")
     max_len = mdl.config.max_len
-    encoded = [
-        make_examples(t, vocab, max_len)  # natural encoding; perturbed per use
-        for t in triples
-    ]
+    if memo is None:
+        encode = partial(encode_pair, vocab=vocab, max_len=max_len)
+    else:
+        encode = memo.encoder(vocab, max_len)
+    # natural encoding; perturbed per use
+    encoded = [((encode(q, pos), 1), (encode(q, neg), 0)) for q, pos, neg in triples]
 
     order_rng = np.random.default_rng(cfg.seed)
     dropout_rng = np.random.default_rng(cfg.seed + 1)
 
-    m_state = {k: np.zeros_like(v) for k, v in mdl.params.items()}
-    v_state = {k: np.zeros_like(v) for k, v in mdl.params.items()}
+    layout, n_decay = _flat_layout(mdl.params)
+    params = np.empty(sum(p.size for p in mdl.params.values()), dtype=mdl.config.dtype)
+    views = _views(params, layout)
+    for name, view in views.items():
+        view[...] = mdl.params[name]
+    mdl = M.Model(mdl.config, views)
+    grads = np.zeros_like(params)
+    grad_views = _views(grads, layout)
+    adam_m, adam_v = np.zeros_like(params), np.zeros_like(params)
+    update, scratch = np.empty_like(params), np.empty_like(params)
+    squares = list(_views(scratch, layout).values())
     log = TrainLog()
     best_params = None
 
@@ -127,12 +158,13 @@ def train(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab,
         if metric > log.best_metric:
             log.best_metric = metric
             log.best_step = step
-            best_params = {k: v.copy() for k, v in mdl.params.items()}
+            best_params = params.copy()
 
     epoch = 0
     order = order_rng.permutation(len(encoded))
     cursor = 0
     per_step = cfg.batch_size // 2
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
 
     for step in range(cfg.total_steps):
         batch_pairs, batch_labels = [], []
@@ -149,33 +181,42 @@ def train(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab,
                 batch_pairs.append(p)
                 batch_labels.append(label)
 
-        loss, grads = M.loss_and_grads(mdl, batch_pairs, batch_labels,
-                                       train_mode=True, rng=dropout_rng)
+        loss, _ = M.loss_and_grads(mdl, batch_pairs, batch_labels,
+                                   train_mode=True, rng=dropout_rng, grads=grad_views)
         if not np.isfinite(loss):
             raise DivergenceError(
                 f"non-finite loss {loss} at step {step} (lr={lr_at(step, cfg):.2e})"
             )
 
-        gnorm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        # each parameter's squares are summed on their own and the sums
+        # added in parameter order: one sum over the buffer rounds differently
+        np.multiply(grads, grads, out=scratch)
+        gnorm = float(np.sqrt(sum(float(sq.sum()) for sq in squares)))
         if cfg.grad_clip_norm > 0 and gnorm > cfg.grad_clip_norm:
-            scale = cfg.grad_clip_norm / gnorm
-            for g in grads.values():
-                g *= scale
+            # a float64 factor, so a float32 model's gradients scale in
+            # float64 and round once
+            grads *= np.float64(cfg.grad_clip_norm / gnorm)
 
         lr = lr_at(step, cfg)
         t = step + 1
-        bc1 = 1.0 - cfg.adam_beta1 ** t
-        bc2 = 1.0 - cfg.adam_beta2 ** t
-        for name, p in mdl.params.items():
-            g = grads[name]
-            m_state[name] = cfg.adam_beta1 * m_state[name] + (1 - cfg.adam_beta1) * g
-            v_state[name] = cfg.adam_beta2 * v_state[name] + (1 - cfg.adam_beta2) * g * g
-            update = (m_state[name] / bc1) / (np.sqrt(v_state[name] / bc2) + cfg.adam_eps)
-            if cfg.weight_decay > 0 and p.ndim >= 2:
-                update = update + cfg.weight_decay * p
-            p -= lr * update
+        adam_m *= b1
+        np.multiply(grads, 1 - b1, out=scratch)
+        adam_m += scratch
+        adam_v *= b2
+        np.multiply(grads, 1 - b2, out=scratch)
+        scratch *= grads
+        adam_v += scratch
+        np.divide(adam_v, 1.0 - b2 ** t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += cfg.adam_eps
+        np.divide(adam_m, 1.0 - b1 ** t, out=update)
+        update /= scratch
+        if cfg.weight_decay > 0:
+            update[:n_decay] += cfg.weight_decay * params[:n_decay]
+        update *= lr
+        params -= update
 
-        log.steps.append((step, loss, lr))
+        log.steps.append((step, loss, lr, gnorm))
         if (step + 1) % cfg.epoch_size == 0:
             run_eval(step + 1)
 
@@ -183,7 +224,7 @@ def train(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab,
         run_eval(cfg.total_steps)
 
     if best_params is not None:
-        mdl = M.Model(mdl.config, best_params)
+        mdl = M.Model(mdl.config, _views(best_params, layout))
     return mdl, log
 
 

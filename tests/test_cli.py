@@ -83,6 +83,70 @@ class TestTrainRerank:
                    [e.doc_id for e in entries[3:]]
 
 
+@pytest.fixture(scope="module")
+def checkpoint(data_dir, tmp_path_factory):
+    ckpt = tmp_path_factory.mktemp("model") / "model.ckpt"
+    assert run_cli("train", "--triples", str(data_dir / "triples.tsv"),
+                   "--vocab", str(data_dir / "vocab.txt"), "--out", str(ckpt),
+                   "--steps", "10", "--warmup", "2", "--epoch-size", "10",
+                   "--dropout", "0.0") == 0
+    return ckpt
+
+
+def rerank_cli(data_dir, checkpoint, run_path, out):
+    return run_cli("rerank", "--run", str(run_path), "--checkpoint", str(checkpoint),
+                   "--vocab", str(data_dir / "vocab.txt"),
+                   "--queries", str(data_dir / "queries.tsv"),
+                   "--collection", str(data_dir / "collection.tsv"),
+                   "--out", str(out), "--k", "3")
+
+
+class TestRerankData:
+    @pytest.mark.parametrize("line,missing", [
+        ("q9999 Q0 d000001 1 1.000000 bm25\n", "query q9999"),
+        ("q0000 Q0 d000001 1 2.000000 bm25\nq0000 Q0 d999999 2 1.000000 bm25\n",
+         "doc d999999"),
+    ])
+    def test_id_missing_from_inputs_is_a_data_error(self, data_dir, checkpoint, tmp_path,
+                                                    capsys, line, missing):
+        run_path = tmp_path / "bad.run"
+        run_path.write_text(line)
+        assert rerank_cli(data_dir, checkpoint, run_path, tmp_path / "out.run") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and missing in err
+        assert "Traceback" not in err
+
+    def test_truncated_checkpoint_is_a_data_error(self, data_dir, checkpoint, tmp_path, capsys):
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(checkpoint.read_bytes()[:16])
+        run_path = tmp_path / "one.run"
+        run_path.write_text("q0000 Q0 d000001 1 1.000000 bm25\n")
+        assert rerank_cli(data_dir, cut, run_path, tmp_path / "out.run") == 2
+        assert "truncated checkpoint" in capsys.readouterr().err
+
+    def test_memo_gives_the_same_run(self, data_dir, checkpoint):
+        coll = corpus.load_collection(data_dir / "collection.tsv")
+        queries = corpus.load_queries(data_dir / "queries.tsv")
+        vocab = tokenizer.load_vocab(data_dir / "vocab.txt")
+        mdl = M.load(checkpoint)
+        run = bm25.retrieve_run(bm25.build_index(coll), queries, 10)
+        memo = tokenizer.PairMemo(vocab, mdl.config.max_len)
+        for mode in (perturb.shuffle_mode(13), perturb.NATURAL, perturb.SORT_DESC):
+            plain = experiment.rerank_run(run, mdl, vocab, queries, coll, 10, mode)
+            assert experiment.rerank_run(run, mdl, vocab, queries, coll, 10, mode,
+                                         memo=memo) == plain
+        # each pair was encoded once, by the first call
+        assert len(memo) == sum(len(v) for v in run.entries.values())
+
+    def test_memo_for_another_max_len_is_refused(self, data_dir, checkpoint):
+        vocab = tokenizer.load_vocab(data_dir / "vocab.txt")
+        mdl = M.load(checkpoint)
+        memo = tokenizer.PairMemo(vocab, mdl.config.max_len + 1)
+        with pytest.raises(ValueError, match="memo"):
+            experiment.rerank_run(corpus.Run(), mdl, vocab, corpus.QuerySet(),
+                                  corpus.Collection(), 10, memo=memo)
+
+
 class TestPerturbText:
     def test_sort_descending_token_ids(self, data_dir, capsys):
         assert run_cli("perturb-text", "--vocab", str(data_dir / "vocab.txt"),
@@ -95,6 +159,11 @@ class TestExitCodes:
     def test_usage_error(self):
         assert run_cli("generate") == 1
         assert run_cli("no-such-command") == 1
+
+    def test_train_has_no_preset_option(self, data_dir, tmp_path):
+        assert run_cli("train", "--triples", str(data_dir / "triples.tsv"),
+                       "--vocab", str(data_dir / "vocab.txt"),
+                       "--out", str(tmp_path / "m.ckpt"), "--preset", "paper") == 1
 
     def test_data_error_missing_file(self, tmp_path):
         assert run_cli("index", "--collection", str(tmp_path / "nope.tsv")) == 2
@@ -219,6 +288,15 @@ class TestExperimentCommand:
         recorded = [r[3] for r in rows if r[1] == "shuffle:13" and r[2] == "shuffle"]
         assert cls_cka(13) != cls_cka(5)
         assert recorded == [cls_cka(13)]
+
+    def test_train_logs_record_grad_norm(self, exp):
+        _, out = exp
+        for name in ("learned_natural", "none_natural"):
+            lines = (out / "models" / f"{name}_log.tsv").read_text().splitlines()
+            assert lines[0] == "step\tloss\tlr\tgrad_norm"
+            assert len(lines) == 41
+            norms = [float(line.split("\t")[3]) for line in lines[1:]]
+            assert all(np.isfinite(n) and n > 0 for n in norms)
 
     def test_eval_log_marks_kept_checkpoint(self, exp):
         _, out = exp

@@ -184,6 +184,27 @@ class TestSyntheticGeneration:
         for (qid, doc_id), grade in qrels.grades.items():
             assert oracle_bigram(qs.entries[qid], coll.entries[doc_id]) == grade
 
+    @pytest.mark.parametrize("rule,oracle,zero_slots,n_planted", [
+        ("overlap", oracle_overlap, [8], 9),
+        ("bigram_order", oracle_bigram, [3, 4], 5),
+    ])
+    def test_qrels_equal_a_full_scan(self, rule, oracle, zero_slots, n_planted):
+        # every query against every doc, in query then doc-id order, then
+        # the planted grade-0 docs: the judgments and their order must be
+        # exactly these, so no pair the postings miss can go unnoticed
+        spec = SyntheticSpec(vocab_size=400, n_docs=400, n_queries=30, seed=9,
+                             relevance_rule=rule)
+        coll, qs, qrels, _ = generate_synthetic(spec)
+        expected = {}
+        for qi, qid in enumerate(sorted(qs.entries)):
+            for doc_id in sorted(coll.entries):
+                grade = oracle(qs.entries[qid], coll.entries[doc_id])
+                if grade > 0:
+                    expected[(qid, doc_id)] = grade
+            for slot in zero_slots:
+                expected.setdefault((qid, f"d{qi * n_planted + slot:06d}"), 0)
+        assert list(qrels.grades.items()) == list(expected.items())
+
     def test_triples_pair_positive_with_nonrelevant(self):
         spec = SyntheticSpec(vocab_size=300, n_docs=300, n_queries=20, seed=3)
         coll, qs, qrels, triples = generate_synthetic(spec)

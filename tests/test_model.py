@@ -231,3 +231,30 @@ class TestCheckpoint:
         M.save(mdl, p)
         with pytest.raises(ValueError, match="names"):
             M.load(p)
+
+    @pytest.mark.parametrize("where", ["header", "config", "array"])
+    def test_truncated_checkpoint_rejected(self, tmp_path, where):
+        p = tmp_path / "m.ckpt"
+        M.save(init(small_cfg(), 0), p)
+        blob = p.read_bytes()
+        magic_len = blob.index(10) + 1
+        config_start = magic_len + 4 + 8
+        cut = {
+            "header": 16,                                     # inside the version field
+            "config": config_start + 10,                      # inside the config JSON
+            "array": len(blob) - 5,                           # inside the last array
+        }[where]
+        assert blob[config_start:config_start + 1] == b"{"
+        p.write_bytes(blob[:cut])
+        with pytest.raises(ValueError, match="truncated checkpoint"):
+            M.load(p)
+
+
+class TestGelu:
+    def test_forward_erf_term_gives_identical_gradients(self):
+        # backward reuses the forward pass's erf term: same bits as
+        # computing it afresh
+        x = np.random.default_rng(0).normal(size=(3, 5, 7))
+        cdf2 = M.gelu_cdf2(x)
+        assert M.gelu(x, cdf2).tobytes() == M.gelu(x).tobytes()
+        assert M.gelu_grad(x, cdf2).tobytes() == M.gelu_grad(x).tobytes()

@@ -88,8 +88,8 @@ class TestTrainLoop:
         cfg = T.TrainConfig(batch_size=8, lr_peak=3e-3, warmup_steps=10,
                             total_steps=120, epoch_size=120, seed=2)
         _, log = T.train(small_model(2), toy_triples(), cfg, VOCAB)
-        first = np.mean([l for _, l, _ in log.steps[:10]])
-        last = np.mean([l for _, l, _ in log.steps[-10:]])
+        first = np.mean([s[1] for s in log.steps[:10]])
+        last = np.mean([s[1] for s in log.steps[-10:]])
         assert last < first * 0.5
 
     def test_best_checkpoint_selected(self):
@@ -120,8 +120,74 @@ class TestTrainLoop:
         p = tmp_path / "log.tsv"
         T.write_train_log(log, p)
         lines = p.read_text().splitlines()
-        assert lines[0] == "step\tloss\tlr"
+        assert lines[0] == "step\tloss\tlr\tgrad_norm"
         assert len(lines) == 6
+        grad_norms = [float(line.split("\t")[3]) for line in lines[1:]]
+        assert all(math.isfinite(g) and g > 0 for g in grad_norms)
+
+
+def reference_train(mdl, triples, cfg, vocab):
+    """The per-parameter Adam loop, for batches that each hold every triple
+    once (batch_size = 2 * len(triples), natural order, no dropout).
+
+    Returns the final parameters and the pre-clip grad norm of each step.
+    """
+    params = {k: v.copy() for k, v in mdl.params.items()}
+    ref = M.Model(mdl.config, params)
+    encoded = [T.make_examples(t, vocab, mdl.config.max_len) for t in triples]
+    order_rng = np.random.default_rng(cfg.seed)
+    m_state = {k: np.zeros_like(v) for k, v in params.items()}
+    v_state = {k: np.zeros_like(v) for k, v in params.items()}
+    norms = []
+    for step in range(cfg.total_steps):
+        pairs, labels = [], []
+        for idx in order_rng.permutation(len(encoded)):
+            for pair, label in encoded[idx]:
+                pairs.append(pair)
+                labels.append(label)
+        _, grads = M.loss_and_grads(ref, pairs, labels)
+        gnorm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        norms.append(float(gnorm))
+        if cfg.grad_clip_norm > 0 and gnorm > cfg.grad_clip_norm:
+            scale = cfg.grad_clip_norm / gnorm
+            for g in grads.values():
+                g *= scale
+        lr = T.lr_at(step, cfg)
+        t = step + 1
+        bc1 = 1.0 - cfg.adam_beta1 ** t
+        bc2 = 1.0 - cfg.adam_beta2 ** t
+        for name, p in params.items():
+            g = grads[name]
+            m_state[name] = cfg.adam_beta1 * m_state[name] + (1 - cfg.adam_beta1) * g
+            v_state[name] = cfg.adam_beta2 * v_state[name] + (1 - cfg.adam_beta2) * g * g
+            update = (m_state[name] / bc1) / (np.sqrt(v_state[name] / bc2) + cfg.adam_eps)
+            if cfg.weight_decay > 0 and p.ndim >= 2:
+                update = update + cfg.weight_decay * p
+            p -= lr * update
+    return params, norms
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize("precision", [64, 32])
+    def test_matches_per_parameter_adam_exactly(self, precision):
+        triples = toy_triples(6)
+        cfg = T.TrainConfig(batch_size=2 * len(triples), lr_peak=1e-2, warmup_steps=2,
+                            total_steps=8, epoch_size=8, seed=4, weight_decay=0.05,
+                            grad_clip_norm=0.05)
+        start = small_model(5, numeric_precision=precision)
+        before = {k: v.copy() for k, v in start.params.items()}
+        expected, norms = reference_train(start, triples, cfg, VOCAB)
+        mdl, log = T.train(start, triples, cfg, VOCAB)
+        # clipping was active on every step, and the log holds the pre-clip norm
+        assert [s[3] for s in log.steps] == norms
+        assert min(norms) > cfg.grad_clip_norm
+        assert list(mdl.params) == list(expected)
+        for name, value in expected.items():
+            assert mdl.params[name].dtype == value.dtype
+            assert mdl.params[name].tobytes() == value.tobytes(), name
+        # the model passed in is left as it was
+        for name, value in before.items():
+            assert start.params[name].tobytes() == value.tobytes()
 
 
 class TestGradCheck:
