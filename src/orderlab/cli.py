@@ -122,8 +122,8 @@ def _cmd_train(args):
     mdl = M.init(cfg, args.seed)
     hook = None
     if args.dev_triples:
-        dev = corpus.load_triples(args.dev_triples)
-        hook = lambda m: experiment.held_out_accuracy(m, dev, vocab, tcfg.train_perturb)
+        hook = experiment.held_out_hook(corpus.load_triples(args.dev_triples), vocab,
+                                        cfg.max_len, tcfg.train_perturb)
     mdl, log = T.train(mdl, triples, tcfg, vocab, eval_hook=hook)
     M.save(mdl, args.out)
     if args.log:
@@ -228,11 +228,12 @@ def _cmd_cka(args):
     run = corpus.load_run(args.run)
     pairs = []
     for qid in sorted(run.entries):
-        if qid not in queries.entries:
-            continue
-        for e in run.entries[qid][: args.depth]:
-            pairs.append(tokenizer.encode_pair(queries.entries[qid], coll.entries[e.doc_id],
-                                               vocab, model_a.config.max_len))
+        block = run.entries[qid][: args.depth]
+        error = experiment.missing_id_error(qid, block, queries, coll)
+        if error is not None:
+            raise error
+        pairs.extend(tokenizer.encode_pair(queries.entries[qid], coll.entries[e.doc_id],
+                                           vocab, model_a.config.max_len) for e in block)
     report = cka.compare(model_a, perturb.parse_mode(args.mode_a),
                          model_b, perturb.parse_mode(args.mode_b),
                          pairs, selector=args.selector, batch_size=args.batch_size)

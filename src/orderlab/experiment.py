@@ -190,6 +190,18 @@ def write_resolved_config(spec: ExperimentSpec, path):
 # re-ranking
 
 
+def missing_id_error(qid: str, block: list[RunEntry], queries: QuerySet,
+                     collection: Collection) -> ValidationError | None:
+    """The error for a query of a run, or a doc of its `block`, that the
+    inputs lack; None when both have every id."""
+    if qid not in queries.entries:
+        return ValidationError(f"query {qid} of the run is not in the queries")
+    missing = next((e.doc_id for e in block if e.doc_id not in collection.entries), None)
+    if missing is None:
+        return None
+    return ValidationError(f"doc {missing} of the run (query {qid}) is not in the collection")
+
+
 def rerank_run(run: Run, mdl: M.Model, vocab: Vocab, queries: QuerySet,
                collection: Collection, k: int,
                mode: perturb.PerturbMode = perturb.NATURAL,
@@ -220,13 +232,10 @@ def rerank_run(run: Run, mdl: M.Model, vocab: Vocab, queries: QuerySet,
                 for e in block
             ]
         except KeyError:
-            if qid not in queries.entries:
-                raise ValidationError(f"query {qid} of the run is not in the queries") from None
-            missing = next((e.doc_id for e in block if e.doc_id not in collection.entries), None)
-            if missing is None:
+            error = missing_id_error(qid, block, queries, collection)
+            if error is None:
                 raise
-            raise ValidationError(
-                f"doc {missing} of the run (query {qid}) is not in the collection") from None
+            raise error from None
         scores = []
         for start in range(0, len(pairs), batch_size):
             scores.extend(M.forward(mdl, pairs[start:start + batch_size]).relevance_prob)
@@ -247,21 +256,32 @@ def rerank_run(run: Run, mdl: M.Model, vocab: Vocab, queries: QuerySet,
     return out
 
 
+def held_out_hook(triples: list[Triple], vocab: Vocab, max_len: int,
+                  mode: perturb.PerturbMode = perturb.NATURAL, batch_size: int = 64):
+    """Eval hook for `train.train`: the model's `held_out_accuracy` on
+    `triples`, whose examples are encoded and perturbed once, here."""
+    pairs, labels = [], []
+    for i, t in enumerate(triples):
+        for pair, label in T.make_examples(t, vocab, max_len, mode, f"acc:{i}"):
+            pairs.append(pair)
+            labels.append(label)
+
+    def accuracy(mdl: M.Model) -> float:
+        correct = 0
+        for start in range(0, len(pairs), batch_size):
+            probs = M.forward(mdl, pairs[start:start + batch_size]).relevance_prob
+            for p, y in zip(probs, labels[start:start + batch_size]):
+                correct += int((p >= 0.5) == bool(y))
+        return correct / len(pairs)
+
+    return accuracy
+
+
 def held_out_accuracy(mdl: M.Model, triples: list[Triple], vocab: Vocab,
                       mode: perturb.PerturbMode = perturb.NATURAL,
                       batch_size: int = 64) -> float:
     """Classification accuracy over the two examples of each triple."""
-    pairs, labels = [], []
-    for i, t in enumerate(triples):
-        for pair, label in T.make_examples(t, vocab, mdl.config.max_len, mode, f"acc:{i}"):
-            pairs.append(pair)
-            labels.append(label)
-    correct = 0
-    for start in range(0, len(pairs), batch_size):
-        probs = M.forward(mdl, pairs[start:start + batch_size]).relevance_prob
-        for p, y in zip(probs, labels[start:start + batch_size]):
-            correct += int((p >= 0.5) == bool(y))
-    return correct / len(pairs)
+    return held_out_hook(triples, vocab, mdl.config.max_len, mode, batch_size)(mdl)
 
 
 # ---------------------------------------------------------------------------

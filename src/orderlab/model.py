@@ -9,6 +9,13 @@ invariant to within-span reordering.
 
 Forward and backward passes are hand-written in numpy; `train.grad_check`
 verifies the analytic gradients against central finite differences.
+
+Scoring reads the final [CLS] state alone. So when `forward` captures
+nothing in eval mode, and in `batch_loss`, the last layer computes keys
+and values for every token, and the rest of the layer only for rows 0
+and 1. The logits are byte-identical to the full pass. Training, dropout
+and capture run every row of every layer: a pruned backward would round
+differently from the full one.
 """
 
 from __future__ import annotations
@@ -225,8 +232,14 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(B, T, H * dh)
 
 
-def _forward(model: Model, ids, segs, mask, train_mode=False, rng=None, capture=False):
-    """Run the encoder; returns (logits, activations, tape for backward)."""
+def _forward(model: Model, ids, segs, mask, train_mode=False, rng=None, capture=False,
+             _cls_only=False):
+    """Run the encoder; returns (logits, activations, tape for backward).
+
+    With `_cls_only` (eval mode, no capture) the last layer computes keys
+    and values for every token and everything after them for rows 0 and
+    1 only; the logits are the same bytes, and the tape is None.
+    """
     cfg = model.config
     P = model.params
     B, T = ids.shape
@@ -254,7 +267,12 @@ def _forward(model: Model, ids, segs, mask, train_mode=False, rng=None, capture=
     for l in range(cfg.n_layers):
         p = f"layer{l}."
         lt: dict = {"h_in": h}
-        q = h @ P[p + "Wq"] + P[p + "bq"]
+        # rows the layer's output keeps: all, or [CLS] and the next row
+        # on the last layer of a [CLS]-only pass. Two rows, not one:
+        # numpy sends a one-row product to gemv, which rounds differently
+        # from the gemm the full pass runs
+        hq = h[:, :2].copy() if _cls_only and l == cfg.n_layers - 1 else h
+        q = hq @ P[p + "Wq"] + P[p + "bq"]
         k = h @ P[p + "Wk"] + P[p + "bk"]
         v = h @ P[p + "Wv"] + P[p + "bv"]
         qh, kh, vh = (_split_heads(x, cfg.n_heads) for x in (q, k, v))
@@ -264,7 +282,7 @@ def _forward(model: Model, ids, segs, mask, train_mode=False, rng=None, capture=
         ctx = _merge_heads(A_d @ vh)
         attn = ctx @ P[p + "Wo"] + P[p + "bo"]
         attn, o_keep = _dropout(attn, drop, rng)
-        h1, ln1_cache = layer_norm_fwd(h + attn, P[p + "ln1_g"], P[p + "ln1_b"])
+        h1, ln1_cache = layer_norm_fwd(hq + attn, P[p + "ln1_g"], P[p + "ln1_b"])
 
         z = h1 @ P[p + "W1"] + P[p + "b1"]
         cdf2 = gelu_cdf2(z)
@@ -283,7 +301,7 @@ def _forward(model: Model, ids, segs, mask, train_mode=False, rng=None, capture=
 
     tape["h_final"] = h
     logits = h[:, 0, :] @ P["cls_W"] + P["cls_b"]
-    return logits, acts, tape
+    return logits, acts, None if _cls_only else tape
 
 
 def _backward(model: Model, tape, dlogits, grads=None):
@@ -388,7 +406,8 @@ def forward(model: Model, pairs: list[TokenizedPair], capture=False,
     """Score a batch; `capture=True` records all per-layer hidden states."""
     ids, segs, mask = pad_batch(pairs, dtype=model.config.dtype)
     logits, acts, _ = _forward(model, ids, segs, mask, train_mode=train_mode,
-                               rng=rng, capture=capture)
+                               rng=rng, capture=capture,
+                               _cls_only=not (capture or train_mode))
     probs = softmax(logits, axis=-1)[:, 1]
     out = ForwardOutput(logits=logits, relevance_prob=probs)
     if capture:
@@ -420,7 +439,7 @@ def loss_and_grads(model: Model, pairs: list[TokenizedPair], labels,
 def batch_loss(model: Model, pairs, labels) -> float:
     """Loss only (eval mode); used by the finite-difference gradient check."""
     ids, segs, mask = pad_batch(pairs, dtype=model.config.dtype)
-    logits, _, _ = _forward(model, ids, segs, mask)
+    logits, _, _ = _forward(model, ids, segs, mask, _cls_only=True)
     B = logits.shape[0]
     probs = softmax(logits, axis=-1)
     y = np.asarray(labels, dtype=np.int64)

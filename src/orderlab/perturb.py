@@ -61,9 +61,14 @@ def derive_seed(seed: int, key: str) -> int:
 
 
 def fisher_yates(values: list[int], rng: np.random.Generator) -> list[int]:
+    """Swap position i (from the end down) with a draw j in [0, i].
+
+    All draws come from one `integers` call with one bound per step,
+    which yields the stream of one scalar call per step.
+    """
     out = list(values)
-    for i in range(len(out) - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+    n = len(out)
+    for i, j in zip(range(n - 1, 0, -1), rng.integers(0, np.arange(n, 1, -1)).tolist()):
         out[i], out[j] = out[j], out[i]
     return out
 

@@ -3,6 +3,7 @@ import pytest
 
 from orderlab import bm25, cka, cli, corpus, experiment, perturb, tokenizer
 from orderlab import model as M
+from orderlab import train as T
 
 GEN = ["generate", "--vocab-size", "300", "--n-docs", "300", "--n-queries", "20",
        "--seed", "3"]
@@ -147,6 +148,82 @@ class TestRerankData:
                                   corpus.Collection(), 10, memo=memo)
 
 
+def cka_cli(data_dir, checkpoint, run_path):
+    return run_cli("cka", "--checkpoint-a", str(checkpoint), "--checkpoint-b", str(checkpoint),
+                   "--vocab", str(data_dir / "vocab.txt"),
+                   "--queries", str(data_dir / "queries.tsv"),
+                   "--collection", str(data_dir / "collection.tsv"),
+                   "--run", str(run_path))
+
+
+class TestCkaData:
+    def test_round_trip(self, data_dir, checkpoint, tmp_path, capsys):
+        run_path = tmp_path / "bm25.run"
+        assert run_cli("retrieve", "--collection", str(data_dir / "collection.tsv"),
+                       "--queries", str(data_dir / "queries.tsv"),
+                       "--out", str(run_path), "--k", "5") == 0
+        capsys.readouterr()
+        assert cka_cli(data_dir, checkpoint, run_path) == 0
+        # a model compared with itself on the same input
+        assert capsys.readouterr().out.splitlines()[-1].endswith("\t1.000000")
+
+    @pytest.mark.parametrize("line,missing", [
+        ("q9999 Q0 d000001 1 1.000000 bm25\n", "query q9999"),
+        ("q0000 Q0 d000001 1 2.000000 bm25\nq0000 Q0 d999999 2 1.000000 bm25\n",
+         "doc d999999"),
+    ])
+    def test_id_missing_from_inputs_is_a_data_error(self, data_dir, checkpoint, tmp_path,
+                                                    capsys, line, missing):
+        # the same one-line error as `orderlab rerank` gives
+        run_path = tmp_path / "bad.run"
+        run_path.write_text(line)
+        assert cka_cli(data_dir, checkpoint, run_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and missing in err
+        assert "Traceback" not in err
+        assert rerank_cli(data_dir, checkpoint, run_path, tmp_path / "out.run") == 2
+        assert capsys.readouterr().err == err
+
+
+class TestTrainDevHook:
+    def test_dev_triples_encoded_once(self, data_dir, tmp_path, monkeypatch):
+        triples = corpus.load_triples(data_dir / "triples.tsv")
+        calls = []
+        encode = T.encode_pair
+        monkeypatch.setattr(T, "encode_pair", lambda *a, **kw: calls.append(1) or encode(*a, **kw))
+        # evals at steps 10, 20, 30 and 40 on the training triples as dev set
+        assert run_cli("train", "--triples", str(data_dir / "triples.tsv"),
+                       "--dev-triples", str(data_dir / "triples.tsv"),
+                       "--vocab", str(data_dir / "vocab.txt"), "--out", str(tmp_path / "m.ckpt"),
+                       "--steps", "40", "--warmup", "2",
+                       "--epoch-size", "10", "--perturb", "shuffle:3") == 0
+        # two examples per triple: once for training, once for all the evals
+        assert len(calls) == 2 * len(triples) + 2 * len(triples)
+
+    @pytest.mark.parametrize("mode", [perturb.NATURAL, perturb.shuffle_mode(3)])
+    def test_hook_gives_per_call_accuracy(self, data_dir, checkpoint, mode):
+        # reference: encode and perturb the dev examples on every call
+        def per_call_accuracy(mdl, triples, vocab):
+            pairs, labels = [], []
+            for i, t in enumerate(triples):
+                for pair, label in T.make_examples(t, vocab, mdl.config.max_len, mode,
+                                                   f"acc:{i}"):
+                    pairs.append(pair)
+                    labels.append(label)
+            probs = np.concatenate([M.forward(mdl, pairs[s:s + 64]).relevance_prob
+                                    for s in range(0, len(pairs), 64)])
+            return sum(int((p >= 0.5) == bool(y)) for p, y in zip(probs, labels)) / len(pairs)
+
+        triples = corpus.load_triples(data_dir / "triples.tsv")
+        vocab = tokenizer.load_vocab(data_dir / "vocab.txt")
+        trained = M.load(checkpoint)
+        hook = experiment.held_out_hook(triples, vocab, trained.config.max_len, mode)
+        for mdl in (trained, M.init(trained.config, 1)):
+            want = per_call_accuracy(mdl, triples, vocab)
+            assert hook(mdl) == want == hook(mdl)
+            assert experiment.held_out_accuracy(mdl, triples, vocab, mode) == want
+
+
 class TestPerturbText:
     def test_sort_descending_token_ids(self, data_dir, capsys):
         assert run_cli("perturb-text", "--vocab", str(data_dir / "vocab.txt"),
@@ -288,6 +365,28 @@ class TestExperimentCommand:
         recorded = [r[3] for r in rows if r[1] == "shuffle:13" and r[2] == "shuffle"]
         assert cls_cka(13) != cls_cka(5)
         assert recorded == [cls_cka(13)]
+
+    def test_cls_only_scoring_gives_the_full_pass_run(self, tmp_path, monkeypatch):
+        # every output byte is the same when every score runs the full encoder
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(CONFIG.replace("total_steps = 40", "total_steps = 30")
+                       .replace("epoch_size = 20", "epoch_size = 10")
+                       .replace("learned/natural/natural, learned/natural/sort, none/natural/natural",
+                                "learned/natural/natural, learned/shuffle:13/shuffle:13, "
+                                "learned/shuffle:13/natural, none/natural/sort"))
+        spec = experiment.spec_from_config(cfg)
+        experiment.run_experiment(spec, tmp_path / "pruned", log=lambda *a: None)
+        full_pass = M.forward
+        monkeypatch.setattr(M, "forward", lambda mdl, pairs, capture=False, **kw:
+                            full_pass(mdl, pairs, capture=True, **kw))
+        experiment.run_experiment(spec, tmp_path / "full", log=lambda *a: None)
+
+        def files(root):
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        pruned, full = files(tmp_path / "pruned"), files(tmp_path / "full")
+        assert len(pruned) > 20
+        assert pruned == full
 
     def test_train_logs_record_grad_norm(self, exp):
         _, out = exp

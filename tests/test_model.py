@@ -4,7 +4,7 @@ import pytest
 from orderlab import model as M
 from orderlab import perturb
 from orderlab.model import Model, ModelConfig, forward, init, score
-from orderlab.tokenizer import RESERVED, TokenizedPair, Vocab, encode_pair
+from orderlab.tokenizer import CLS_ID, RESERVED, SEP_ID, TokenizedPair, Vocab, encode_pair
 
 
 def small_cfg(**kw):
@@ -258,3 +258,70 @@ class TestGelu:
         cdf2 = M.gelu_cdf2(x)
         assert M.gelu(x, cdf2).tobytes() == M.gelu(x).tobytes()
         assert M.gelu_grad(x, cdf2).tobytes() == M.gelu_grad(x).tobytes()
+
+
+def _random_pair(rng, n_total):
+    """A pair of exactly n_total ids (n_total >= 4) over VOCAB's word ids."""
+    nq = int(rng.integers(1, min(8, n_total - 3) + 1))
+    np_ = n_total - 3 - nq
+    ids = ([CLS_ID] + rng.integers(len(RESERVED), 50, nq).tolist()
+           + [SEP_ID] + rng.integers(len(RESERVED), 50, np_).tolist() + [SEP_ID])
+    sep = 1 + nq
+    return TokenizedPair(ids=ids, segments=[0] * (sep + 1) + [1] * (np_ + 1),
+                         query_span=(1, sep - 1), passage_span=(sep + 1, len(ids) - 2),
+                         sep_positions=(sep, len(ids) - 1))
+
+
+SWEEP_MODELS = [
+    dict(numeric_precision=prec, n_layers=layers, position_mode=pos, hidden=width,
+         ff_dim=2 * width)
+    for prec in (32, 64) for layers in (1, 2, 3) for pos in ("learned", "none")
+    for width in (16, 32)
+]
+
+
+class TestClsOnlyPass:
+    """Without capture, eval-mode scoring runs the last layer past its keys
+    and values on rows 0 and 1 only; it must give the full pass's bytes."""
+
+    @pytest.mark.parametrize("kw", SWEEP_MODELS,
+                             ids=lambda kw: "fp{numeric_precision}-L{n_layers}-"
+                                            "{position_mode}-d{hidden}".format(**kw))
+    def test_logits_match_capture_path_bytewise(self, kw):
+        mdl = init(small_cfg(max_len=64, **kw), kw["n_layers"] * 7 + kw["hidden"])
+        rng = np.random.default_rng(kw["n_layers"] + kw["hidden"])
+        mismatched = []
+        for B in (1, 2, 3, 5, 8, 13, 16, 31, 32, 33, 64, 100):
+            for T in (4, 17, 40, 64):
+                # the first pair sets the padded length; the rest are shorter
+                pairs = [_random_pair(rng, T)] + [
+                    _random_pair(rng, int(rng.integers(4, T + 1))) for _ in range(B - 1)]
+                pruned = forward(mdl, pairs).logits
+                full = forward(mdl, pairs, capture=True).logits
+                if pruned.tobytes() != full.tobytes():
+                    mismatched.append((B, T))
+        assert mismatched == []
+
+    @pytest.mark.parametrize("precision", [32, 64])
+    def test_batch_loss_matches_loss_and_grads_bitwise(self, precision):
+        mdl = init(small_cfg(numeric_precision=precision, dropout_rate=0.1), 5)
+        rng = np.random.default_rng(precision)
+        for B in (1, 2, 7, 16):
+            pairs = [_random_pair(rng, int(rng.integers(4, 33))) for _ in range(B)]
+            labels = rng.integers(0, 2, B).tolist()
+            loss, _ = M.loss_and_grads(mdl, pairs, labels)
+            assert M.batch_loss(mdl, pairs, labels) == loss
+
+    def test_cls_only_pass_returns_no_tape(self):
+        mdl = init(small_cfg(), 6)
+        ids, segs, mask = M.pad_batch([pair_of("t0 t1", "t2 t3 t4")])
+        logits, acts, tape = M._forward(mdl, ids, segs, mask, _cls_only=True)
+        assert tape is None and acts is None
+        assert logits.shape == (1, 2)
+
+    def test_training_forward_draws_the_full_pass_masks(self):
+        mdl = init(small_cfg(dropout_rate=0.3), 7)
+        pairs = [pair_of("t0 t1", "t2 t3 t4"), pair_of("t5", "t6 t7")]
+        a = forward(mdl, pairs, train_mode=True, rng=np.random.default_rng(0))
+        b = forward(mdl, pairs, train_mode=True, capture=True, rng=np.random.default_rng(0))
+        assert a.logits.tobytes() == b.logits.tobytes()

@@ -148,3 +148,24 @@ class TestInvariants:
         pair = make_pair([7, 5], [])
         out = apply(pair, SORT_DESC)
         assert out.ids == [CLS_ID, 7, 5, SEP_ID, SEP_ID]
+
+
+def per_step_fisher_yates(values, rng):
+    """The shuffle as one scalar draw per step: the reference stream."""
+    out = list(values)
+    for i in range(len(out) - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+class TestFisherYates:
+    def test_matches_per_step_draws(self):
+        # one generator per seed runs through every length in turn, so the
+        # number of draws each call takes must match too
+        for seed in range(1000):
+            fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for n in range(71):
+                values = list(range(100, 100 + n))
+                assert perturb.fisher_yates(values, fast) == \
+                    per_step_fisher_yates(values, ref), (seed, n)
