@@ -6,9 +6,10 @@ columns of X (n x d1) and Y (n x d2),
     CKA(X, Y) = ||Y^T X||_F^2 / (||X^T X||_F * ||Y^T Y||_F)
 
 which is invariant to orthogonal transformations and isotropic scaling
-of either argument. `compare` runs two models (or two perturbation
-conditions of the same model) over a dataset batch-wise, computes CKA
-per captured layer, and averages over batches.
+of either argument. `capture` runs one model under one perturbation
+over a dataset batch-wise and keeps every layer's hidden states;
+`score` computes CKA per layer between two captures and averages over
+batches. `compare` does both for two (model, perturbation) conditions.
 """
 
 from __future__ import annotations
@@ -65,37 +66,43 @@ def _rows(acts, pairs, selector):
     return rows_per_layer
 
 
-def compare(model_a: M.Model, perturb_a: perturb.PerturbMode,
-            model_b: M.Model, perturb_b: perturb.PerturbMode,
-            dataset, selector: str = "cls_only", batch_size: int = 64) -> CkaReport:
-    """Batch-averaged per-layer CKA between two (model, perturbation) conditions.
+@dataclass
+class Capture:
+    """Every layer's hidden states of one (model, perturbation) over a
+    dataset: per batch, its offset, perturbed pairs and L+1 activations."""
+    condition: str
+    batches: list[tuple[int, list, list[np.ndarray]]]
 
-    `dataset` is a list of natural TokenizedPair; each example's index is
-    its perturbation key. Both models must share tokenizer and max_len.
-    """
-    if selector not in ("cls_only", "all_tokens"):
-        raise ValueError(f"unknown selector {selector!r}")
+
+def capture(mdl: M.Model, mode: perturb.PerturbMode, dataset,
+            batch_size: int = 64) -> Capture:
+    """One capture forward per batch of `dataset` (natural TokenizedPair)
+    under `mode`; each example's index is its perturbation key. A last
+    batch of fewer than 2 examples is left out: CKA needs 2 rows."""
     if not dataset:
         raise ValueError("empty dataset")
-    if model_a.config.max_len != model_b.config.max_len:
-        raise ValueError("models disagree on max_len")
-
-    report = CkaReport(
-        selector=selector,
-        condition_a=perturb.format_mode(perturb_a),
-        condition_b=perturb.format_mode(perturb_b),
-    )
-    n_layers = None
+    batches = []
     for start in range(0, len(dataset), batch_size):
         batch = dataset[start:start + batch_size]
         if len(batch) < 2:
             break
-        pairs_a = [perturb.apply(p, perturb_a, str(start + i)) for i, p in enumerate(batch)]
-        pairs_b = [perturb.apply(p, perturb_b, str(start + i)) for i, p in enumerate(batch)]
-        out_a = M.forward(model_a, pairs_a, capture=True)
-        out_b = M.forward(model_b, pairs_b, capture=True)
-        rows_a = _rows(out_a.activations, pairs_a, selector)
-        rows_b = _rows(out_b.activations, pairs_b, selector)
+        pairs = [perturb.apply(p, mode, str(start + i)) for i, p in enumerate(batch)]
+        batches.append((start, pairs, M.forward(mdl, pairs, capture=True).activations))
+    return Capture(perturb.format_mode(mode), batches)
+
+
+def score(a: Capture, b: Capture, selector: str = "cls_only") -> CkaReport:
+    """Batch-averaged per-layer CKA between two captures of one dataset."""
+    if selector not in ("cls_only", "all_tokens"):
+        raise ValueError(f"unknown selector {selector!r}")
+    if [start for start, _, _ in a.batches] != [start for start, _, _ in b.batches]:
+        raise ValueError("captures cover different batches")
+
+    report = CkaReport(selector=selector, condition_a=a.condition, condition_b=b.condition)
+    n_layers = None
+    for (start, pairs_a, acts_a), (_, pairs_b, acts_b) in zip(a.batches, b.batches):
+        rows_a = _rows(acts_a, pairs_a, selector)
+        rows_b = _rows(acts_b, pairs_b, selector)
         if len(rows_a) != len(rows_b):
             raise ValueError("models capture different layer counts")
         try:
@@ -114,6 +121,20 @@ def compare(model_a: M.Model, perturb_a: perturb.PerturbMode,
         sum(b[l] for b in report.per_batch) / report.n_batches for l in range(n_layers)
     ]
     return report
+
+
+def compare(model_a: M.Model, perturb_a: perturb.PerturbMode,
+            model_b: M.Model, perturb_b: perturb.PerturbMode,
+            dataset, selector: str = "cls_only", batch_size: int = 64) -> CkaReport:
+    """Batch-averaged per-layer CKA between two (model, perturbation) conditions.
+
+    `dataset` is a list of natural TokenizedPair; each example's index is
+    its perturbation key. Both models must share tokenizer and max_len.
+    """
+    if model_a.config.max_len != model_b.config.max_len:
+        raise ValueError("models disagree on max_len")
+    return score(capture(model_a, perturb_a, dataset, batch_size),
+                 capture(model_b, perturb_b, dataset, batch_size), selector)
 
 
 def write_report_csv(report: CkaReport, path):

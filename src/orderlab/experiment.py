@@ -4,7 +4,8 @@ Generates (or loads) data, builds the vocabulary and BM25 first-stage
 runs, trains one model per distinct (position_mode, train_perturb),
 re-ranks and evaluates every condition, and emits a summary TSV plus
 CKA analysis artifacts. Completed stages are skipped on re-run based on
-the presence of their output files.
+the presence of their output files; those files are written whole or
+not at all (`_write_atomically`).
 
 Every model trains on the same triples, written to `data/triples.tsv`;
 dev and test queries contribute none. Under the overlap rule these are
@@ -370,6 +371,19 @@ def _load_report_means(path) -> metrics.MetricsReport:
     return report
 
 
+def _write_atomically(write, obj, path):
+    """`write(obj, tmp)` to a temp file beside `path`, then rename it to
+    `path`: an interrupted write leaves nothing at `path`."""
+    tmp = f"{path}.tmp"
+    try:
+        write(obj, tmp)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+    os.replace(tmp, path)
+
+
 def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
     """Execute the full condition matrix; returns {condition label: report}."""
     spec.validate()
@@ -442,10 +456,11 @@ def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
             return metrics.evaluate(reranked, qrels).mean["ndcg@10"]
 
         mdl, tlog = T.train(mdl, train_triples, tcfg, vocab, eval_hook=dev_hook, memo=memo)
-        M.save(mdl, ckpt)
+        # the checkpoint comes last: its presence marks a complete model
         stem = ckpt[: -len(".ckpt")]
         T.write_train_log(tlog, stem + "_log.tsv")
         T.write_eval_log(tlog, stem + "_evals.tsv")
+        _write_atomically(M.save, mdl, ckpt)
         trained[key] = mdl
 
     # -- evaluate each condition (skipped when its outputs already exist)
@@ -462,12 +477,12 @@ def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
         try:
             reranked = rerank_run(test_run, trained[key], vocab, queries, collection,
                                   spec.rerank_k, cond.eval_perturb, tag=label, memo=memo)
-            write_run(reranked, run_path)
+            _write_atomically(write_run, reranked, run_path)
             report = metrics.evaluate(reranked, qrels)
-            metrics.write_report(report, metrics_path)
+            _write_atomically(metrics.write_report, report, metrics_path)
             results[label] = report
-        except Exception as exc:  # condition failure must not kill the matrix
-            log(f"[experiment] condition {label} failed: {exc}")
+        except (ValueError, OSError) as exc:  # bad data or a failed write: one row, not the matrix
+            log(f"[experiment] condition {label} failed: {type(exc).__name__}: {exc}")
             results[label] = None
 
     # -- summary table
@@ -484,12 +499,16 @@ def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
                            for m in ("ndcg@10", "map", "recall@100", "mrr@10"))
             f.write("\t".join(row) + "\n")
 
-    # -- CKA artifacts over test pairs
+    # -- CKA artifacts over test pairs. Each (model, perturbation) is
+    # captured once: a model's natural capture serves both its [CLS]
+    # comparisons and the layerwise reports
     cka_pairs = [
         memo.encode(queries.entries[qid], collection.entries[e.doc_id])
         for qid in test_ids
         for e in test_run.entries.get(qid, [])[: spec.cka_docs_per_query]
     ]
+    capture = partial(cka.capture, dataset=cka_pairs, batch_size=spec.cka_batch_size)
+    natural = {key: capture(mdl, perturb.NATURAL) for key, mdl in trained.items()}
     # a shuffle-trained model is compared on its own permutation seed,
     # any other model on the first shuffle stream the conditions use
     sh = next((m for c in spec.conditions for m in (c.train_perturb, c.eval_perturb)
@@ -500,17 +519,14 @@ def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
             own = perturb.parse_mode(tp)
             shuffle = own if own.kind == "shuffle" else sh
             for comp_name, comp_mode in (("shuffle", shuffle), ("sort", perturb.SORT_DESC)):
-                rep = cka.compare(mdl, perturb.NATURAL, mdl, comp_mode, cka_pairs,
-                                  selector="cls_only", batch_size=spec.cka_batch_size)
+                rep = cka.score(natural[pos_mode, tp], capture(mdl, comp_mode), "cls_only")
                 f.write(f"{pos_mode}\t{tp}\t{comp_name}\t{rep.per_layer[-1]:.6f}\n")
 
     baseline_key = ("learned", "natural")
     if baseline_key in trained:
         for other_key, name in ((("learned", "sort"), "sort"), (("none", "natural"), "nopos")):
             if other_key in trained:
-                rep = cka.compare(trained[baseline_key], perturb.NATURAL,
-                                  trained[other_key], perturb.NATURAL, cka_pairs,
-                                  selector="all_tokens", batch_size=spec.cka_batch_size)
+                rep = cka.score(natural[baseline_key], natural[other_key], "all_tokens")
                 cka.write_report_csv(rep, os.path.join(outdir, "cka", f"layers_{name}.csv"))
 
     return results

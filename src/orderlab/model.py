@@ -10,12 +10,12 @@ invariant to within-span reordering.
 Forward and backward passes are hand-written in numpy; `train.grad_check`
 verifies the analytic gradients against central finite differences.
 
-Scoring reads the final [CLS] state alone. So when `forward` captures
-nothing in eval mode, and in `batch_loss`, the last layer computes keys
-and values for every token, and the rest of the layer only for rows 0
-and 1. The logits are byte-identical to the full pass. Training, dropout
-and capture run every row of every layer: a pruned backward would round
-differently from the full one.
+Scoring reads the final [CLS] state alone. So unless a pass captures
+the hidden states, the last layer computes keys and values for every
+token and the rest of the layer only for rows 0 and 1, and the backward
+pass runs that layer on those two rows as well. The logits and the loss
+are byte-identical to the full pass. The gradients agree with it to
+rounding: on two rows some products go to other BLAS kernels.
 """
 
 from __future__ import annotations
@@ -211,10 +211,14 @@ def softmax(x, axis=-1):
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def _dropout(x, rate, rng):
+def _dropout(x, rate, rng, rows):
+    """Inverted dropout. The mask is drawn with `rows` rows on x's
+    second-last axis, the full pass's count, and cut to x's, so a pruned
+    layer takes the full pass's draws."""
     if rate <= 0.0 or rng is None:
         return x, None
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
+    u = rng.random(x.shape[:-2] + (rows, x.shape[-1]))[..., :x.shape[-2], :]
+    keep = (u >= rate).astype(x.dtype) / (1.0 - rate)
     return x * keep, keep
 
 
@@ -232,13 +236,12 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(B, T, H * dh)
 
 
-def _forward(model: Model, ids, segs, mask, train_mode=False, rng=None, capture=False,
-             _cls_only=False):
+def _forward(model: Model, ids, segs, mask, train_mode=False, rng=None, capture=False):
     """Run the encoder; returns (logits, activations, tape for backward).
 
-    With `_cls_only` (eval mode, no capture) the last layer computes keys
-    and values for every token and everything after them for rows 0 and
-    1 only; the logits are the same bytes, and the tape is None.
+    Without `capture` the last layer computes keys and values for every
+    token and everything after them for rows 0 and 1 only, and the tape
+    holds those two rows; the logits are the full pass's bytes.
     """
     cfg = model.config
     P = model.params
@@ -255,7 +258,7 @@ def _forward(model: Model, ids, segs, mask, train_mode=False, rng=None, capture=
     if cfg.position_mode == "learned":
         emb = emb + P["pos_emb"][:T][None, :, :]
     h, ln_cache = layer_norm_fwd(emb, P["emb_ln_g"], P["emb_ln_b"])
-    h, keep = _dropout(h, drop, rng)
+    h, keep = _dropout(h, drop, rng, T)
     tape["emb_ln"] = ln_cache
     tape["emb_keep"] = keep
 
@@ -266,42 +269,41 @@ def _forward(model: Model, ids, segs, mask, train_mode=False, rng=None, capture=
 
     for l in range(cfg.n_layers):
         p = f"layer{l}."
-        lt: dict = {"h_in": h}
         # rows the layer's output keeps: all, or [CLS] and the next row
-        # on the last layer of a [CLS]-only pass. Two rows, not one:
-        # numpy sends a one-row product to gemv, which rounds differently
-        # from the gemm the full pass runs
-        hq = h[:, :2].copy() if _cls_only and l == cfg.n_layers - 1 else h
+        # on the last layer of a pass that captures nothing. Two rows,
+        # not one: numpy sends a one-row product to gemv, which rounds
+        # differently from the gemm the full pass runs
+        hq = h if capture or l < cfg.n_layers - 1 else h[:, :2].copy()
         q = hq @ P[p + "Wq"] + P[p + "bq"]
         k = h @ P[p + "Wk"] + P[p + "bk"]
         v = h @ P[p + "Wv"] + P[p + "bv"]
         qh, kh, vh = (_split_heads(x, cfg.n_heads) for x in (q, k, v))
         scores = qh @ kh.transpose(0, 1, 3, 2) * scale + neg
         A = softmax(scores)
-        A_d, a_keep = _dropout(A, drop, rng)
+        A_d, a_keep = _dropout(A, drop, rng, T)
         ctx = _merge_heads(A_d @ vh)
         attn = ctx @ P[p + "Wo"] + P[p + "bo"]
-        attn, o_keep = _dropout(attn, drop, rng)
+        attn, o_keep = _dropout(attn, drop, rng, T)
         h1, ln1_cache = layer_norm_fwd(hq + attn, P[p + "ln1_g"], P[p + "ln1_b"])
 
         z = h1 @ P[p + "W1"] + P[p + "b1"]
         cdf2 = gelu_cdf2(z)
         a = gelu(z, cdf2)
         ff = a @ P[p + "W2"] + P[p + "b2"]
-        ff, f_keep = _dropout(ff, drop, rng)
+        ff, f_keep = _dropout(ff, drop, rng, T)
         h2, ln2_cache = layer_norm_fwd(h1 + ff, P[p + "ln2_g"], P[p + "ln2_b"])
 
-        lt.update(qh=qh, kh=kh, vh=vh, A=A, A_d=A_d, a_keep=a_keep, ctx=ctx,
-                  o_keep=o_keep, ln1=ln1_cache, h1=h1, z=z, cdf2=cdf2, a=a, f_keep=f_keep,
-                  ln2=ln2_cache)
-        tape["layers"].append(lt)
+        tape["layers"].append(dict(
+            h_in=h, hq=hq, qh=qh, kh=kh, vh=vh, A=A, A_d=A_d, a_keep=a_keep, ctx=ctx,
+            o_keep=o_keep, ln1=ln1_cache, h1=h1, z=z, cdf2=cdf2, a=a, f_keep=f_keep,
+            ln2=ln2_cache))
         h = h2
         if capture:
             acts.append(h)
 
     tape["h_final"] = h
     logits = h[:, 0, :] @ P["cls_W"] + P["cls_b"]
-    return logits, acts, None if _cls_only else tape
+    return logits, acts, tape
 
 
 def _backward(model: Model, tape, dlogits, grads=None):
@@ -353,7 +355,11 @@ def _backward(model: Model, tape, dlogits, grads=None):
         dsum1, dg1, db1 = layer_norm_bwd(dh1, lt["ln1"])
         grads[p + "ln1_g"] += dg1
         grads[p + "ln1_b"] += db1
-        dh_in = dsum1.copy()
+        # the layer's input has every row; its output, dsum1 and dq may
+        # have only the first rows (the last layer of a pruned pass)
+        h_in, hq = lt["h_in"], lt["hq"]
+        dh_in = np.zeros_like(h_in)
+        dh_in[:, :hq.shape[1]] = dsum1
         dattn = dsum1
         if lt["o_keep"] is not None:
             dattn = dattn * lt["o_keep"]
@@ -374,13 +380,12 @@ def _backward(model: Model, tape, dlogits, grads=None):
         dq = _merge_heads(dqh)
         dk = _merge_heads(dkh)
         dv = _merge_heads(dvh)
-        h_in2d = lt["h_in"].reshape(-1, cfg.hidden)
-        for W, b, dx in ((p + "Wq", p + "bq", dq), (p + "Wk", p + "bk", dk),
-                         (p + "Wv", p + "bv", dv)):
+        for W, b, x, dx in ((p + "Wq", p + "bq", hq, dq), (p + "Wk", p + "bk", h_in, dk),
+                            (p + "Wv", p + "bv", h_in, dv)):
             dx2d = dx.reshape(-1, cfg.hidden)
-            grads[W] += h_in2d.T @ dx2d
+            grads[W] += x.reshape(-1, cfg.hidden).T @ dx2d
             grads[b] += dx2d.sum(axis=0)
-            dh_in += dx @ P[W].T
+            dh_in[:, :dx.shape[1]] += dx @ P[W].T
 
         dh = dh_in
 
@@ -406,8 +411,7 @@ def forward(model: Model, pairs: list[TokenizedPair], capture=False,
     """Score a batch; `capture=True` records all per-layer hidden states."""
     ids, segs, mask = pad_batch(pairs, dtype=model.config.dtype)
     logits, acts, _ = _forward(model, ids, segs, mask, train_mode=train_mode,
-                               rng=rng, capture=capture,
-                               _cls_only=not (capture or train_mode))
+                               rng=rng, capture=capture)
     probs = softmax(logits, axis=-1)[:, 1]
     out = ForwardOutput(logits=logits, relevance_prob=probs)
     if capture:
@@ -439,7 +443,7 @@ def loss_and_grads(model: Model, pairs: list[TokenizedPair], labels,
 def batch_loss(model: Model, pairs, labels) -> float:
     """Loss only (eval mode); used by the finite-difference gradient check."""
     ids, segs, mask = pad_batch(pairs, dtype=model.config.dtype)
-    logits, _, _ = _forward(model, ids, segs, mask, _cls_only=True)
+    logits, _, _ = _forward(model, ids, segs, mask)
     B = logits.shape[0]
     probs = softmax(logits, axis=-1)
     y = np.asarray(labels, dtype=np.int64)

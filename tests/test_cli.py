@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -380,11 +382,7 @@ class TestExperimentCommand:
         monkeypatch.setattr(M, "forward", lambda mdl, pairs, capture=False, **kw:
                             full_pass(mdl, pairs, capture=True, **kw))
         experiment.run_experiment(spec, tmp_path / "full", log=lambda *a: None)
-
-        def files(root):
-            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-
-        pruned, full = files(tmp_path / "pruned"), files(tmp_path / "full")
+        pruned, full = _files(tmp_path / "pruned"), _files(tmp_path / "full")
         assert len(pruned) > 20
         assert pruned == full
 
@@ -407,6 +405,151 @@ class TestExperimentCommand:
         kept = [r for r in rows if r[2] == "1"]
         assert len(kept) == 1
         assert float(kept[0][1]) == max(float(r[1]) for r in rows)
+
+
+class TestExperimentCka:
+    def test_each_model_and_perturbation_captured_once(self, tmp_path, monkeypatch):
+        # 4 models x {natural, shuffle, sort}: a model's natural capture
+        # serves its two [CLS] comparisons and the layerwise reports, and
+        # the files are those of one compare() per comparison
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(CONFIG.replace("total_steps = 40", "total_steps = 10")
+                       .replace("learned/natural/natural, learned/natural/sort, none/natural/natural",
+                                "learned/natural/natural, learned/sort/sort, "
+                                "learned/shuffle:13/shuffle:13, none/natural/natural"))
+        spec = experiment.spec_from_config(cfg)
+        spec.cka_batch_size = 8
+        captured = []
+        forward = M.forward
+
+        def counting_forward(mdl, pairs, capture=False, **kw):
+            if capture:
+                captured.append(len(pairs))
+            return forward(mdl, pairs, capture=capture, **kw)
+
+        monkeypatch.setattr(M, "forward", counting_forward)
+        out = tmp_path / "out"
+        experiment.run_experiment(spec, out, log=lambda *a: None)
+        monkeypatch.undo()
+
+        coll, queries, _ = _load_data(out)
+        vocab = tokenizer.load_vocab(out / "data" / "vocab.txt")
+        test_run = corpus.load_run(out / "runs" / "bm25_test.run")
+        keys = [("learned", "natural"), ("learned", "shuffle:13"), ("learned", "sort"),
+                ("none", "natural")]
+        models = {k: M.load(out / "models" / f"{k[0]}_{k[1].replace(':', '')}.ckpt")
+                  for k in keys}
+        pairs = [tokenizer.encode_pair(queries.entries[q], coll.entries[e.doc_id],
+                                       vocab, spec.model.max_len)
+                 for q in sorted(test_run.entries)
+                 for e in test_run.entries[q][: spec.cka_docs_per_query]]
+        batches = [len(pairs[s:s + 8]) for s in range(0, len(pairs), 8)]
+        assert len(batches) > 2 and min(batches) >= 2
+        assert captured == batches * 12
+
+        def compare(a, mode_a, b, mode_b, selector):
+            return cka.compare(a, mode_a, b, mode_b, pairs, selector=selector, batch_size=8)
+
+        lines = ["position_mode\ttrain_perturb\tcomparison\tcka"]
+        for pos_mode, tp in keys:
+            mdl = models[pos_mode, tp]
+            for name, mode in (("shuffle", perturb.shuffle_mode(13)), ("sort", perturb.SORT_DESC)):
+                rep = compare(mdl, perturb.NATURAL, mdl, mode, "cls_only")
+                lines.append(f"{pos_mode}\t{tp}\t{name}\t{rep.per_layer[-1]:.6f}")
+        assert (out / "cka" / "cls_similarity.tsv").read_text().splitlines() == lines
+        for other, name in ((("learned", "sort"), "sort"), (("none", "natural"), "nopos")):
+            rep = compare(models["learned", "natural"], perturb.NATURAL, models[other],
+                          perturb.NATURAL, "all_tokens")
+            cka.write_report_csv(rep, tmp_path / "ref.csv")
+            assert ((out / "cka" / f"layers_{name}.csv").read_bytes()
+                    == (tmp_path / "ref.csv").read_bytes())
+
+
+def _write_partly_then_raise(error):
+    def write(obj, path):
+        with open(path, "wb") as f:
+            f.write(b"partial")
+        raise error
+    return write
+
+
+class TestInterruptedRuns:
+    """Checkpoints and condition files are written whole or not at all,
+    and a condition fails alone only on a data or write error."""
+
+    TARGET = "learned_natural_sort"
+
+    def test_interrupted_writes_leave_nothing_and_rerun_completes(self, exp, tmp_path,
+                                                                   monkeypatch):
+        cfg, clean = exp
+        spec = experiment.spec_from_config(cfg)
+        out = tmp_path / "out"
+        with monkeypatch.context() as m:
+            m.setattr(M, "save", _write_partly_then_raise(RuntimeError("killed")))
+            with pytest.raises(RuntimeError, match="killed"):
+                experiment.run_experiment(spec, out, log=lambda *a: None)
+        # the logs come first: the checkpoint marks a complete model
+        assert (out / "models" / "learned_natural_evals.tsv").exists()
+        assert not list((out / "models").glob("*.ckpt"))
+        assert not list(out.rglob("*.tmp"))
+
+        write_run = experiment.write_run
+
+        def failing_write_run(run, path):
+            if self.TARGET in str(path):
+                _write_partly_then_raise(OSError("disk full"))(run, path)
+            write_run(run, path)
+
+        messages = []
+        with monkeypatch.context() as m:
+            m.setattr(experiment, "write_run", failing_write_run)
+            results = experiment.run_experiment(spec, out, log=messages.append)
+        assert results[self.TARGET] is None
+        assert f"[experiment] condition {self.TARGET} failed: OSError: disk full" in messages
+        assert not (out / "runs" / f"{self.TARGET}.run").exists()
+        assert not (out / "metrics" / f"{self.TARGET}.tsv").exists()
+        assert not list(out.rglob("*.tmp"))
+
+        experiment.run_experiment(spec, out, log=lambda *a: None)
+        assert _files(out) == _files(clean)
+
+    @pytest.mark.parametrize("error, caught", [
+        (corpus.ValidationError("query q1 of the run is not in the queries"), True),
+        (OSError("disk full"), True),
+        (TypeError("a bug"), False),
+        (KeyError("d000001"), False),
+    ], ids=["ValidationError", "OSError", "TypeError", "KeyError"])
+    def test_condition_loop_catches_data_errors_only(self, exp, tmp_path, monkeypatch,
+                                                      error, caught):
+        cfg, clean = exp
+        out = tmp_path / "out"
+        shutil.copytree(clean, out)
+        (out / "metrics" / f"{self.TARGET}.tsv").unlink()
+        (out / "runs" / f"{self.TARGET}.run").unlink()
+        rerank_run = experiment.rerank_run
+
+        def failing_rerank_run(*args, tag="rerank", **kw):
+            if tag == self.TARGET:
+                raise error
+            return rerank_run(*args, tag=tag, **kw)
+
+        monkeypatch.setattr(experiment, "rerank_run", failing_rerank_run)
+        spec = experiment.spec_from_config(cfg)
+        messages = []
+        if not caught:
+            with pytest.raises(type(error)):
+                experiment.run_experiment(spec, out, log=messages.append)
+            return
+        results = experiment.run_experiment(spec, out, log=messages.append)
+        assert results[self.TARGET] is None
+        assert (f"[experiment] condition {self.TARGET} failed: {type(error).__name__}: {error}"
+                in messages)
+        rows = [line.split("\t") for line in (out / "summary.tsv").read_text().splitlines()]
+        assert ["learned", "natural", "sort", "failed", "failed", "failed", "failed"] in rows
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 def _qid_of(queries):

@@ -280,13 +280,16 @@ SWEEP_MODELS = [
 ]
 
 
-class TestClsOnlyPass:
-    """Without capture, eval-mode scoring runs the last layer past its keys
-    and values on rows 0 and 1 only; it must give the full pass's bytes."""
+def _sweep_id(kw):
+    return "fp{numeric_precision}-L{n_layers}-{position_mode}-d{hidden}".format(**kw)
 
-    @pytest.mark.parametrize("kw", SWEEP_MODELS,
-                             ids=lambda kw: "fp{numeric_precision}-L{n_layers}-"
-                                            "{position_mode}-d{hidden}".format(**kw))
+
+class TestClsOnlyPass:
+    """Without capture, the last layer runs past its keys and values on
+    rows 0 and 1 only, forward and backward; the logits and the loss must
+    be the full pass's bytes, the gradients the full pass's to rounding."""
+
+    @pytest.mark.parametrize("kw", SWEEP_MODELS, ids=_sweep_id)
     def test_logits_match_capture_path_bytewise(self, kw):
         mdl = init(small_cfg(max_len=64, **kw), kw["n_layers"] * 7 + kw["hidden"])
         rng = np.random.default_rng(kw["n_layers"] + kw["hidden"])
@@ -312,12 +315,57 @@ class TestClsOnlyPass:
             loss, _ = M.loss_and_grads(mdl, pairs, labels)
             assert M.batch_loss(mdl, pairs, labels) == loss
 
-    def test_cls_only_pass_returns_no_tape(self):
-        mdl = init(small_cfg(), 6)
-        ids, segs, mask = M.pad_batch([pair_of("t0 t1", "t2 t3 t4")])
-        logits, acts, tape = M._forward(mdl, ids, segs, mask, _cls_only=True)
-        assert tape is None and acts is None
-        assert logits.shape == (1, 2)
+    @pytest.mark.parametrize("kw", SWEEP_MODELS, ids=_sweep_id)
+    def test_gradients_match_capture_path_tape(self, kw):
+        # the reference is _backward on the capture path's full tape, with
+        # the same dropout draws; products over two rows may take another
+        # BLAS kernel than over every row, so gradients agree to rounding
+        tol = 1e-13 if kw["numeric_precision"] == 64 else 1e-5
+        rng = np.random.default_rng(kw["n_layers"] * 3 + kw["hidden"])
+        worst = 0.0
+        for rate in (0.0, 0.1):
+            mdl = init(small_cfg(max_len=64, dropout_rate=rate, **kw), kw["hidden"] + 1)
+            for B in (2, 5, 16, 33):
+                for T in (4, 23, 64):
+                    pairs = [_random_pair(rng, T)] + [
+                        _random_pair(rng, int(rng.integers(4, T + 1))) for _ in range(B - 1)]
+                    labels = rng.integers(0, 2, B)
+                    loss, grads = M.loss_and_grads(mdl, pairs, labels, train_mode=True,
+                                                   rng=np.random.default_rng(B + T))
+                    ids, segs, mask = M.pad_batch(pairs, dtype=mdl.config.dtype)
+                    logits, _, tape = M._forward(mdl, ids, segs, mask, train_mode=True,
+                                                 rng=np.random.default_rng(B + T), capture=True)
+                    probs = M.softmax(logits, axis=-1)
+                    full_loss = -np.log(np.clip(probs[np.arange(B), labels], 1e-300, None)).mean()
+                    assert loss == float(full_loss), (rate, B, T)
+                    dlogits = probs.copy()
+                    dlogits[np.arange(B), labels] -= 1.0
+                    dlogits /= B
+                    full = M._backward(mdl, tape, dlogits.astype(mdl.config.dtype))
+                    top = max(np.abs(g).max() for g in full.values())
+                    worst = max(worst, max(np.abs(grads[n] - full[n]).max() for n in full) / top)
+        assert worst <= tol
+
+    def test_training_tape_holds_two_query_rows(self):
+        mdl = init(small_cfg(n_layers=2, dropout_rate=0.1), 6)
+        pairs = [pair_of("t0 t1", "t2 t3 t4 t5"), pair_of("t6", "t7 t8")]
+        ids, segs, mask = M.pad_batch(pairs)
+        B, T = ids.shape
+        d, H = mdl.config.hidden, mdl.config.n_heads
+        logits, acts, tape = M._forward(mdl, ids, segs, mask, train_mode=True,
+                                        rng=np.random.default_rng(0))
+        assert acts is None and logits.shape == (B, 2)
+        first, last = tape["layers"]
+        assert first["hq"].shape == first["h1"].shape == (B, T, d)
+        assert last["h_in"].shape == (B, T, d)
+        assert last["kh"].shape == last["vh"].shape == (B, H, T, d // H)
+        assert last["hq"].shape == last["h1"].shape == last["ctx"].shape == (B, 2, d)
+        assert last["qh"].shape == (B, H, 2, d // H)
+        assert last["A"].shape == last["a_keep"].shape == (B, H, 2, T)
+        assert last["o_keep"].shape == last["f_keep"].shape == (B, 2, d)
+        assert tape["h_final"].shape == (B, 2, d)
+        _, _, full = M._forward(mdl, ids, segs, mask, capture=True)
+        assert full["layers"][-1]["hq"].shape == full["h_final"].shape == (B, T, d)
 
     def test_training_forward_draws_the_full_pass_masks(self):
         mdl = init(small_cfg(dropout_rate=0.3), 7)
