@@ -160,55 +160,103 @@ def pad_batch(pairs: list[TokenizedPair], dtype=np.float64):
 # numerics
 
 
-def _erf(x):
+def _erf(x, out=None):
     # exact (erf-based) GELU; a tanh approximation is not accurate enough
     # for 1e-4 finite-difference gradient checks
-    return scipy_erf(x)
+    return scipy_erf(x, out=out)
+
+
+# The helpers below and the hot lines of `_forward`/`_backward` write into
+# arrays they have just allocated (`out=`, `+=`, `*=`) instead of making a
+# fresh temporary per operator. Each keeps the operand order of the plain
+# one-line expression (tests/test_model.py holds those as references), so
+# every result is the same bytes; none writes to an array it was given.
 
 
 def gelu_cdf2(x):
     """1 + erf(x / sqrt 2): twice the standard normal CDF, GELU's gate."""
-    return 1.0 + _erf(x / np.asarray(math.sqrt(2.0), dtype=x.dtype))
+    c = x / np.asarray(math.sqrt(2.0), dtype=x.dtype)
+    _erf(c, out=c)
+    c += 1.0
+    return c
 
 
 def gelu(x, cdf2=None):
     """GELU; `cdf2` is `gelu_cdf2(x)` when the caller already has it."""
     if cdf2 is None:
         cdf2 = gelu_cdf2(x)
-    return 0.5 * x * cdf2
+    y = np.multiply(x, 0.5)
+    y *= cdf2
+    return y
 
 
 def gelu_grad(x, cdf2=None):
     if cdf2 is None:
         cdf2 = gelu_cdf2(x)
-    phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return 0.5 * cdf2 + x * phi
+    # 0.5 * cdf2 + x * phi(x)
+    phi = np.multiply(x, -0.5)
+    phi *= x
+    np.exp(phi, out=phi)
+    phi /= math.sqrt(2.0 * math.pi)
+    phi *= x
+    phi += np.multiply(cdf2, 0.5)
+    return phi
 
 
 def layer_norm_fwd(x, g, b):
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return g * xhat + b, (xhat, inv, g)
+    sq = xc * xc
+    var = sq.mean(axis=-1, keepdims=True)
+    # inv = 1 / sqrt(var + eps); xhat = xc * inv; y = g * xhat + b
+    var += LN_EPS
+    inv = np.sqrt(var, out=var)
+    np.divide(1.0, inv, out=inv)
+    xhat = xc
+    xhat *= inv
+    y = np.multiply(xhat, g, out=sq)
+    y += b
+    return y, (xhat, inv, g)
 
 
 def layer_norm_bwd(dy, cache):
     xhat, inv, g = cache
-    dg = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
-    db = dy.sum(axis=tuple(range(dy.ndim - 1)))
+    axes = tuple(range(dy.ndim - 1))
+    t = dy * xhat
+    dg = t.sum(axis=axes)
+    db = dy.sum(axis=axes)
     dxhat = dy * g
     m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - m1 - xhat * m2)
+    np.multiply(dxhat, xhat, out=t)
+    m2 = t.mean(axis=-1, keepdims=True)
+    # dx = inv * (dxhat - m1 - xhat * m2)
+    np.multiply(xhat, m2, out=t)
+    dx = dxhat
+    dx -= m1
+    dx -= t
+    dx *= inv
     return dx, dg, db
 
 
 def softmax(x, axis=-1):
-    x = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(x)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = x - x.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
+
+
+def scatter_rows(ids, values, n_rows):
+    """Sum `values` [..., d] into an [n_rows, d] array at rows `ids` [...].
+
+    The same bytes as `np.add.at` into zeros in float64: `np.bincount`
+    over `id * d + column` keys adds each key's values in index order,
+    as `np.add.at` does. `np.bincount` sums in float64, so a float32
+    result is float64 sums rounded once.
+    """
+    d = values.shape[-1]
+    keys = ids[..., None] * d + np.arange(d)
+    sums = np.bincount(keys.ravel(), weights=values.ravel(), minlength=n_rows * d)
+    return sums.reshape(n_rows, d).astype(values.dtype, copy=False)
 
 
 def _dropout(x, rate, rng, rows):
@@ -254,9 +302,10 @@ def _forward(model: Model, ids, segs, mask, train_mode=False, rng=None, capture=
     drop = cfg.dropout_rate if train_mode else 0.0
     tape: dict = {"ids": ids, "segs": segs, "mask": mask, "drop": drop, "layers": []}
 
-    emb = P["tok_emb"][ids] + P["seg_emb"][segs]
+    emb = P["tok_emb"][ids]
+    emb += P["seg_emb"][segs]
     if cfg.position_mode == "learned":
-        emb = emb + P["pos_emb"][:T][None, :, :]
+        emb += P["pos_emb"][:T]
     h, ln_cache = layer_norm_fwd(emb, P["emb_ln_g"], P["emb_ln_b"])
     h, keep = _dropout(h, drop, rng, T)
     tape["emb_ln"] = ln_cache
@@ -274,24 +323,34 @@ def _forward(model: Model, ids, segs, mask, train_mode=False, rng=None, capture=
         # not one: numpy sends a one-row product to gemv, which rounds
         # differently from the gemm the full pass runs
         hq = h if capture or l < cfg.n_layers - 1 else h[:, :2].copy()
-        q = hq @ P[p + "Wq"] + P[p + "bq"]
-        k = h @ P[p + "Wk"] + P[p + "bk"]
-        v = h @ P[p + "Wv"] + P[p + "bv"]
+        q = hq @ P[p + "Wq"]
+        q += P[p + "bq"]
+        k = h @ P[p + "Wk"]
+        k += P[p + "bk"]
+        v = h @ P[p + "Wv"]
+        v += P[p + "bv"]
         qh, kh, vh = (_split_heads(x, cfg.n_heads) for x in (q, k, v))
-        scores = qh @ kh.transpose(0, 1, 3, 2) * scale + neg
+        scores = qh @ kh.transpose(0, 1, 3, 2)
+        scores *= scale
+        scores += neg
         A = softmax(scores)
         A_d, a_keep = _dropout(A, drop, rng, T)
         ctx = _merge_heads(A_d @ vh)
-        attn = ctx @ P[p + "Wo"] + P[p + "bo"]
+        attn = ctx @ P[p + "Wo"]
+        attn += P[p + "bo"]
         attn, o_keep = _dropout(attn, drop, rng, T)
-        h1, ln1_cache = layer_norm_fwd(hq + attn, P[p + "ln1_g"], P[p + "ln1_b"])
+        attn += hq  # the residual; attn is this pass's own array
+        h1, ln1_cache = layer_norm_fwd(attn, P[p + "ln1_g"], P[p + "ln1_b"])
 
-        z = h1 @ P[p + "W1"] + P[p + "b1"]
+        z = h1 @ P[p + "W1"]
+        z += P[p + "b1"]
         cdf2 = gelu_cdf2(z)
         a = gelu(z, cdf2)
-        ff = a @ P[p + "W2"] + P[p + "b2"]
+        ff = a @ P[p + "W2"]
+        ff += P[p + "b2"]
         ff, f_keep = _dropout(ff, drop, rng, T)
-        h2, ln2_cache = layer_norm_fwd(h1 + ff, P[p + "ln2_g"], P[p + "ln2_b"])
+        ff += h1
+        h2, ln2_cache = layer_norm_fwd(ff, P[p + "ln2_g"], P[p + "ln2_b"])
 
         tape["layers"].append(dict(
             h_in=h, hq=hq, qh=qh, kh=kh, vh=vh, A=A, A_d=A_d, a_keep=a_keep, ctx=ctx,
@@ -336,7 +395,6 @@ def _backward(model: Model, tape, dlogits, grads=None):
         dsum2, dg2, db2 = layer_norm_bwd(dh, lt["ln2"])
         grads[p + "ln2_g"] += dg2
         grads[p + "ln2_b"] += db2
-        dh1 = dsum2.copy()
         dff = dsum2
         if lt["f_keep"] is not None:
             dff = dff * lt["f_keep"]
@@ -344,12 +402,14 @@ def _backward(model: Model, tape, dlogits, grads=None):
         dff2d = dff.reshape(-1, cfg.hidden)
         grads[p + "W2"] += a2d.T @ dff2d
         grads[p + "b2"] += dff2d.sum(axis=0)
-        da = dff @ P[p + "W2"].T
-        dz = da * gelu_grad(lt["z"], lt["cdf2"])
+        dz = dff @ P[p + "W2"].T
+        dz *= gelu_grad(lt["z"], lt["cdf2"])
         h12d = lt["h1"].reshape(-1, cfg.hidden)
         dz2d = dz.reshape(-1, cfg.ff_dim)
         grads[p + "W1"] += h12d.T @ dz2d
         grads[p + "b1"] += dz2d.sum(axis=0)
+        # dff is read for the last time above, so dsum2 can take dh1's sum
+        dh1 = dsum2
         dh1 += dz @ P[p + "W1"].T
 
         dsum1, dg1, db1 = layer_norm_bwd(dh1, lt["ln1"])
@@ -373,9 +433,14 @@ def _backward(model: Model, tape, dlogits, grads=None):
         dvh = lt["A_d"].transpose(0, 1, 3, 2) @ dctx
         dA = dA_d * lt["a_keep"] if lt["a_keep"] is not None else dA_d
         A = lt["A"]
-        dscores = A * (dA - (dA * A).sum(axis=-1, keepdims=True))
-        dqh = dscores @ lt["kh"] * scale
-        dkh = dscores.transpose(0, 1, 3, 2) @ lt["qh"] * scale
+        # dscores = A * (dA - (dA * A).sum(-1)), in dA's own array
+        dscores = dA
+        dscores -= (dA * A).sum(axis=-1, keepdims=True)
+        dscores *= A
+        dqh = dscores @ lt["kh"]
+        dqh *= scale
+        dkh = dscores.transpose(0, 1, 3, 2) @ lt["qh"]
+        dkh *= scale
 
         dq = _merge_heads(dqh)
         dk = _merge_heads(dkh)
@@ -395,8 +460,8 @@ def _backward(model: Model, tape, dlogits, grads=None):
     grads["emb_ln_g"] += dg
     grads["emb_ln_b"] += db
 
-    np.add.at(grads["tok_emb"], ids, demb)
-    np.add.at(grads["seg_emb"], segs, demb)
+    grads["tok_emb"] += scatter_rows(ids, demb, cfg.vocab_size)
+    grads["seg_emb"] += scatter_rows(segs, demb, cfg.n_segments)
     if cfg.position_mode == "learned":
         grads["pos_emb"][:T] += demb.sum(axis=0)
     return grads

@@ -42,6 +42,10 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def validate(self):
+        if self.total_steps < 0 or self.warmup_steps < 0:
+            raise ValueError("total_steps and warmup_steps must be >= 0")
+        if self.epoch_size < 1:
+            raise ValueError("epoch_size must be >= 1")
         if self.warmup_steps > self.total_steps:
             raise ValueError("warmup_steps must not exceed total_steps")
         if self.batch_size < 2:
@@ -115,8 +119,9 @@ def train(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab,
 
     `eval_hook(model) -> float` is called every `epoch_size` steps and at
     the end; the checkpoint with the highest metric is returned. Without
-    a hook the final parameters are returned. `memo`, if given, supplies
-    the encoded pairs (see `PairMemo`). The model passed in is not
+    a hook the final parameters are returned. A triple is encoded the
+    first time a batch draws it; `memo`, if given, supplies the encoded
+    pairs (see `PairMemo`). The model passed in is not
     changed: training works on a copy whose parameters, gradients and
     Adam moments each live in one flat buffer, with the per-name dicts
     as views into it.
@@ -129,8 +134,8 @@ def train(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab,
         encode = partial(encode_pair, vocab=vocab, max_len=max_len)
     else:
         encode = memo.encoder(vocab, max_len)
-    # natural encoding; perturbed per use
-    encoded = [((encode(q, pos), 1), (encode(q, neg), 0)) for q, pos, neg in triples]
+    # natural encoding, made on a triple's first draw; perturbed per use
+    encoded: list[tuple | None] = [None] * len(triples)
 
     order_rng = np.random.default_rng(cfg.seed)
     dropout_rng = np.random.default_rng(cfg.seed + 1)
@@ -175,6 +180,9 @@ def train(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab,
                 cursor = 0
             idx = int(order[cursor])
             cursor += 1
+            if encoded[idx] is None:
+                q, pos, neg = triples[idx]
+                encoded[idx] = ((encode(q, pos), 1), (encode(q, neg), 0))
             key_epoch = 0 if cfg.shuffle_fixed else epoch
             for side, (pair, label) in zip(("pos", "neg"), encoded[idx]):
                 p = perturb.apply(pair, cfg.train_perturb, f"{key_epoch}:{idx}|{side}")

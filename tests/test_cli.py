@@ -253,6 +253,24 @@ class TestExitCodes:
         assert run_cli("evaluate", "--run", str(bad),
                        "--qrels", str(data_dir / "qrels.txt")) == 2
 
+    @pytest.mark.parametrize("flags", [("--epoch-size", "0"),
+                                       ("--steps", "-3", "--warmup", "-5"),
+                                       ("--warmup", "-1")])
+    def test_bad_schedule_is_a_data_error(self, data_dir, tmp_path, capsys, flags):
+        assert run_cli("train", "--triples", str(data_dir / "triples.tsv"),
+                       "--vocab", str(data_dir / "vocab.txt"),
+                       "--out", str(tmp_path / "m.ckpt"), *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_experiment_epoch_size_zero_is_a_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(CONFIG.replace("epoch_size = 20", "epoch_size = 0"))
+        assert run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err == "error: epoch_size must be >= 1\n"
+
     def test_numeric_failure_divergence(self, data_dir, tmp_path, capsys):
         code = run_cli("train", "--triples", str(data_dir / "triples.tsv"),
                        "--vocab", str(data_dir / "vocab.txt"),

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from orderlab import model as M
 from orderlab import perturb
@@ -258,6 +261,131 @@ class TestGelu:
         cdf2 = M.gelu_cdf2(x)
         assert M.gelu(x, cdf2).tobytes() == M.gelu(x).tobytes()
         assert M.gelu_grad(x, cdf2).tobytes() == M.gelu_grad(x).tobytes()
+
+
+# The kernel helpers' plain one-line expressions, as written before the
+# helpers moved to writing into their own temporaries: the references
+# that the helpers must match byte for byte.
+
+
+def ref_gelu_cdf2(x):
+    return 1.0 + erf(x / np.asarray(math.sqrt(2.0), dtype=x.dtype))
+
+
+def ref_gelu(x, cdf2):
+    return 0.5 * x * cdf2
+
+
+def ref_gelu_grad(x, cdf2):
+    phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    return 0.5 * cdf2 + x * phi
+
+
+def ref_layer_norm_fwd(x, g, b):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + M.LN_EPS)
+    xhat = xc * inv
+    return g * xhat + b, (xhat, inv, g)
+
+
+def ref_layer_norm_bwd(dy, cache):
+    xhat, inv, g = cache
+    dg = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
+    db = dy.sum(axis=tuple(range(dy.ndim - 1)))
+    dxhat = dy * g
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return inv * (dxhat - m1 - xhat * m2), dg, db
+
+
+def ref_softmax(x, axis=-1):
+    x = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(x)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _frozen(*arrays):
+    return [a.tobytes() for a in arrays]
+
+
+# hidden-state, FFN and pruned-layer shapes of a B=16, T=23 training step
+# and a B=64 scoring batch
+KERNEL_SHAPES = [(16, 23, 32), (16, 23, 64), (16, 2, 32), (64, 23, 32)]
+
+
+class TestKernelBytes:
+    """Each helper gives its reference expression's bytes and leaves its
+    inputs as they were."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_gelu(self, dtype, shape):
+        x = np.random.default_rng(shape[-1]).normal(0.0, 2.0, shape).astype(dtype)
+        before = _frozen(x)
+        cdf2 = M.gelu_cdf2(x)
+        want = ref_gelu_cdf2(x)
+        assert cdf2.dtype == want.dtype and cdf2.tobytes() == want.tobytes()
+        for got, ref in ((M.gelu(x, cdf2), ref_gelu(x, want)),
+                         (M.gelu(x), ref_gelu(x, want)),
+                         (M.gelu_grad(x, cdf2), ref_gelu_grad(x, want)),
+                         (M.gelu_grad(x), ref_gelu_grad(x, want))):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        assert _frozen(x, cdf2) == before + [want.tobytes()]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_layer_norm(self, dtype, shape):
+        rng = np.random.default_rng(shape[0] + shape[1])
+        d = shape[-1]
+        x, dy = (rng.normal(0.5, 2.0, shape).astype(dtype) for _ in range(2))
+        g, b = rng.normal(1.0, 0.1, d).astype(dtype), rng.normal(0.0, 0.1, d).astype(dtype)
+        before = _frozen(x, dy, g, b)
+        y, cache = M.layer_norm_fwd(x, g, b)
+        y_ref, cache_ref = ref_layer_norm_fwd(x, g, b)
+        for got, ref in zip((y,) + cache, (y_ref,) + cache_ref):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        cache_bytes = _frozen(*cache)
+        for got, ref in zip(M.layer_norm_bwd(dy, cache), ref_layer_norm_bwd(dy, cache_ref)):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        assert _frozen(x, dy, g, b) == before
+        assert _frozen(*cache) == cache_bytes
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(16, 2, 23, 23), (16, 2, 2, 23), (64, 2, 23, 23), (5, 2)])
+    def test_softmax(self, dtype, shape):
+        rng = np.random.default_rng(shape[0])
+        x = rng.normal(0.0, 3.0, shape).astype(dtype)
+        # masked keys, as the attention scores carry them; (5, 2) are logits
+        x[..., shape[-1] // 2 + 1:] = -np.inf
+        before = _frozen(x)
+        got, ref = M.softmax(x), ref_softmax(x)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        assert _frozen(x) == before
+
+    # (n_rows, id range): tok_emb rows at the matrix vocabulary, seg_emb rows
+    @pytest.mark.parametrize("n_rows", [1000, 2])
+    @pytest.mark.parametrize("B,T", [(16, 23), (64, 23), (3, 5)])
+    def test_scatter_rows_matches_add_at(self, n_rows, B, T):
+        rng = np.random.default_rng(n_rows + B)
+        # few distinct ids so that rows repeat, and a padded tail of id 0
+        ids = rng.integers(0, min(n_rows, 12), (B, T))
+        ids[:, T - 2:] = 0
+        values = rng.normal(0.0, 1.0, (B, T, 32))
+        before = _frozen(ids, values)
+        want = np.zeros((n_rows, 32))
+        np.add.at(want, ids, values)
+        got = M.scatter_rows(ids, values, n_rows)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert _frozen(ids, values) == before
+        # float32 values are summed in float64 and rounded once
+        v32 = values.astype(np.float32)
+        got32 = M.scatter_rows(ids, v32, n_rows)
+        want32 = np.zeros((n_rows, 32), dtype=np.float32)
+        np.add.at(want32, ids, v32)
+        assert got32.dtype == np.float32
+        assert np.abs(got32 - want32).max() <= 1e-5 * max(1.0, np.abs(want32).max())
 
 
 def _random_pair(rng, n_total):

@@ -6,7 +6,7 @@ import pytest
 from orderlab import model as M
 from orderlab import perturb
 from orderlab import train as T
-from orderlab.tokenizer import RESERVED, Vocab
+from orderlab.tokenizer import RESERVED, PairMemo, Vocab
 
 VOCAB = Vocab(list(RESERVED) + [f"t{i}" for i in range(60)])
 
@@ -45,6 +45,11 @@ class TestSchedule:
             T.TrainConfig(warmup_steps=10, total_steps=5).validate()
         with pytest.raises(ValueError):
             T.TrainConfig(batch_size=1).validate()
+        for bad in (dict(epoch_size=0), dict(total_steps=-3, warmup_steps=-5),
+                    dict(warmup_steps=-1)):
+            with pytest.raises(ValueError):
+                T.TrainConfig(**bad).validate()
+        T.TrainConfig(total_steps=0, warmup_steps=0, epoch_size=1).validate()
 
 
 class TestMakeExamples:
@@ -109,6 +114,13 @@ class TestTrainLoop:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 T.train(small_model(0), toy_triples(), cfg, VOCAB)
+
+    def test_triples_encoded_on_first_draw(self):
+        memo = PairMemo(VOCAB, 32)
+        cfg = T.TrainConfig(batch_size=4, total_steps=3, warmup_steps=1, epoch_size=3)
+        T.train(small_model(0), toy_triples(), cfg, VOCAB, memo=memo)
+        # 3 steps draw 6 of the 20 triples, two pairs each
+        assert len(memo) == 12
 
     def test_empty_triples_rejected(self):
         with pytest.raises(ValueError):
