@@ -93,7 +93,8 @@ def _commit(tree: str) -> str:
                               text=True, check=True).stdout.strip()
     try:
         head = git("rev-parse", "HEAD")
-        return head + (" with uncommitted changes" if git("status", "--porcelain") else "")
+        dirty = git("status", "--porcelain", "--", "src")
+        return head + (" with uncommitted changes to src/" if dirty else "")
     except (OSError, subprocess.CalledProcessError):
         return "unknown (not a git checkout)"
 
