@@ -1,19 +1,18 @@
 """Time one training step and one scoring batch of the orderlab encoder.
 
-    python3 scripts/bench_step.py [--parent TREE] [--rounds 6] [--calls 200] \
-        [--seed 1] [--out BENCH_step.json]
+    python3 scripts/bench_step.py --parent TREE [--rounds 6] [--out BENCH_step.json]
 
 Run from the root of a source checkout. It times, per call, the
 encoder's two hot entry points on pairs of the benchmark's `matrix`
-corpus (`perfbench/workloads.matrix_spec`) at its model settings:
+corpus (`perfbench/workloads.matrix_spec`, seed 1) at its model settings:
 
 - `loss_and_grads`: `model.loss_and_grads` at batch 16 in train mode,
   one training step's forward and backward without the Adam update;
 - `forward`: `model.forward` at batch 64, one scoring batch.
 
-Each round times both in a fresh process per source tree, with one
-BLAS thread and glibc's allocator pinned as `perfbench/run.py` does.
-With `--parent TREE` (another checkout, such as the parent commit),
+Each round times 200 calls of both in a fresh process per source tree,
+with one BLAS thread and glibc's allocator pinned as `perfbench/run.py`
+does. `--parent TREE` is another checkout, such as the parent commit;
 rounds alternate between that tree and this one, first one then the
 other, so that drift in the machine's speed falls on both alike. The
 output holds, for each tree, its commit, the median and quartiles of
@@ -36,10 +35,11 @@ import subprocess  # noqa: E402
 import time  # noqa: E402
 
 STEP_BATCH, SCORE_BATCH, WARMUP_CALLS = 16, 64, 10
+SEED, CALLS = 1, 200  # matrix corpus seed; timed calls per round
 
 
-def _worker(tree: str, seed: int, calls: int) -> dict:
-    """Time `calls` calls of each entry point with orderlab from `tree`."""
+def _worker(tree: str) -> dict:
+    """Time `CALLS` calls of each entry point with orderlab from `tree`."""
     malloc = perfbench_run.pin_allocator()
     sys.path.insert(0, os.path.join(tree, "src"))
     from dataclasses import replace
@@ -49,7 +49,7 @@ def _worker(tree: str, seed: int, calls: int) -> dict:
     from orderlab import corpus, experiment, tokenizer
     from orderlab import model as M
 
-    spec = workloads.matrix_spec(seed)
+    spec = workloads.matrix_spec(SEED)
     collection, queries, _, triples = corpus.generate_synthetic(spec.synthetic)
     vocab = experiment._vocab_for(collection, queries)  # the experiment's own sizing
     cfg = replace(spec.model, vocab_size=len(vocab))
@@ -58,7 +58,7 @@ def _worker(tree: str, seed: int, calls: int) -> dict:
              for q, pos, neg in triples for doc in (pos, neg)]
     labels = [1, 0] * (len(pairs) // 2)
     grads = {name: np.zeros_like(p) for name, p in mdl.params.items()}
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
 
     def batches(size):
         start = 0
@@ -70,7 +70,7 @@ def _worker(tree: str, seed: int, calls: int) -> dict:
 
     def timed(call, size):
         feed, times, lengths = batches(size), [], []
-        for i in range(WARMUP_CALLS + calls):
+        for i in range(WARMUP_CALLS + CALLS):
             batch, batch_labels = next(feed)
             t0 = time.perf_counter()
             call(batch, batch_labels)
@@ -117,29 +117,26 @@ def _entry(tree: str, rounds: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", help="another source tree to time against this one")
+    parser.add_argument("--parent", required=True,
+                        help="another source tree to time against this one")
     parser.add_argument("--rounds", type=int, default=6)
-    parser.add_argument("--calls", type=int, default=200, help="timed calls per round")
-    parser.add_argument("--seed", type=int, default=1, help="matrix corpus seed")
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_step.json"))
     parser.add_argument("--worker", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.rounds < 1 or args.calls < 4:
-        parser.error("--rounds must be >= 1 and --calls >= 4")
+    if args.rounds < 1:
+        parser.error("--rounds must be >= 1")
     if args.worker:
-        print(json.dumps(_worker(args.worker, args.seed, args.calls)))
+        print(json.dumps(_worker(args.worker)))
         return 0
 
-    trees = {"change": ROOT}
-    if args.parent:
-        trees["parent"] = os.path.abspath(args.parent)
+    trees = {"change": ROOT, "parent": os.path.abspath(args.parent)}
     rounds = {label: [] for label in trees}
     for r in range(args.rounds):
         order = list(trees) if r % 2 == 0 else list(reversed(trees))
         for label in order:
             out = subprocess.run(
                 [sys.executable, os.path.abspath(__file__), "--worker", trees[label],
-                 "--seed", str(args.seed), "--calls", str(args.calls)],
+                 "--parent", trees["parent"]],
                 capture_output=True, text=True, check=True).stdout
             rounds[label].append(json.loads(out.splitlines()[-1]))
             med = statistics.median(rounds[label][-1]["loss_and_grads_ms"])
@@ -147,16 +144,15 @@ def main(argv=None) -> int:
 
     result = {
         "harness": "scripts/bench_step.py",
-        "settings": {"seed": args.seed, "rounds": args.rounds, "calls_per_round": args.calls,
+        "settings": {"seed": SEED, "rounds": args.rounds, "calls_per_round": CALLS,
                      "warmup_calls": WARMUP_CALLS, "corpus": "perfbench/workloads.matrix_spec"},
         "machine": rounds["change"][0]["env"],
         "entries": {label: _entry(trees[label], rounds[label]) for label in trees},
     }
-    if args.parent:
-        result["change_over_parent"] = {
-            key: round(result["entries"]["change"][key]["median"]
-                       / result["entries"]["parent"][key]["median"], 4)
-            for key in ("loss_and_grads_ms", "forward_ms")}
+    result["change_over_parent"] = {
+        key: round(result["entries"]["change"][key]["median"]
+                   / result["entries"]["parent"][key]["median"], 4)
+        for key in ("loss_and_grads_ms", "forward_ms")}
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(result, f, indent=2)
         f.write("\n")

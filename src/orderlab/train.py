@@ -11,7 +11,6 @@ reproducible but re-drawn every epoch (unless `shuffle_fixed`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -130,12 +129,10 @@ def train(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab,
     if not triples:
         raise ValueError("empty triple stream")
     max_len = mdl.config.max_len
+    # natural encodings, made on a pair's first draw; perturbed per use
     if memo is None:
-        encode = partial(encode_pair, vocab=vocab, max_len=max_len)
-    else:
-        encode = memo.encoder(vocab, max_len)
-    # natural encoding, made on a triple's first draw; perturbed per use
-    encoded: list[tuple | None] = [None] * len(triples)
+        memo = PairMemo(vocab, max_len)
+    encode = memo.encoder(vocab, max_len)
 
     order_rng = np.random.default_rng(cfg.seed)
     dropout_rng = np.random.default_rng(cfg.seed + 1)
@@ -166,7 +163,7 @@ def train(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab,
             best_params = params.copy()
 
     epoch = 0
-    order = order_rng.permutation(len(encoded))
+    order = order_rng.permutation(len(triples))
     cursor = 0
     per_step = cfg.batch_size // 2
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
@@ -176,15 +173,13 @@ def train(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab,
         for _ in range(per_step):
             if cursor >= len(order):
                 epoch += 1
-                order = order_rng.permutation(len(encoded))
+                order = order_rng.permutation(len(triples))
                 cursor = 0
             idx = int(order[cursor])
             cursor += 1
-            if encoded[idx] is None:
-                q, pos, neg = triples[idx]
-                encoded[idx] = ((encode(q, pos), 1), (encode(q, neg), 0))
+            q, pos, neg = triples[idx]
             key_epoch = 0 if cfg.shuffle_fixed else epoch
-            for side, (pair, label) in zip(("pos", "neg"), encoded[idx]):
+            for side, pair, label in (("pos", encode(q, pos), 1), ("neg", encode(q, neg), 0)):
                 p = perturb.apply(pair, cfg.train_perturb, f"{key_epoch}:{idx}|{side}")
                 batch_pairs.append(p)
                 batch_labels.append(label)

@@ -192,15 +192,19 @@ class TestTrainDevHook:
         triples = corpus.load_triples(data_dir / "triples.tsv")
         calls = []
         encode = T.encode_pair
-        monkeypatch.setattr(T, "encode_pair", lambda *a, **kw: calls.append(1) or encode(*a, **kw))
+        counted = lambda *a, **kw: calls.append(1) or encode(*a, **kw)  # noqa: E731
+        # training encodes through a PairMemo, the dev hook through make_examples
+        monkeypatch.setattr(tokenizer, "encode_pair", counted)
+        monkeypatch.setattr(T, "encode_pair", counted)
         # evals at steps 10, 20, 30 and 40 on the training triples as dev set
         assert run_cli("train", "--triples", str(data_dir / "triples.tsv"),
                        "--dev-triples", str(data_dir / "triples.tsv"),
                        "--vocab", str(data_dir / "vocab.txt"), "--out", str(tmp_path / "m.ckpt"),
                        "--steps", "40", "--warmup", "2",
                        "--epoch-size", "10", "--perturb", "shuffle:3") == 0
-        # two examples per triple: once for training, once for all the evals
-        assert len(calls) == 2 * len(triples) + 2 * len(triples)
+        # training encodes each distinct pair once; the evals two examples per triple, once
+        distinct = {(q, doc) for q, pos, neg in triples for doc in (pos, neg)}
+        assert len(calls) == len(distinct) + 2 * len(triples)
 
     @pytest.mark.parametrize("mode", [perturb.NATURAL, perturb.shuffle_mode(3)])
     def test_hook_gives_per_call_accuracy(self, data_dir, checkpoint, mode):
