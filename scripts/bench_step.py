@@ -1,16 +1,20 @@
-"""Time one training step and one scoring batch of the orderlab encoder.
+"""Time one training step, one scoring batch and one dev eval of the orderlab encoder.
 
     python3 scripts/bench_step.py --parent TREE [--rounds 6] [--out BENCH_step.json]
 
 Run from the root of a source checkout. It times, per call, the
-encoder's two hot entry points on pairs of the benchmark's `matrix`
-corpus (`perfbench/workloads.matrix_spec`, seed 1) at its model settings:
+encoder's hot entry points on pairs of the benchmark's `matrix` corpus
+(`perfbench/workloads.matrix_spec`, seed 1) at its model settings:
 
 - `loss_and_grads`: `model.loss_and_grads` at batch 16 in train mode,
   one training step's forward and backward without the Adam update;
-- `forward`: `model.forward` at batch 64, one scoring batch.
+- `forward`: `model.forward` at batch 64, one scoring batch;
+- `rerank_eval`: one dev-eval-shaped `experiment.rerank_run`, the spec's
+  2 dev queries x their BM25 top 50 under `shuffle:13`, through a run
+  memo (`tokenizer.PairMemo`) that earlier calls have filled, as the
+  second and later dev evals of a training run find it.
 
-Each round times 200 calls of both in a fresh process per source tree,
+Each round times 200 calls of each in a fresh process per source tree,
 with one BLAS thread and glibc's allocator pinned as `perfbench/run.py`
 does. `--parent TREE` is another checkout, such as the parent commit;
 rounds alternate between that tree and this one, first one then the
@@ -29,6 +33,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import run as perfbench_run  # noqa: E402  (sets one BLAS thread before numpy loads)
 
 import argparse  # noqa: E402
+import itertools  # noqa: E402
 import json  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
@@ -36,6 +41,11 @@ import time  # noqa: E402
 
 STEP_BATCH, SCORE_BATCH, WARMUP_CALLS = 16, 64, 10
 SEED, CALLS = 1, 200  # matrix corpus seed; timed calls per round
+EVAL_SEED = 13        # the dev evals' shuffle:13
+# each timed call and what one call does
+TIMED = {"loss_and_grads_ms": {"batch": STEP_BATCH},
+         "forward_ms": {"batch": SCORE_BATCH},
+         "rerank_eval_ms": {"queries": 2, "top_k": 50, "mode": f"shuffle:{EVAL_SEED}"}}
 
 
 def _worker(tree: str) -> dict:
@@ -46,7 +56,7 @@ def _worker(tree: str) -> dict:
 
     import numpy as np
     import workloads
-    from orderlab import corpus, experiment, tokenizer
+    from orderlab import bm25, corpus, experiment, perturb, tokenizer
     from orderlab import model as M
 
     spec = workloads.matrix_spec(SEED)
@@ -59,6 +69,10 @@ def _worker(tree: str) -> dict:
     labels = [1, 0] * (len(pairs) // 2)
     grads = {name: np.zeros_like(p) for name, p in mdl.params.items()}
     rng = np.random.default_rng(SEED)
+    _, dev_ids, _ = experiment._split_queries(queries, spec.dev_queries, spec.test_queries)
+    dev_run = bm25.retrieve_run(bm25.build_index(collection),
+                                experiment._subset(queries, dev_ids), spec.dev_rerank_k)
+    memo = tokenizer.PairMemo(vocab, cfg.max_len)
 
     def batches(size):
         start = 0
@@ -68,23 +82,30 @@ def _worker(tree: str) -> dict:
             yield pairs[start:start + size], labels[start:start + size]
             start += size
 
-    def timed(call, size):
-        feed, times, lengths = batches(size), [], []
+    def timed(call, feed):
+        times = []
         for i in range(WARMUP_CALLS + CALLS):
-            batch, batch_labels = next(feed)
+            args = next(feed)
             t0 = time.perf_counter()
-            call(batch, batch_labels)
+            call(*args)
             if i >= WARMUP_CALLS:
                 times.append((time.perf_counter() - t0) * 1e3)
-                lengths.append(max(p.n_total for p in batch))
-        return times, statistics.mean(lengths)
+        return times
 
-    step_ms, step_len = timed(lambda b, y: M.loss_and_grads(
-        mdl, b, y, train_mode=True, rng=rng, grads=grads), STEP_BATCH)
-    score_ms, score_len = timed(lambda b, y: M.forward(mdl, b), SCORE_BATCH)
+    def mean_padded_len(size):
+        timed_batches = itertools.islice(batches(size), WARMUP_CALLS, WARMUP_CALLS + CALLS)
+        return statistics.mean(max(p.n_total for p in b) for b, _ in timed_batches)
+
+    mode = perturb.shuffle_mode(EVAL_SEED)
     return {"env": perfbench_run.environment(malloc),
-            "loss_and_grads_ms": step_ms, "forward_ms": score_ms,
-            "mean_padded_len": {"loss_and_grads": step_len, "forward": score_len}}
+            "loss_and_grads_ms": timed(lambda b, y: M.loss_and_grads(
+                mdl, b, y, train_mode=True, rng=rng, grads=grads), batches(STEP_BATCH)),
+            "forward_ms": timed(lambda b, y: M.forward(mdl, b), batches(SCORE_BATCH)),
+            "rerank_eval_ms": timed(lambda: experiment.rerank_run(
+                dev_run, mdl, vocab, queries, collection, spec.dev_rerank_k, mode,
+                tag="dev", memo=memo), itertools.repeat(())),
+            "mean_padded_len": {"loss_and_grads": mean_padded_len(STEP_BATCH),
+                                "forward": mean_padded_len(SCORE_BATCH)}}
 
 
 def _commit(tree: str) -> str:
@@ -106,9 +127,9 @@ def _summary(times: list[float]) -> dict:
 
 def _entry(tree: str, rounds: list[dict]) -> dict:
     entry = {"commit": _commit(tree)}
-    for key, batch in (("loss_and_grads_ms", STEP_BATCH), ("forward_ms", SCORE_BATCH)):
+    for key in TIMED:
         every = [t for r in rounds for t in r[key]]
-        entry[key] = dict(_summary(every), batch=batch,
+        entry[key] = dict(_summary(every), **TIMED[key],
                           round_medians=[round(statistics.median(r[key]), 4) for r in rounds])
     entry["forward_us_per_pair"] = round(entry["forward_ms"]["median"] * 1e3 / SCORE_BATCH, 2)
     entry["mean_padded_len"] = rounds[0]["mean_padded_len"]
@@ -152,14 +173,15 @@ def main(argv=None) -> int:
     result["change_over_parent"] = {
         key: round(result["entries"]["change"][key]["median"]
                    / result["entries"]["parent"][key]["median"], 4)
-        for key in ("loss_and_grads_ms", "forward_ms")}
+        for key in TIMED}
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(result, f, indent=2)
         f.write("\n")
     for label, entry in result["entries"].items():
         print(f"{label}: loss_and_grads {entry['loss_and_grads_ms']['median']} ms, "
               f"forward {entry['forward_ms']['median']} ms "
-              f"({entry['forward_us_per_pair']} us/pair)")
+              f"({entry['forward_us_per_pair']} us/pair), "
+              f"rerank_eval {entry['rerank_eval_ms']['median']} ms")
     return 0
 
 

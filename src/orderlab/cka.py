@@ -9,12 +9,12 @@ which is invariant to orthogonal transformations and isotropic scaling
 of either argument. `capture` runs one model under one perturbation
 over a dataset batch-wise and keeps every layer's hidden states;
 `score` computes CKA per layer between two captures and averages over
-batches. `compare` does both for two (model, perturbation) conditions.
+batches; a layer with no variance in a batch scores NaN there. `compare`
+does both for two (model, perturbation) conditions.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +32,6 @@ class CkaReport:
     per_layer: list[float] = field(default_factory=list)
     per_batch: list[list[float]] = field(default_factory=list)  # [batch][layer]
     n_batches: int = 0
-    n_skipped: int = 0
     selector: str = "cls_only"
     condition_a: str = ""
     condition_b: str = ""
@@ -53,6 +52,13 @@ def cka_linear(x: np.ndarray, y: np.ndarray) -> float:
     if denom == 0.0:
         raise DegenerateInputError("zero-variance representation")
     return float(np.linalg.norm(yc.T @ xc) ** 2 / denom)
+
+
+def _cka_or_nan(x: np.ndarray, y: np.ndarray) -> float:
+    try:
+        return cka_linear(x, y)
+    except DegenerateInputError:
+        return float("nan")
 
 
 def _rows(acts, pairs, selector):
@@ -92,7 +98,14 @@ def capture(mdl: M.Model, mode: perturb.PerturbMode, dataset,
 
 
 def score(a: Capture, b: Capture, selector: str = "cls_only") -> CkaReport:
-    """Batch-averaged per-layer CKA between two captures of one dataset."""
+    """Batch-averaged per-layer CKA between two captures of one dataset.
+
+    A layer whose rows have zero variance in a batch, on either side,
+    scores NaN for that batch, and so its average is NaN; the batch's
+    other layers count as usual. Under `cls_only` layer 0 is the [CLS]
+    embedding, the same for every example: in float32 its centred rows
+    are exactly 0, in float64 rounding noise.
+    """
     if selector not in ("cls_only", "all_tokens"):
         raise ValueError(f"unknown selector {selector!r}")
     if [start for start, _, _ in a.batches] != [start for start, _, _ in b.batches]:
@@ -100,17 +113,12 @@ def score(a: Capture, b: Capture, selector: str = "cls_only") -> CkaReport:
 
     report = CkaReport(selector=selector, condition_a=a.condition, condition_b=b.condition)
     n_layers = None
-    for (start, pairs_a, acts_a), (_, pairs_b, acts_b) in zip(a.batches, b.batches):
+    for (_, pairs_a, acts_a), (_, pairs_b, acts_b) in zip(a.batches, b.batches):
         rows_a = _rows(acts_a, pairs_a, selector)
         rows_b = _rows(acts_b, pairs_b, selector)
         if len(rows_a) != len(rows_b):
             raise ValueError("models capture different layer counts")
-        try:
-            values = [cka_linear(xa, xb) for xa, xb in zip(rows_a, rows_b)]
-        except DegenerateInputError:
-            warnings.warn(f"skipping degenerate batch at offset {start}")
-            report.n_skipped += 1
-            continue
+        values = [_cka_or_nan(xa, xb) for xa, xb in zip(rows_a, rows_b)]
         report.per_batch.append(values)
         report.n_batches += 1
         n_layers = len(values)

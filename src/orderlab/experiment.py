@@ -32,7 +32,8 @@ from . import train as T
 from .corpus import (Collection, Qrels, QuerySet, Run, RunEntry, SyntheticSpec, Triple,
                      ValidationError, generate_synthetic, write_collection, write_qrels,
                      write_queries, write_run, write_triples)
-from .tokenizer import PairMemo, Vocab, build_vocab, encode_pair, save_vocab, _pretokenize
+from .tokenizer import PairMemo, Vocab, build_vocab, save_vocab, _pretokenize
+from .tokenizer import encode_pair  # noqa: F401  (perfbench/spans.py traces it at this name)
 
 
 @dataclass(frozen=True)
@@ -212,15 +213,15 @@ def rerank_run(run: Run, mdl: M.Model, vocab: Vocab, queries: QuerySet,
 
     The block is re-ordered by model score (ties by doc_id); entries
     below rank k keep their order, with scores remapped below the block
-    minimum so the run stays rank-consistent. `memo`, if given, supplies
-    the encoded pairs. A query or doc of the run that `queries` or
+    minimum so the run stays rank-consistent. Each example, keyed
+    `qid:doc_id`, comes from a `PairMemo`: `memo`, if given, so that the
+    calls of one run encode and perturb each example once, or else a
+    memo of this call's own. A query or doc of the run that `queries` or
     `collection` lacks is a `ValidationError`.
     """
-    max_len = mdl.config.max_len
     if memo is None:
-        encode = partial(encode_pair, vocab=vocab, max_len=max_len)
-    else:
-        encode = memo.encoder(vocab, max_len)
+        memo = PairMemo(vocab, mdl.config.max_len)
+    example = memo.check(vocab, mdl.config.max_len).perturbed
     out = Run()
     for qid in sorted(run.entries):
         entries = run.entries[qid]
@@ -228,10 +229,8 @@ def rerank_run(run: Run, mdl: M.Model, vocab: Vocab, queries: QuerySet,
         tail = entries[k:]
         try:
             query = queries.entries[qid]
-            pairs = [
-                perturb.apply(encode(query, collection.entries[e.doc_id]), mode, f"{qid}:{e.doc_id}")
-                for e in block
-            ]
+            pairs = [example(query, collection.entries[e.doc_id], mode, f"{qid}:{e.doc_id}")
+                     for e in block]
         except KeyError:
             error = missing_id_error(qid, block, queries, collection)
             if error is None:
@@ -384,6 +383,11 @@ def _write_atomically(write, obj, path):
     os.replace(tmp, path)
 
 
+def _write_lines(lines: list[str], path):
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(lines)
+
+
 def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
     """Execute the full condition matrix; returns {condition label: report}."""
     spec.validate()
@@ -431,7 +435,8 @@ def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
 
     model_cfg = replace(spec.model, vocab_size=len(vocab))
     # every training, dev eval, condition and the CKA pairs share one
-    # memo, so the run encodes each (query, doc) pair once, on first use
+    # memo, so the run encodes each (query, doc) pair once, on first use,
+    # and the dev evals and conditions perturb each example once
     memo = PairMemo(vocab, model_cfg.max_len)
 
     # -- train one model per distinct (position_mode, train_perturb)
@@ -513,14 +518,14 @@ def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
     # any other model on the first shuffle stream the conditions use
     sh = next((m for c in spec.conditions for m in (c.train_perturb, c.eval_perturb)
                if m.kind == "shuffle"), perturb.shuffle_mode(spec.seed))
-    with open(os.path.join(outdir, "cka", "cls_similarity.tsv"), "w", encoding="utf-8") as f:
-        f.write("position_mode\ttrain_perturb\tcomparison\tcka\n")
-        for (pos_mode, tp), mdl in sorted(trained.items()):
-            own = perturb.parse_mode(tp)
-            shuffle = own if own.kind == "shuffle" else sh
-            for comp_name, comp_mode in (("shuffle", shuffle), ("sort", perturb.SORT_DESC)):
-                rep = cka.score(natural[pos_mode, tp], capture(mdl, comp_mode), "cls_only")
-                f.write(f"{pos_mode}\t{tp}\t{comp_name}\t{rep.per_layer[-1]:.6f}\n")
+    rows = ["position_mode\ttrain_perturb\tcomparison\tcka\n"]
+    for (pos_mode, tp), mdl in sorted(trained.items()):
+        own = perturb.parse_mode(tp)
+        shuffle = own if own.kind == "shuffle" else sh
+        for comp_name, comp_mode in (("shuffle", shuffle), ("sort", perturb.SORT_DESC)):
+            rep = cka.score(natural[pos_mode, tp], capture(mdl, comp_mode), "cls_only")
+            rows.append(f"{pos_mode}\t{tp}\t{comp_name}\t{rep.per_layer[-1]:.6f}\n")
+    _write_atomically(_write_lines, rows, os.path.join(outdir, "cka", "cls_similarity.tsv"))
 
     baseline_key = ("learned", "natural")
     if baseline_key in trained:

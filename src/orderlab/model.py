@@ -24,6 +24,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, asdict
+from itertools import chain
 
 import numpy as np
 from scipy.special import erf as scipy_erf
@@ -142,18 +143,23 @@ def init(cfg: ModelConfig, seed: int) -> Model:
 
 
 def pad_batch(pairs: list[TokenizedPair], dtype=np.float64):
-    """Stack pairs into ids/segments/mask arrays padded with [PAD]."""
-    T = max(p.n_total for p in pairs)
-    B = len(pairs)
-    ids = np.full((B, T), PAD_ID, dtype=np.int64)
-    segs = np.zeros((B, T), dtype=np.int64)
-    mask = np.zeros((B, T), dtype=dtype)
-    for i, p in enumerate(pairs):
-        n = p.n_total
-        ids[i, :n] = p.ids
-        segs[i, :n] = p.segments
-        mask[i, :n] = 1.0
-    return ids, segs, mask
+    """Stack pairs into ids/segments/mask arrays padded with [PAD].
+
+    Row i holds pair i's ids and segments in its first `n_total`
+    columns, then [PAD] and segment 0; the mask is 1.0 over those
+    columns and 0.0 after them. One masked assignment per array fills
+    every row: a boolean mask visits its cells row by row, the order in
+    which the pairs' ids are chained.
+    """
+    lengths = np.fromiter((p.n_total for p in pairs), dtype=np.int64, count=len(pairs))
+    real = np.arange(lengths.max()) < lengths[:, None]
+    n = int(lengths.sum())
+    ids = np.full(real.shape, PAD_ID, dtype=np.int64)
+    segs = np.zeros(real.shape, dtype=np.int64)
+    ids[real] = np.fromiter(chain.from_iterable(p.ids for p in pairs), dtype=np.int64, count=n)
+    segs[real] = np.fromiter(chain.from_iterable(p.segments for p in pairs),
+                             dtype=np.int64, count=n)
+    return ids, segs, real.astype(dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +308,8 @@ def _forward(model: Model, ids, segs, mask, train_mode=False, rng=None, capture=
     drop = cfg.dropout_rate if train_mode else 0.0
     tape: dict = {"ids": ids, "segs": segs, "mask": mask, "drop": drop, "layers": []}
 
-    emb = P["tok_emb"][ids]
-    emb += P["seg_emb"][segs]
+    emb = np.take(P["tok_emb"], ids, axis=0)
+    emb += np.take(P["seg_emb"], segs, axis=0)
     if cfg.position_mode == "learned":
         emb += P["pos_emb"][:T]
     h, ln_cache = layer_norm_fwd(emb, P["emb_ln_g"], P["emb_ln_b"])

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .tokenizer import TokenizedPair
+if TYPE_CHECKING:  # tokenizer imports this module, for PairMemo.perturbed
+    from .tokenizer import TokenizedPair
 
 
 @dataclass(frozen=True)
@@ -88,10 +90,14 @@ def _perturb_span(ids: list[int], span: tuple[int, int], mode: PerturbMode,
 
 
 def apply(pair: TokenizedPair, mode: PerturbMode, example_key: str = "") -> TokenizedPair:
-    """Perturb query and passage spans independently; pure function."""
+    """Perturb query and passage spans independently; pure function.
+
+    The result has its own `ids` and shares every other field with
+    `pair`: pairs are read-only once made.
+    """
     if mode.kind == "natural":
         return pair
     ids = list(pair.ids)
     _perturb_span(ids, pair.query_span, mode, example_key, "q")
     _perturb_span(ids, pair.passage_span, mode, example_key, "p")
-    return replace(pair, ids=ids, segments=list(pair.segments))
+    return replace(pair, ids=ids)

@@ -13,6 +13,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
+from . import perturb
+
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 RESERVED = [PAD, UNK, CLS, SEP]
 PAD_ID, UNK_ID, CLS_ID, SEP_ID = 0, 1, 2, 3
@@ -142,6 +144,20 @@ def tokenize(text: str, vocab: Vocab) -> list[str]:
     return tokens
 
 
+def token_ids(text: str, vocab: Vocab) -> list[int]:
+    """`[vocab.id(t) for t in tokenize(text, vocab)]`, with one lookup per
+    whole word: a word is split into pieces only when it is not a token."""
+    lookup = vocab.token_to_id
+    ids = []
+    for word in _pretokenize(text):
+        i = lookup.get(word)
+        if i is None:
+            ids.extend(lookup[t] for t in tokenize_word(word, vocab))
+        else:
+            ids.append(i)
+    return ids
+
+
 def detokenize(tokens: list[str]) -> str:
     """Merge "##" continuations back into words; inverse of tokenize up to
     whitespace/casing for in-vocab text."""
@@ -192,20 +208,19 @@ def encode_pair(query_text: str, passage_text: str, vocab: Vocab, max_len: int) 
     """
     if max_len < 8:
         raise ValueError("max_len must be >= 8")
-    q_tokens = tokenize(query_text, vocab)
-    if not q_tokens:
+    q_ids = token_ids(query_text, vocab)
+    if not q_ids:
         raise ValueError("query is empty after tokenization")
-    p_tokens = tokenize(passage_text, vocab)
+    p_ids = token_ids(passage_text, vocab)
 
     budget = max_len - 3
-    if len(q_tokens) + len(p_tokens) > budget:
-        keep_p = max(min(1, len(p_tokens)), budget - len(q_tokens))
-        p_tokens = p_tokens[:keep_p]
-        q_tokens = q_tokens[:budget - len(p_tokens)]
+    if len(q_ids) + len(p_ids) > budget:
+        keep_p = max(min(1, len(p_ids)), budget - len(q_ids))
+        p_ids = p_ids[:keep_p]
+        q_ids = q_ids[:budget - len(p_ids)]
 
-    ids = [CLS_ID] + [vocab.id(t) for t in q_tokens] + [SEP_ID] \
-        + [vocab.id(t) for t in p_tokens] + [SEP_ID]
-    first_sep = 1 + len(q_tokens)
+    ids = [CLS_ID, *q_ids, SEP_ID, *p_ids, SEP_ID]
+    first_sep = 1 + len(q_ids)
     second_sep = len(ids) - 1
     segments = [0] * (first_sep + 1) + [1] * (len(ids) - first_sep - 1)
     pair = TokenizedPair(
@@ -220,20 +235,26 @@ def encode_pair(query_text: str, passage_text: str, vocab: Vocab, max_len: int) 
 
 
 class PairMemo:
-    """Encoded (query, passage) pairs for one vocabulary and max_len.
+    """The one place a run's examples are encoded and perturbed, for one
+    vocabulary and max_len.
 
-    A pair is encoded on first use and kept for the memo's lifetime, so a
-    caller that scores the same pairs many times encodes each once. The
-    returned pairs are shared: treat them as read-only (`perturb.apply`
-    copies before it changes anything).
+    `encode` encodes a (query, passage) pair on first use and keeps it
+    for the memo's lifetime. `perturbed` does the same for each
+    (pair, mode, example key): it calls `perturb.apply` once per key, so
+    dev evals, conditions and any other caller that asks for the same
+    perturbed example again get the pair made the first time. A natural
+    example is the encoded pair itself. The returned pairs are shared:
+    treat them as read-only.
     """
 
     def __init__(self, vocab: Vocab, max_len: int):
         self.vocab = vocab
         self.max_len = max_len
         self._pairs: dict[tuple[str, str], TokenizedPair] = {}
+        self._perturbed: dict[tuple, TokenizedPair] = {}
 
     def __len__(self):
+        """The number of distinct (query, passage) pairs encoded."""
         return len(self._pairs)
 
     def encode(self, query_text: str, passage_text: str) -> TokenizedPair:
@@ -244,11 +265,24 @@ class PairMemo:
                                                   self.vocab, self.max_len)
         return pair
 
-    def encoder(self, vocab: Vocab, max_len: int):
-        """`encode`, once the caller's vocab and max_len are the memo's own."""
+    def perturbed(self, query_text: str, passage_text: str, mode: perturb.PerturbMode,
+                  example_key: str) -> TokenizedPair:
+        """`perturb.apply(self.encode(query_text, passage_text), mode, example_key)`,
+        made once per (query, passage, mode, example key)."""
+        if mode.kind == "natural":
+            return self.encode(query_text, passage_text)
+        key = (query_text, passage_text, mode, example_key)
+        pair = self._perturbed.get(key)
+        if pair is None:
+            pair = self._perturbed[key] = perturb.apply(
+                self.encode(query_text, passage_text), mode, example_key)
+        return pair
+
+    def check(self, vocab: Vocab, max_len: int) -> PairMemo:
+        """The memo, once the caller's vocab and max_len are its own."""
         if vocab is not self.vocab or max_len != self.max_len:
             raise ValueError("pair memo was built for another vocabulary or max_len")
-        return self.encode
+        return self
 
 
 def decode_ids(ids: list[int], vocab: Vocab) -> list[str]:

@@ -130,9 +130,11 @@ def train(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab,
         raise ValueError("empty triple stream")
     max_len = mdl.config.max_len
     # natural encodings, made on a pair's first draw; perturbed per use
+    # by perturb.apply, not kept by the memo: epoch:idx keys repeat only
+    # under shuffle_fixed
     if memo is None:
         memo = PairMemo(vocab, max_len)
-    encode = memo.encoder(vocab, max_len)
+    encode = memo.check(vocab, max_len).encode
 
     order_rng = np.random.default_rng(cfg.seed)
     dropout_rng = np.random.default_rng(cfg.seed + 1)
@@ -184,17 +186,20 @@ def train(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab,
                 batch_pairs.append(p)
                 batch_labels.append(label)
 
-        loss, _ = M.loss_and_grads(mdl, batch_pairs, batch_labels,
-                                   train_mode=True, rng=dropout_rng, grads=grad_views)
-        if not np.isfinite(loss):
+        # a diverging run overflows here first; the DivergenceError below
+        # reports it in one line instead of numpy warning per operation
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            loss, _ = M.loss_and_grads(mdl, batch_pairs, batch_labels,
+                                       train_mode=True, rng=dropout_rng, grads=grad_views)
+            # each parameter's squares are summed on their own and the sums
+            # added in parameter order: one sum over the buffer rounds differently
+            np.multiply(grads, grads, out=scratch)
+            gnorm = float(np.sqrt(sum(float(sq.sum()) for sq in squares)))
+        if not (np.isfinite(loss) and np.isfinite(gnorm)):
             raise DivergenceError(
-                f"non-finite loss {loss} at step {step} (lr={lr_at(step, cfg):.2e})"
+                f"non-finite loss {loss} or grad norm {gnorm} at step {step} "
+                f"(lr={lr_at(step, cfg):.2e})"
             )
-
-        # each parameter's squares are summed on their own and the sums
-        # added in parameter order: one sum over the buffer rounds differently
-        np.multiply(grads, grads, out=scratch)
-        gnorm = float(np.sqrt(sum(float(sq.sum()) for sq in squares)))
         if cfg.grad_clip_norm > 0 and gnorm > cfg.grad_clip_norm:
             # a float64 factor, so a float32 model's gradients scale in
             # float64 and round once

@@ -128,6 +128,30 @@ class TestCompare:
             cka.compare(mdl, perturb.NATURAL, mdl, perturb.NATURAL,
                         pairs_of(4, np.random.default_rng(0)), selector="pooled")
 
+    def test_constant_layer_scores_nan_and_keeps_the_batch(self):
+        # two batches whose layer 0 is the same row for every example, as
+        # the [CLS] embedding is: that layer is NaN, the others count
+        rng = np.random.default_rng(7)
+        pairs = pairs_of(6, rng)
+
+        def capture_of(name):
+            batches = []
+            for start in (0, 3):
+                const = np.broadcast_to(rng.normal(size=(1, 5, 4)), (3, 5, 4)).astype(np.float32)
+                batches.append((start, pairs[start:start + 3],
+                                [const, rng.normal(size=(3, 5, 4)), rng.normal(size=(3, 5, 6))]))
+            return cka.Capture(name, batches)
+
+        a, b = capture_of("a"), capture_of("b")
+        rep = cka.score(a, b, "cls_only")
+        assert rep.n_batches == 2 and len(rep.per_batch) == 2
+        assert np.isnan(rep.per_layer[0]) and all(np.isnan(v[0]) for v in rep.per_batch)
+        for layer in (1, 2):
+            want = [cka.cka_linear(xa[layer][:, 0, :], xb[layer][:, 0, :])
+                    for (_, _, xa), (_, _, xb) in zip(a.batches, b.batches)]
+            assert [v[layer] for v in rep.per_batch] == want
+            assert rep.per_layer[layer] == sum(want) / 2
+
     def test_max_len_mismatch_rejected(self):
         a = small_model(0)
         b = M.init(M.ModelConfig(n_layers=2, n_heads=2, hidden=16, ff_dim=32,

@@ -1,4 +1,5 @@
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -133,13 +134,19 @@ class TestRerankData:
         vocab = tokenizer.load_vocab(data_dir / "vocab.txt")
         mdl = M.load(checkpoint)
         run = bm25.retrieve_run(bm25.build_index(coll), queries, 10)
-        memo = tokenizer.PairMemo(vocab, mdl.config.max_len)
-        for mode in (perturb.shuffle_mode(13), perturb.NATURAL, perturb.SORT_DESC):
+        warm = tokenizer.PairMemo(vocab, mdl.config.max_len)
+        for mode in (perturb.shuffle_mode(13), perturb.NATURAL, perturb.SORT_DESC,
+                     perturb.shuffle_mode(14)):
             plain = experiment.rerank_run(run, mdl, vocab, queries, coll, 10, mode)
+            fresh = tokenizer.PairMemo(vocab, mdl.config.max_len)
             assert experiment.rerank_run(run, mdl, vocab, queries, coll, 10, mode,
-                                         memo=memo) == plain
+                                         memo=fresh) == plain
+            # the run's memo: its second call in a mode reuses the first's pairs
+            for _ in range(2):
+                assert experiment.rerank_run(run, mdl, vocab, queries, coll, 10, mode,
+                                             memo=warm) == plain
         # each pair was encoded once, by the first call
-        assert len(memo) == sum(len(v) for v in run.entries.values())
+        assert len(warm) == sum(len(v) for v in run.entries.values())
 
     def test_memo_for_another_max_len_is_refused(self, data_dir, checkpoint):
         vocab = tokenizer.load_vocab(data_dir / "vocab.txt")
@@ -276,11 +283,17 @@ class TestExitCodes:
         assert err == "error: epoch_size must be >= 1\n"
 
     def test_numeric_failure_divergence(self, data_dir, tmp_path, capsys):
-        code = run_cli("train", "--triples", str(data_dir / "triples.tsv"),
-                       "--vocab", str(data_dir / "vocab.txt"),
-                       "--out", str(tmp_path / "m.ckpt"),
-                       "--steps", "60", "--warmup", "1", "--lr", "1e5")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("train", "--triples", str(data_dir / "triples.tsv"),
+                           "--vocab", str(data_dir / "vocab.txt"),
+                           "--out", str(tmp_path / "m.ckpt"),
+                           "--steps", "60", "--warmup", "1", "--lr", "1e5")
         assert code == 3
+        # one line, and no numpy warning before it
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 CONFIG = """\
@@ -429,6 +442,49 @@ class TestExperimentCommand:
         assert float(kept[0][1]) == max(float(r[1]) for r in rows)
 
 
+class TestEvalExamplesPerturbedOnce:
+    def test_each_dev_and_condition_example_perturbed_once(self, tmp_path, monkeypatch):
+        # the 8 default conditions, two dev evals per model: sort/sort and
+        # nat/sort share their test examples, the sort model's dev evals
+        # their dev examples, and so on for shuffle
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(CONFIG.replace("total_steps = 40", "total_steps = 10")
+                       .replace("epoch_size = 20", "epoch_size = 5")
+                       .replace("conditions = learned/natural/natural, learned/natural/sort, "
+                                "none/natural/natural\n", ""))
+        spec = experiment.spec_from_config(cfg)
+        assert len(spec.conditions) == 8
+        calls = {}
+        apply = perturb.apply
+
+        def counted(pair, mode, example_key=""):
+            # re-rank keys are qid:doc_id; training's carry "|", CKA's are indexes
+            if ":" in example_key and "|" not in example_key:
+                key = (tuple(pair.ids), mode, example_key)
+                calls[key] = calls.get(key, 0) + 1
+            return apply(pair, mode, example_key)
+
+        monkeypatch.setattr(perturb, "apply", counted)
+        out = tmp_path / "out"
+        experiment.run_experiment(spec, out, log=lambda *a: None)
+        monkeypatch.undo()
+
+        dev_run = corpus.load_run(out / "runs" / "bm25_dev.run")
+        test_run = corpus.load_run(out / "runs" / "bm25_test.run")
+
+        def keys(run, k):
+            return {f"{q}:{e.doc_id}" for q, entries in run.entries.items() for e in entries[:k]}
+
+        want = set()
+        for c in spec.conditions:
+            for mode, examples in ((c.train_perturb, keys(dev_run, spec.dev_rerank_k)),
+                                   (c.eval_perturb, keys(test_run, spec.rerank_k))):
+                if mode.kind != "natural":
+                    want |= {(mode, key) for key in examples}
+        assert {(mode, key) for _, mode, key in calls} == want
+        assert set(calls.values()) == {1}
+
+
 class TestExperimentCka:
     def test_each_model_and_perturbation_captured_once(self, tmp_path, monkeypatch):
         # 4 models x {natural, shuffle, sort}: a model's natural capture
@@ -485,6 +541,24 @@ class TestExperimentCka:
             cka.write_report_csv(rep, tmp_path / "ref.csv")
             assert ((out / "cka" / f"layers_{name}.csv").read_bytes()
                     == (tmp_path / "ref.csv").read_bytes())
+
+    def test_float32_experiment_writes_every_cls_row(self, tmp_path):
+        # the [CLS] embedding layer has no variance in float32; it scores
+        # NaN, and the last layer's CKA is still written for every model
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(CONFIG.replace("total_steps = 40", "total_steps = 10")
+                       .replace("[train]", "[model]\nnumeric_precision = 32\n\n[train]")
+                       .replace("learned/natural/natural, learned/natural/sort, none/natural/natural",
+                                "learned/natural/natural, learned/sort/sort, "
+                                "learned/shuffle:13/shuffle:13, none/natural/natural"))
+        out = tmp_path / "out"
+        assert run_cli("experiment", "--config", str(cfg), "--out", str(out)) == 0
+        rows = [line.split("\t") for line in
+                (out / "cka" / "cls_similarity.tsv").read_text().splitlines()]
+        assert rows[0] == ["position_mode", "train_perturb", "comparison", "cka"]
+        assert len(rows) == 9
+        assert all(np.isfinite(float(r[3])) for r in rows[1:])
+        assert not list(out.rglob("*.tmp"))
 
 
 def _write_partly_then_raise(error):

@@ -306,6 +306,18 @@ def ref_softmax(x, axis=-1):
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def ref_pad_batch(pairs, dtype):
+    T = max(p.n_total for p in pairs)
+    ids = np.full((len(pairs), T), 0, dtype=np.int64)
+    segs = np.zeros((len(pairs), T), dtype=np.int64)
+    mask = np.zeros((len(pairs), T), dtype=dtype)
+    for i, p in enumerate(pairs):
+        ids[i, :p.n_total] = p.ids
+        segs[i, :p.n_total] = p.segments
+        mask[i, :p.n_total] = 1.0
+    return ids, segs, mask
+
+
 def _frozen(*arrays):
     return [a.tobytes() for a in arrays]
 
@@ -363,6 +375,16 @@ class TestKernelBytes:
         got, ref = M.softmax(x), ref_softmax(x)
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
         assert _frozen(x) == before
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lengths", [[23] * 16, [4], [9, 23, 5, 23, 17, 4],
+                                         list(range(4, 32)) * 2 + [4] * 8])
+    def test_pad_batch(self, dtype, lengths):
+        rng = np.random.default_rng(len(lengths))
+        pairs = [_random_pair(rng, n) for n in lengths]
+        for got, ref in zip(M.pad_batch(pairs, dtype=dtype), ref_pad_batch(pairs, dtype)):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
 
     # (n_rows, id range): tok_emb rows at the matrix vocabulary, seg_emb rows
     @pytest.mark.parametrize("n_rows", [1000, 2])

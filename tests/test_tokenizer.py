@@ -62,6 +62,28 @@ class TestTokenize:
         vocab = make_vocab(["white", ",", "clothes", "."])
         assert tokenize("white, clothes.", vocab) == ["white", ",", "clothes", "."]
 
+    @pytest.mark.parametrize("text", ["white bleach", "Bleach, xyz white.", "bl WHITE bleachl",
+                                      "q7 , .", ""])
+    def test_token_ids_match_tokenize(self, text):
+        # whole words, "##" pieces and [UNK]: one id per token, in order
+        vocab = make_vocab(["white", "b", "##lea", "##ch", "##l", ",", "."])
+        assert tok.token_ids(text, vocab) == [vocab.id(t) for t in tokenize(text, vocab)]
+
+    def test_token_ids_match_tokenize_on_a_split_corpus(self):
+        # 20 whole words; every other word splits into "w" and digit
+        # pieces, and a word with a letter outside the vocab is [UNK]
+        coll, qs, _, _ = generate_synthetic(SyntheticSpec(vocab_size=200, n_docs=60,
+                                                          n_queries=6, seed=4))
+        texts = list(coll.entries.values()) + list(qs.entries.values())
+        digits = "0123456789"
+        words = sorted({w for t in texts for w in t.split()})
+        vocab = make_vocab(["w", *digits, *words[:20], *(f"##{d}" for d in digits),
+                            *(f"##{a}{b}" for a in "01" for b in digits)])
+        split = [t for x in texts for t in tokenize(x, vocab)]
+        assert "##0" in split and "[UNK]" not in split and "w" in split
+        for text in texts + ["w0001 zz w17x"]:
+            assert tok.token_ids(text, vocab) == [vocab.id(t) for t in tokenize(text, vocab)]
+
     def test_detokenize_inverse(self):
         vocab = make_vocab(["b", "##lea", "##ch", "white"])
         tokens = tokenize("white bleach", vocab)

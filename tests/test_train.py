@@ -115,6 +115,20 @@ class TestTrainLoop:
                 warnings.simplefilter("ignore", RuntimeWarning)
                 T.train(small_model(0), toy_triples(), cfg, VOCAB)
 
+    def test_non_finite_grad_norm_raises(self, monkeypatch):
+        # a finite loss with an overflowed gradient stops the run as well
+        loss_and_grads = M.loss_and_grads
+
+        def overflowing(*args, grads, **kw):
+            loss, _ = loss_and_grads(*args, grads=grads, **kw)
+            grads["tok_emb"][0, 0] = np.inf
+            return loss, grads
+
+        monkeypatch.setattr(M, "loss_and_grads", overflowing)
+        cfg = T.TrainConfig(batch_size=4, total_steps=5, warmup_steps=1, epoch_size=5)
+        with pytest.raises(T.DivergenceError, match="grad norm inf at step 0"):
+            T.train(small_model(0), toy_triples(), cfg, VOCAB)
+
     def test_triples_encoded_on_first_draw(self):
         memo = PairMemo(VOCAB, 32)
         cfg = T.TrainConfig(batch_size=4, total_steps=3, warmup_steps=1, epoch_size=3)
