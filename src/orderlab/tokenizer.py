@@ -4,7 +4,8 @@ Vocabulary construction is a simplified frequency-based approximation of
 WordPiece training: all characters first, then the most frequent whole
 words, then the most frequent "##" suffix pieces, until the target size
 is reached. Tokenization is greedy longest-prefix matching with "##"
-continuation pieces, falling back to [UNK].
+continuation pieces, falling back to [UNK]. `PairMemo` keeps a run's
+encoded pairs and their perturbed forms, each made once.
 """
 
 from __future__ import annotations
