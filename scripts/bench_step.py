@@ -1,4 +1,4 @@
-"""Time one training step, one scoring batch and one dev eval of the orderlab encoder.
+"""Time one training step, one scoring batch, one dev eval and the data stage of orderlab.
 
     python3 scripts/bench_step.py --parent TREE [--rounds 6] [--out BENCH_step.json]
 
@@ -12,16 +12,22 @@ encoder's hot entry points on pairs of the benchmark's `matrix` corpus
 - `rerank_eval`: one dev-eval-shaped `experiment.rerank_run`, the spec's
   2 dev queries x their BM25 top 50 under `shuffle:13`, through a run
   memo (`tokenizer.PairMemo`) that earlier calls have filled, as the
-  second and later dev evals of a training run find it.
+  second and later dev evals of a training run find it;
+- `data_stage`: what a run does before any model, on the same spec:
+  `corpus.generate_synthetic`, `experiment._vocab_for`,
+  `bm25.build_index` and the training queries' `bm25.retrieve_run` at
+  `rerank_k`.
 
-Each round times 200 calls of each in a fresh process per source tree,
-with one BLAS thread and glibc's allocator pinned as `perfbench/run.py`
-does. `--parent TREE` is another checkout, such as the parent commit;
-rounds alternate between that tree and this one, first one then the
-other, so that drift in the machine's speed falls on both alike. The
-output holds, for each tree, its commit, the median and quartiles of
-every timed call and the median of each round, and the machine. This
-checkout's entry is `change`, the other tree's `parent`.
+Each round times 200 calls of each of the first three, and 10 of the
+data stage (one takes about 0.2 s), after a few untimed ones, in a
+fresh process per source tree, with one BLAS thread and glibc's
+allocator pinned as `perfbench/run.py` does. `--parent TREE` is another
+checkout, such as the parent commit; rounds alternate between that tree
+and this one, first one then the other, so that drift in the machine's
+speed falls on both alike. The output holds, for each tree, its commit,
+the median and quartiles of every timed call and the median of each
+round, and the machine. This checkout's entry is `change`, the other
+tree's `parent`.
 """
 
 import os
@@ -39,17 +45,20 @@ import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import time  # noqa: E402
 
-STEP_BATCH, SCORE_BATCH, WARMUP_CALLS = 16, 64, 10
-SEED, CALLS = 1, 200  # matrix corpus seed; timed calls per round
-EVAL_SEED = 13        # the dev evals' shuffle:13
-# each timed call and what one call does
-TIMED = {"loss_and_grads_ms": {"batch": STEP_BATCH},
-         "forward_ms": {"batch": SCORE_BATCH},
-         "rerank_eval_ms": {"queries": 2, "top_k": 50, "mode": f"shuffle:{EVAL_SEED}"}}
+STEP_BATCH, SCORE_BATCH = 16, 64
+SEED, EVAL_SEED = 1, 13  # matrix corpus seed; the dev evals' shuffle:13
+KERNEL_CALLS = {"calls_per_round": 200, "warmup_calls": 10}
+# each timed call, what one call does, and how often it runs a round
+TIMED = {"loss_and_grads_ms": {"batch": STEP_BATCH, **KERNEL_CALLS},
+         "forward_ms": {"batch": SCORE_BATCH, **KERNEL_CALLS},
+         "rerank_eval_ms": {"queries": 2, "top_k": 50, "mode": f"shuffle:{EVAL_SEED}",
+                            **KERNEL_CALLS},
+         "data_stage_ms": {"spec": "matrix_spec(1)", "calls_per_round": 10,
+                           "warmup_calls": 1}}
 
 
 def _worker(tree: str) -> dict:
-    """Time `CALLS` calls of each entry point with orderlab from `tree`."""
+    """Time each entry point's calls with orderlab from `tree`."""
     malloc = perfbench_run.pin_allocator()
     sys.path.insert(0, os.path.join(tree, "src"))
     from dataclasses import replace
@@ -82,28 +91,40 @@ def _worker(tree: str) -> dict:
             yield pairs[start:start + size], labels[start:start + size]
             start += size
 
-    def timed(call, feed):
+    def timed(key, call, feed=itertools.repeat(())):
+        warmup, calls = TIMED[key]["warmup_calls"], TIMED[key]["calls_per_round"]
         times = []
-        for i in range(WARMUP_CALLS + CALLS):
+        for i in range(warmup + calls):
             args = next(feed)
             t0 = time.perf_counter()
             call(*args)
-            if i >= WARMUP_CALLS:
+            if i >= warmup:
                 times.append((time.perf_counter() - t0) * 1e3)
         return times
 
     def mean_padded_len(size):
-        timed_batches = itertools.islice(batches(size), WARMUP_CALLS, WARMUP_CALLS + CALLS)
+        warmup, calls = KERNEL_CALLS["warmup_calls"], KERNEL_CALLS["calls_per_round"]
+        timed_batches = itertools.islice(batches(size), warmup, warmup + calls)
         return statistics.mean(max(p.n_total for p in b) for b, _ in timed_batches)
+
+    def data_stage():
+        collection, queries, _, _ = corpus.generate_synthetic(spec.synthetic)
+        experiment._vocab_for(collection, queries)
+        train_ids, _, _ = experiment._split_queries(queries, spec.dev_queries,
+                                                    spec.test_queries)
+        bm25.retrieve_run(bm25.build_index(collection),
+                          experiment._subset(queries, train_ids), spec.rerank_k)
 
     mode = perturb.shuffle_mode(EVAL_SEED)
     return {"env": perfbench_run.environment(malloc),
-            "loss_and_grads_ms": timed(lambda b, y: M.loss_and_grads(
+            "loss_and_grads_ms": timed("loss_and_grads_ms", lambda b, y: M.loss_and_grads(
                 mdl, b, y, train_mode=True, rng=rng, grads=grads), batches(STEP_BATCH)),
-            "forward_ms": timed(lambda b, y: M.forward(mdl, b), batches(SCORE_BATCH)),
-            "rerank_eval_ms": timed(lambda: experiment.rerank_run(
+            "forward_ms": timed("forward_ms", lambda b, y: M.forward(mdl, b),
+                                batches(SCORE_BATCH)),
+            "rerank_eval_ms": timed("rerank_eval_ms", lambda: experiment.rerank_run(
                 dev_run, mdl, vocab, queries, collection, spec.dev_rerank_k, mode,
-                tag="dev", memo=memo), itertools.repeat(())),
+                tag="dev", memo=memo)),
+            "data_stage_ms": timed("data_stage_ms", data_stage),
             "mean_padded_len": {"loss_and_grads": mean_padded_len(STEP_BATCH),
                                 "forward": mean_padded_len(SCORE_BATCH)}}
 
@@ -165,8 +186,8 @@ def main(argv=None) -> int:
 
     result = {
         "harness": "scripts/bench_step.py",
-        "settings": {"seed": SEED, "rounds": args.rounds, "calls_per_round": CALLS,
-                     "warmup_calls": WARMUP_CALLS, "corpus": "perfbench/workloads.matrix_spec"},
+        "settings": {"seed": SEED, "rounds": args.rounds,
+                     "corpus": "perfbench/workloads.matrix_spec"},
         "machine": rounds["change"][0]["env"],
         "entries": {label: _entry(trees[label], rounds[label]) for label in trees},
     }
@@ -181,7 +202,8 @@ def main(argv=None) -> int:
         print(f"{label}: loss_and_grads {entry['loss_and_grads_ms']['median']} ms, "
               f"forward {entry['forward_ms']['median']} ms "
               f"({entry['forward_us_per_pair']} us/pair), "
-              f"rerank_eval {entry['rerank_eval_ms']['median']} ms")
+              f"rerank_eval {entry['rerank_eval_ms']['median']} ms, "
+              f"data_stage {entry['data_stage_ms']['median']} ms")
     return 0
 
 

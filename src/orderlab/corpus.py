@@ -317,6 +317,26 @@ def _zipf_probs(vocab_size: int, exponent: float) -> np.ndarray:
     return p / p.sum()
 
 
+def _zipf_cdf(vocab_size: int, exponent: float) -> np.ndarray:
+    """The CDF `Generator.choice` computes from `_zipf_probs`: its cumsum,
+    divided by its last value."""
+    cdf = _zipf_probs(vocab_size, exponent).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(rng: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarray:
+    """`rng.choice(len(cdf), size=n, p=probs)` for the `probs` whose CDF is
+    `cdf`: the same indices from the same `n` uniforms, without choice's
+    per-call checks of `probs`."""
+    return cdf.searchsorted(rng.random(n), side="right")
+
+
+def _pick(rng: np.random.Generator, seq) -> int:
+    """`rng.choice(seq)` for a non-empty sequence of ints: the same single draw."""
+    return int(seq[rng.integers(len(seq))])
+
+
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Collection, QuerySet, Qrels, list[Triple]]:
     """Generate a deterministic corpus with planted graded documents.
 
@@ -338,6 +358,15 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Collection, QuerySet, Qrels
     keeps the positives but trains on negatives mined from BM25 instead.
     Under the bigram_order rule each negative matches its positive's
     marker count, and the runner trains on these triples as they are.
+
+    Every draw comes from one `np.random.default_rng(spec.seed)` stream.
+    Filler words are drawn from the Zipf CDF of the commoner half,
+    computed once (`_zipf_cdf`), as `cdf.searchsorted(rng.random(n),
+    side="right")` (`_draw`); a lead word is `seq[rng.integers(len(seq))]`
+    of its class's words (`_pick`). These are the computations
+    `rng.choice(m, size=n, p=probs)` and `rng.choice(seq)` run after
+    their per-call checks, so they give the same words and leave the
+    stream at the same place.
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
@@ -346,19 +375,17 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Collection, QuerySet, Qrels
     # vocabulary; query terms come from the rarer half, so any overlap
     # with a query is deliberate (planted), never accidental
     common_hi = max(1, spec.vocab_size // 2)
-    probs = _zipf_probs(common_hi, spec.zipf_exponent)
+    cdf = _zipf_cdf(common_hi, spec.zipf_exponent)
 
     def sample_words(n, exclude=()):
+        # batches of max(n, 8) draws, as many as it takes to keep n words
+        # outside `exclude`; the rest of the last batch is dropped
         out = []
         excl = set(exclude)
         while len(out) < n:
-            batch = rng.choice(common_hi, size=max(n, 8), p=probs)
-            for i in batch:
-                w = words[int(i)]
-                if w not in excl:
-                    out.append(w)
-                    if len(out) == n:
-                        break
+            batch = _draw(rng, cdf, max(n, 8)).tolist()
+            out.extend(w for w in map(words.__getitem__, batch) if w not in excl)
+        del out[n:]
         return out
 
     # natural word order: each word of the rarer half belongs to one of
@@ -384,7 +411,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Collection, QuerySet, Qrels
         best_idxs, best_conflicts = None, None
         for _attempt in range(200):
             classes = np.sort(rng.choice(n_classes, size=qlen, replace=False))
-            idxs = [int(rng.choice(class_members[c])) for c in classes]
+            idxs = [_pick(rng, class_members[c]) for c in classes]
             shared: dict[int, int] = {}
             for i in idxs:
                 for u in term_users.get(i, ()):
@@ -424,7 +451,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Collection, QuerySet, Qrels
         planted = []
         for kept in matched:
             lead = [term_of_class[c] if term_of_class.get(c) in kept
-                    else words[int(rng.choice(others[c]))] for c in range(n_classes)]
+                    else words[_pick(rng, others[c])] for c in range(n_classes)]
             dlen = int(rng.integers(spec.doc_len_range[0], spec.doc_len_range[1] + 1))
             dlen = max(dlen, len(lead))
             planted.append(" ".join(lead + sample_words(dlen - len(lead), exclude=terms)))

@@ -32,7 +32,7 @@ from . import train as T
 from .corpus import (Collection, Qrels, QuerySet, Run, RunEntry, SyntheticSpec, Triple,
                      ValidationError, generate_synthetic, write_collection, write_qrels,
                      write_queries, write_run, write_triples)
-from .tokenizer import PairMemo, Vocab, build_vocab, save_vocab, _pretokenize
+from .tokenizer import PairMemo, Vocab, save_vocab, vocab_from_counts, word_counts
 from .tokenizer import encode_pair  # noqa: F401  (perfbench/spans.py traces it at this name)
 
 
@@ -96,9 +96,22 @@ class ExperimentSpec:
 
 
 def spec_from_config(path) -> ExperimentSpec:
+    """The spec a config file sets, over the defaults.
+
+    A file that configparser cannot read (no section header, a key set
+    twice in a section, a stray `%` in a value) is a ValueError, with
+    configparser's message on one line.
+    """
     cp = configparser.ConfigParser()
-    with open(path, "r", encoding="utf-8") as f:
-        cp.read_file(f)
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            cp.read_file(f)
+        return _spec_from_sections(cp)
+    except configparser.Error as exc:
+        raise ValueError(f"config {path}: {' '.join(str(exc).splitlines())}") from None
+
+
+def _spec_from_sections(cp: configparser.ConfigParser) -> ExperimentSpec:
     spec = ExperimentSpec()
 
     if cp.has_section("synthetic"):
@@ -289,15 +302,10 @@ def held_out_accuracy(mdl: M.Model, triples: list[Triple], vocab: Vocab,
 
 
 def _vocab_for(collection: Collection, queries: QuerySet) -> Vocab:
-    texts = list(collection.entries.values()) + list(queries.entries.values())
-    words = set()
-    chars = set()
-    for text in texts:
-        for w in _pretokenize(text):
-            words.add(w)
-            chars.update(w)
+    word_freq = word_counts([*collection.entries.values(), *queries.entries.values()])
+    chars = {ch for word in word_freq for ch in word}
     # large enough that every corpus word is a whole token
-    return build_vocab(texts, 4 + len(chars) + len(words))
+    return vocab_from_counts(word_freq, 4 + len(chars) + len(word_freq))
 
 
 def _split_queries(queries: QuerySet, n_dev: int, n_test: int):
@@ -430,7 +438,9 @@ def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
     dev_run = bm25.retrieve_run(index, _subset(queries, dev_ids), spec.dev_rerank_k)
     write_run(test_run, os.path.join(outdir, "runs", "bm25_test.run"))
     write_run(dev_run, os.path.join(outdir, "runs", "bm25_dev.run"))
-    bm25_report = metrics.evaluate(test_run, qrels)
+    # every report of the run grades against one by-query map
+    grades = qrels.by_query()
+    bm25_report = metrics.evaluate(test_run, grades)
     metrics.write_report(bm25_report, os.path.join(outdir, "metrics", "bm25.tsv"))
 
     model_cfg = replace(spec.model, vocab_size=len(vocab))
@@ -458,7 +468,7 @@ def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
         def dev_hook(m, _mode=cond.train_perturb):
             reranked = rerank_run(dev_run, m, vocab, queries, collection,
                                   spec.dev_rerank_k, _mode, tag="dev", memo=memo)
-            return metrics.evaluate(reranked, qrels).mean["ndcg@10"]
+            return metrics.evaluate(reranked, grades).mean["ndcg@10"]
 
         mdl, tlog = T.train(mdl, train_triples, tcfg, vocab, eval_hook=dev_hook, memo=memo)
         # the checkpoint comes last: its presence marks a complete model
@@ -483,7 +493,7 @@ def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
             reranked = rerank_run(test_run, trained[key], vocab, queries, collection,
                                   spec.rerank_k, cond.eval_perturb, tag=label, memo=memo)
             _write_atomically(write_run, reranked, run_path)
-            report = metrics.evaluate(reranked, qrels)
+            report = metrics.evaluate(reranked, grades)
             _write_atomically(metrics.write_report, report, metrics_path)
             results[label] = report
         except (ValueError, OSError) as exc:  # bad data or a failed write: one row, not the matrix

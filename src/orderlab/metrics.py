@@ -107,11 +107,15 @@ def mrr_at_k(run: Run, qrels: Qrels, k: int = 10, rel_threshold: int = 1):
     return per_query, skipped
 
 
-def evaluate(run: Run, qrels: Qrels, ndcg_k: int = 10, recall_k: int = 100,
-             mrr_k: int = 10, rel_threshold: int = 1,
+def evaluate(run: Run, qrels: Qrels | dict[str, dict[str, int]], ndcg_k: int = 10,
+             recall_k: int = 100, mrr_k: int = 10, rel_threshold: int = 1,
              exponential_gain: bool = False) -> MetricsReport:
-    """Full report: ndcg@k, map, recall@k, mrr@k, per query and mean."""
-    grades_by_q = qrels.by_query()
+    """Full report: ndcg@k, map, recall@k, mrr@k, per query and mean.
+
+    `qrels` is a `Qrels` or its `by_query()` map; a caller that evaluates
+    many runs against the same judgments builds the map once.
+    """
+    grades_by_q = _grades(qrels)
     report = MetricsReport(rel_threshold=rel_threshold)
     parts = {
         f"ndcg@{ndcg_k}": ndcg_at_k(run, grades_by_q, ndcg_k, exponential_gain),

@@ -63,15 +63,29 @@ def _pretokenize(text: str) -> list[str]:
     return _WORD_SPLIT.findall(text.lower())
 
 
+def word_counts(texts) -> Counter:
+    """How often each pretokenized word occurs in `texts`.
+
+    One lowercasing and one regex pass over the texts joined by
+    newlines. A newline is whitespace: it is no token, it ends any word,
+    and lowercasing reads no context across it (as it does for a final
+    sigma), so the counts equal those of pretokenizing each text alone.
+    """
+    return Counter(_pretokenize("\n".join(texts)))
+
+
 def build_vocab(texts, target_size: int) -> Vocab:
-    """Greedy frequency-based vocabulary over `texts`.
+    """Greedy frequency-based vocabulary over `texts`, whose words are
+    counted in one pass (`word_counts`); see `vocab_from_counts`."""
+    return vocab_from_counts(word_counts(texts), target_size)
+
+
+def vocab_from_counts(word_freq: Counter, target_size: int) -> Vocab:
+    """Greedy frequency-based vocabulary from word counts (`word_counts`).
 
     Ties broken lexicographically within each tier, so the result is
     deterministic for a given corpus.
     """
-    word_freq = Counter()
-    for text in texts:
-        word_freq.update(_pretokenize(text))
     if not word_freq:
         raise ValueError("empty corpus")
 

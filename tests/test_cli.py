@@ -282,6 +282,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: epoch_size must be >= 1\n"
 
+    @pytest.mark.parametrize("break_config", [
+        lambda text: text[text.index("vocab_size"):],
+        lambda text: text + "\n[model]\nn_layers = 1\nn_layers = 2\n",
+        lambda text: text.replace("[synthetic]\n", "[synthetic]\nrelevance_rule = over%lap\n"),
+    ], ids=["no_section_header", "duplicate_key", "stray_percent"])
+    def test_malformed_config_is_a_data_error(self, tmp_path, capsys, break_config):
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(break_config(CONFIG))
+        assert run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_numeric_failure_divergence(self, data_dir, tmp_path, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from orderlab import corpus
+from orderlab import corpus, experiment, tokenizer
 from orderlab.corpus import (Collection, ParseError, Qrels, Run, RunEntry,
                              SyntheticSpec, ValidationError, generate_synthetic)
 
@@ -236,3 +238,76 @@ class TestSyntheticGeneration:
         with pytest.raises(ValueError):
             # too few docs to plant graded docs for every query
             generate_synthetic(SyntheticSpec(n_docs=20, n_queries=100))
+
+
+class TestSameDraws:
+    """The generator's draws equal `Generator.choice`'s and leave the stream
+    where choice leaves it: the next draw of both generators agrees."""
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 150, 300])
+    @pytest.mark.parametrize("exponent", [1.1, 0.5])
+    def test_cdf_draw_equals_choice_with_p(self, m, exponent):
+        probs = corpus._zipf_probs(m, exponent)
+        cdf = corpus._zipf_cdf(m, exponent)
+        for seed in range(200):
+            for n in (1, 8, 23):
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = corpus._draw(ours, cdf, n)
+                want = theirs.choice(m, size=n, p=probs)
+                assert got.tolist() == want.tolist()
+                assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("seq", [[5], [3, 9], list(range(100, 117)),
+                                     np.arange(150, 300, 4)], ids=["1", "2", "17", "array"])
+    def test_pick_equals_choice(self, seq):
+        for seed in range(200):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert corpus._pick(ours, seq) == theirs.choice(seq)
+            assert ours.random() == theirs.random()
+
+
+def _file_digests(spec, tmp_path):
+    coll, qs, qrels, triples = generate_synthetic(spec)
+    vocab = experiment._vocab_for(coll, qs)
+    for name, write, obj in (("collection.tsv", corpus.write_collection, coll),
+                             ("queries.tsv", corpus.write_queries, qs),
+                             ("qrels.txt", corpus.write_qrels, qrels),
+                             ("triples.tsv", corpus.write_triples, triples),
+                             ("vocab.txt", tokenizer.save_vocab, vocab)):
+        write(obj, tmp_path / name)
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+
+
+# sha256 of each file generated from three specs, recorded from the
+# generator as it drew through `Generator.choice`
+GOLDEN = {
+    # the benchmark's matrix corpus (perfbench/workloads.matrix_spec(1).synthetic)
+    "matrix_1": (SyntheticSpec(n_docs=2000, n_queries=200, seed=1), {
+        "collection.tsv": "9194f8f90af0fa968fd1da83d14ed49f8c35bf201e95cff07d4536d8e1b7477f",
+        "queries.tsv": "843852d256f4234e4f942d9523d7bc97076fef336470541498d555191ac05ce9",
+        "qrels.txt": "14ca76bcd3eef50aa93ccfb66f9bba4f4c18a04fdb75c905336605e610c65a2a",
+        "triples.tsv": "8268d52bc45d02bbafba6cd9d004147ff7830bc65585f44f6c738953274bebbe",
+        "vocab.txt": "7ca8262509072766052d9a44435dfb526794356ec8ec7354a3834db98ed2158b",
+    }),
+    "overlap_3000": (SyntheticSpec(n_docs=3000, n_queries=300, seed=4), {
+        "collection.tsv": "ea7c658a7fb678cefe4520066faf52c59c5f78cd431fce4ce01e59770fca78cd",
+        "queries.tsv": "280ace62f1c6d16659393e3ce901d311d3148294f33d45f29a263055a249f5a7",
+        "qrels.txt": "a6f9cd7041e88a9e19cff025d8ee73c12863a8ef108d0ab3310ab1f8c11a6e0a",
+        "triples.tsv": "81819a8f4fb06f72754632f74d1839c310f3c6f8404137d766f4f15498e7b174",
+        "vocab.txt": "0689551e98c988d98ee73c7c04afed314f506f245a41d3ab2ab15dbedbcf3bef",
+    }),
+    "bigram_order": (SyntheticSpec(relevance_rule="bigram_order", n_docs=2000, n_queries=200,
+                                   seed=2), {
+        "collection.tsv": "c5fdaa18a8c641d7ba369b9a644f5b00ada9ea650aa4b34c430bcb543304e97d",
+        "queries.tsv": "4415b097d4f2cdfa956550f81fc519e47e548d20a12bf94195d0c43866d07f26",
+        "qrels.txt": "bff085a55faf5d92106e5047a403005675c76cce545ce16f64c95747536ed134",
+        "triples.tsv": "0bff20f2b7e574ddc57d72e670f7ce53e87b884ba132d0cc80cd261d9ecc1b25",
+        "vocab.txt": "53a3e6db462a5448c07ce013adbd58f6bfef672bc9457ac2d8cd9068770e2d0d",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_generated_files_match_golden_digests(name, tmp_path):
+    spec, want = GOLDEN[name]
+    assert _file_digests(spec, tmp_path) == want

@@ -158,6 +158,20 @@ class TestAgainstReference:
         assert report.skipped["ndcg@10"] == 1
 
 
+    def test_by_query_map_gives_the_same_report(self):
+        rng = np.random.default_rng(5)
+        docs = [f"d{i}" for i in range(30)]
+        run = Run({f"q{j}": make_run(list(rng.permutation(docs)[:20]), f"q{j}").entries[f"q{j}"]
+                   for j in range(6)})
+        qrels = Qrels({(f"q{j}", d): int(rng.integers(0, 4))
+                       for j in range(5) for d in rng.choice(docs, size=8)})
+        for kwargs in ({}, {"ndcg_k": 5, "recall_k": 10, "rel_threshold": 2,
+                            "exponential_gain": True}):
+            want = metrics.evaluate(run, qrels, **kwargs)
+            got = metrics.evaluate(run, qrels.by_query(), **kwargs)
+            assert got == want
+
+
 class TestReportFile:
     def test_tsv_layout(self, tmp_path):
         run = make_run(["d1"])

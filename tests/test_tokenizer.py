@@ -1,8 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from orderlab import experiment
 from orderlab import tokenizer as tok
-from orderlab.corpus import SyntheticSpec, generate_synthetic
+from orderlab.corpus import Collection, QuerySet, SyntheticSpec, generate_synthetic
 from orderlab.tokenizer import (CLS_ID, PAD_ID, SEP_ID, UNK, UNK_ID, Vocab,
                                 build_vocab, detokenize, encode_pair, tokenize)
 
@@ -43,6 +46,43 @@ class TestBuildVocab:
         p = tmp_path / "vocab.txt"
         tok.save_vocab(vocab, p)
         assert tok.load_vocab(p).tokens == vocab.tokens
+
+
+def per_text_vocab(texts, target_size=None):
+    """The vocab with words counted by pretokenizing each text on its own,
+    sized as `experiment._vocab_for` sizes it when no target is given."""
+    word_freq = Counter()
+    for text in texts:
+        word_freq.update(tok._pretokenize(text))
+    if target_size is None:
+        target_size = 4 + len({ch for w in word_freq for ch in w}) + len(word_freq)
+    return tok.vocab_from_counts(word_freq, target_size)
+
+
+class TestOnePassCount:
+    """Counting words in one pass over the joined texts gives the vocab
+    that pretokenizing each text gives, token for token."""
+
+    def test_default_corpus(self):
+        coll, qs, _, _ = generate_synthetic(SyntheticSpec())
+        texts = list(coll.entries.values()) + list(qs.entries.values())
+        assert experiment._vocab_for(coll, qs).tokens == per_text_vocab(texts).tokens
+
+    TEXTS = ["Hello WORLD, hello world!", "it's a TEST: isn't it?", "a b c I x",
+             "unbelievable believable unbelief", "Ends with punctuation.", "...",
+             "ΟΔΟΣ ΣΟΦΟΣ", "Σ", "ΑΣ", "x\ty\nz", "", "  spaced   out  "]
+
+    @pytest.mark.parametrize("target_size", [None, 40, 60, 90, 200])
+    def test_mixed_texts(self, target_size):
+        # small targets stop in the word tier, large ones reach the "##" tier
+        got = build_vocab(self.TEXTS, target_size) if target_size else \
+            experiment._vocab_for(Collection(dict(enumerate(self.TEXTS[:-4]))),
+                                  QuerySet(dict(enumerate(self.TEXTS[-4:]))))
+        assert got.tokens == per_text_vocab(self.TEXTS, target_size).tokens
+
+    def test_suffix_tier_is_reached(self):
+        vocab = build_vocab(self.TEXTS, 200)
+        assert any(t.startswith("##") for t in vocab.tokens)
 
 
 class TestTokenize:
