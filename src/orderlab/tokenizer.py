@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from itertools import islice
 from dataclasses import dataclass, field
 
 from . import perturb
@@ -21,6 +22,7 @@ RESERVED = [PAD, UNK, CLS, SEP]
 PAD_ID, UNK_ID, CLS_ID, SEP_ID = 0, 1, 2, 3
 
 _WORD_SPLIT = re.compile(r"\w+|[^\w\s]")
+_COUNT_CHUNK = 256  # texts per regex pass of `word_counts`
 
 
 @dataclass
@@ -66,17 +68,23 @@ def _pretokenize(text: str) -> list[str]:
 def word_counts(texts) -> Counter:
     """How often each pretokenized word occurs in `texts`.
 
-    One lowercasing and one regex pass over the texts joined by
-    newlines. A newline is whitespace: it is no token, it ends any word,
-    and lowercasing reads no context across it (as it does for a final
-    sigma), so the counts equal those of pretokenizing each text alone.
+    One lowercasing and one regex pass per `_COUNT_CHUNK` texts joined
+    by newlines. A newline is whitespace: it is no token, it ends any
+    word, and lowercasing reads no context across it (as it does for a
+    final sigma), so the counts equal those of pretokenizing each text
+    alone. Chunks keep the list of words in hand small: a single pass
+    over a whole corpus holds every word of it at once.
     """
-    return Counter(_pretokenize("\n".join(texts)))
+    counts = Counter()
+    texts = iter(texts)
+    while chunk := list(islice(texts, _COUNT_CHUNK)):
+        counts.update(_pretokenize("\n".join(chunk)))
+    return counts
 
 
 def build_vocab(texts, target_size: int) -> Vocab:
     """Greedy frequency-based vocabulary over `texts`, whose words are
-    counted in one pass (`word_counts`); see `vocab_from_counts`."""
+    counted a chunk of texts per pass (`word_counts`); see `vocab_from_counts`."""
     return vocab_from_counts(word_counts(texts), target_size)
 
 

@@ -76,8 +76,8 @@ class TestOnePassCount:
     def test_mixed_texts(self, target_size):
         # small targets stop in the word tier, large ones reach the "##" tier
         got = build_vocab(self.TEXTS, target_size) if target_size else \
-            experiment._vocab_for(Collection(dict(enumerate(self.TEXTS[:-4]))),
-                                  QuerySet(dict(enumerate(self.TEXTS[-4:]))))
+            experiment._vocab_for(Collection({f"d{i}": t for i, t in enumerate(self.TEXTS[:-4])}),
+                                  QuerySet({f"q{i}": t for i, t in enumerate(self.TEXTS[-4:])}))
         assert got.tokens == per_text_vocab(self.TEXTS, target_size).tokens
 
     def test_suffix_tier_is_reached(self):
