@@ -21,7 +21,12 @@ encoder's hot entry points on pairs of the benchmark's `matrix` corpus
 Each round times 200 calls of each of the first three, and 10 of the
 data stage (one takes about 0.2 s), after a few untimed ones, in a
 fresh process per source tree, with one BLAS thread and glibc's
-allocator pinned as `perfbench/run.py` does. `--parent TREE` is another
+allocator pinned as `perfbench/run.py` does. Every call's time is
+scaled, as the benchmark's are, by the calibration kernel
+(`perfbench/calibrate.py`, median of 3 runs) timed before and after
+the calls of its entry point in that round: `time * REF_S / mean of the
+two kernel times`, so that the machine's drift between rounds is
+divided out. The output keeps each round's factors. `--parent TREE` is another
 checkout, such as the parent commit; rounds alternate between that tree
 and this one, first one then the other, so that drift in the machine's
 speed falls on both alike. The output holds, for each tree, its commit,
@@ -37,6 +42,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import run as perfbench_run  # noqa: E402  (sets one BLAS thread before numpy loads)
+import calibrate  # noqa: E402
 
 import argparse  # noqa: E402
 import itertools  # noqa: E402
@@ -79,9 +85,12 @@ def _worker(tree: str) -> dict:
     grads = {name: np.zeros_like(p) for name, p in mdl.params.items()}
     rng = np.random.default_rng(SEED)
     _, dev_ids, _ = experiment._split_queries(queries, spec.dev_queries, spec.test_queries)
+    # the dev evals' depth; a field of the spec in trees older than the constant
+    dev_k = getattr(experiment, "DEV_RERANK_K", None) or spec.dev_rerank_k
     dev_run = bm25.retrieve_run(bm25.build_index(collection),
-                                experiment._subset(queries, dev_ids), spec.dev_rerank_k)
+                                experiment._subset(queries, dev_ids), dev_k)
     memo = tokenizer.PairMemo(vocab, cfg.max_len)
+    speed = calibrate.Speed(probes=3)
 
     def batches(size):
         start = 0
@@ -100,7 +109,8 @@ def _worker(tree: str) -> dict:
             call(*args)
             if i >= warmup:
                 times.append((time.perf_counter() - t0) * 1e3)
-        return times
+        factor = speed.mark()
+        return [t * factor for t in times]
 
     def mean_padded_len(size):
         warmup, calls = KERNEL_CALLS["warmup_calls"], KERNEL_CALLS["calls_per_round"]
@@ -122,9 +132,10 @@ def _worker(tree: str) -> dict:
             "forward_ms": timed("forward_ms", lambda b, y: M.forward(mdl, b),
                                 batches(SCORE_BATCH)),
             "rerank_eval_ms": timed("rerank_eval_ms", lambda: experiment.rerank_run(
-                dev_run, mdl, vocab, queries, collection, spec.dev_rerank_k, mode,
+                dev_run, mdl, vocab, queries, collection, dev_k, mode,
                 tag="dev", memo=memo)),
             "data_stage_ms": timed("data_stage_ms", data_stage),
+            "kernel_factors": dict(zip(TIMED, (round(f, 4) for f in speed.factors))),
             "mean_padded_len": {"loss_and_grads": mean_padded_len(STEP_BATCH),
                                 "forward": mean_padded_len(SCORE_BATCH)}}
 
@@ -153,6 +164,7 @@ def _entry(tree: str, rounds: list[dict]) -> dict:
         entry[key] = dict(_summary(every), **TIMED[key],
                           round_medians=[round(statistics.median(r[key]), 4) for r in rounds])
     entry["forward_us_per_pair"] = round(entry["forward_ms"]["median"] * 1e3 / SCORE_BATCH, 2)
+    entry["kernel_factors"] = [r["kernel_factors"] for r in rounds]
     entry["mean_padded_len"] = rounds[0]["mean_padded_len"]
     return entry
 
@@ -187,7 +199,8 @@ def main(argv=None) -> int:
     result = {
         "harness": "scripts/bench_step.py",
         "settings": {"seed": SEED, "rounds": args.rounds,
-                     "corpus": "perfbench/workloads.matrix_spec"},
+                     "corpus": "perfbench/workloads.matrix_spec",
+                     "scaled_to_kernel_s": calibrate.REF_S},
         "machine": rounds["change"][0]["env"],
         "entries": {label: _entry(trees[label], rounds[label]) for label in trees},
     }

@@ -6,11 +6,11 @@ columns of X (n x d1) and Y (n x d2),
     CKA(X, Y) = ||Y^T X||_F^2 / (||X^T X||_F * ||Y^T Y||_F)
 
 which is invariant to orthogonal transformations and isotropic scaling
-of either argument. `capture` runs one model under one perturbation
-over a dataset batch-wise and keeps every layer's hidden states;
-`score` computes CKA per layer between two captures and averages over
-batches; a layer with no variance in a batch scores NaN there. `compare`
-does both for two (model, perturbation) conditions.
+of either argument. `capture` runs one model over perturbed examples
+batch-wise and keeps every layer's hidden states; `score` computes CKA
+per layer between two captures and averages over batches; a layer with
+no variance in a batch scores NaN there. `compare` perturbs a dataset
+and does both for two (model, perturbation) conditions.
 """
 
 from __future__ import annotations
@@ -80,21 +80,20 @@ class Capture:
     batches: list[tuple[int, list, list[np.ndarray]]]
 
 
-def capture(mdl: M.Model, mode: perturb.PerturbMode, dataset,
+def capture(mdl: M.Model, examples, condition: str = "natural",
             batch_size: int = 64) -> Capture:
-    """One capture forward per batch of `dataset` (natural TokenizedPair)
-    under `mode`; each example's index is its perturbation key. A last
-    batch of fewer than 2 examples is left out: CKA needs 2 rows."""
-    if not dataset:
+    """One capture forward per batch of `examples` (TokenizedPair, under
+    the perturbation named by `condition`). A last batch of fewer than 2
+    examples is left out: CKA needs 2 rows."""
+    if not examples:
         raise ValueError("empty dataset")
     batches = []
-    for start in range(0, len(dataset), batch_size):
-        batch = dataset[start:start + batch_size]
+    for start in range(0, len(examples), batch_size):
+        batch = examples[start:start + batch_size]
         if len(batch) < 2:
             break
-        pairs = [perturb.apply(p, mode, str(start + i)) for i, p in enumerate(batch)]
-        batches.append((start, pairs, M.forward(mdl, pairs, capture=True).activations))
-    return Capture(perturb.format_mode(mode), batches)
+        batches.append((start, batch, M.forward(mdl, batch, capture=True).activations))
+    return Capture(condition, batches)
 
 
 def score(a: Capture, b: Capture, selector: str = "cls_only") -> CkaReport:
@@ -141,8 +140,10 @@ def compare(model_a: M.Model, perturb_a: perturb.PerturbMode,
     """
     if model_a.config.max_len != model_b.config.max_len:
         raise ValueError("models disagree on max_len")
-    return score(capture(model_a, perturb_a, dataset, batch_size),
-                 capture(model_b, perturb_b, dataset, batch_size), selector)
+    a, b = ([perturb.apply(p, mode, str(i)) for i, p in enumerate(dataset)]
+            for mode in (perturb_a, perturb_b))
+    return score(capture(model_a, a, perturb.format_mode(perturb_a), batch_size),
+                 capture(model_b, b, perturb.format_mode(perturb_b), batch_size), selector)
 
 
 def write_report_csv(report: CkaReport, path):

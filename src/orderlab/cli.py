@@ -8,32 +8,46 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import bm25, cka, corpus, experiment, metrics, perturb, tokenizer
 from . import model as M
 from . import train as T
 
 
+def _add_fields(p, defaults, flags: dict[str, str], **choices):
+    """A flag per field of `defaults` ({flag: field name}), stored under
+    the field's name, typed and defaulted by the field's default; a
+    `*_len_range` takes MIN MAX. `choices` names a field's allowed values."""
+    for flag, name in flags.items():
+        value = getattr(defaults, name)
+        if isinstance(value, tuple):
+            p.add_argument(flag, dest=name, type=int, nargs=2, default=value,
+                           metavar=("MIN", "MAX"))
+        else:
+            p.add_argument(flag, dest=name, type=type(value), default=value,
+                           choices=choices.get(name))
+
+
+def _from_flags(defaults, args, **derived):
+    """`defaults` with each field that has a flag read from `args`, and `derived`."""
+    given = {f.name: getattr(args, f.name) for f in fields(defaults) if hasattr(args, f.name)}
+    return replace(defaults, **{k: tuple(v) if isinstance(v, list) else v
+                                for k, v in given.items()}, **derived)
+
+
 def _add_generate(sub):
     p = sub.add_parser("generate", help="generate a synthetic corpus")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--vocab-size", type=int, default=1000)
-    p.add_argument("--n-docs", type=int, default=2000)
-    p.add_argument("--n-queries", type=int, default=200)
-    p.add_argument("--doc-len", type=int, nargs=2, default=(20, 40), metavar=("MIN", "MAX"))
-    p.add_argument("--query-len", type=int, nargs=2, default=(4, 8), metavar=("MIN", "MAX"))
-    p.add_argument("--rule", choices=("overlap", "bigram_order"), default="overlap")
-    p.add_argument("--zipf", type=float, default=1.1)
-    p.add_argument("--seed", type=int, default=0)
+    _add_fields(p, corpus.SyntheticSpec(), {
+        "--vocab-size": "vocab_size", "--n-docs": "n_docs", "--n-queries": "n_queries",
+        "--doc-len": "doc_len_range", "--query-len": "query_len_range",
+        "--rule": "relevance_rule", "--zipf": "zipf_exponent", "--seed": "seed",
+    }, relevance_rule=("overlap", "bigram_order"))
 
 
 def _cmd_generate(args):
-    spec = corpus.SyntheticSpec(
-        vocab_size=args.vocab_size, n_docs=args.n_docs, n_queries=args.n_queries,
-        doc_len_range=tuple(args.doc_len), query_len_range=tuple(args.query_len),
-        relevance_rule=args.rule, zipf_exponent=args.zipf, seed=args.seed,
-    )
+    spec = _from_flags(corpus.SyntheticSpec(), args)
     collection, queries, qrels, triples = corpus.generate_synthetic(spec)
     os.makedirs(args.out, exist_ok=True)
     corpus.write_collection(collection, os.path.join(args.out, "collection.tsv"))
@@ -86,39 +100,25 @@ def _add_train(sub):
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--dev-triples", help="held-out triples for best-checkpoint selection")
     p.add_argument("--log", help="training log TSV path")
-    p.add_argument("--position-mode", choices=("learned", "none"), default="learned")
-    p.add_argument("--perturb", default="natural", help="natural | sort | shuffle:<seed>")
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--heads", type=int, default=2)
-    p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--ff-dim", type=int, default=64)
-    p.add_argument("--max-len", type=int, default=64)
-    p.add_argument("--dropout", type=float, default=0.1)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--lr", type=float, default=3e-4)
-    p.add_argument("--warmup", type=int, default=100)
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--epoch-size", type=int, default=200)
-    p.add_argument("--weight-decay", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=13)
-    p.add_argument("--shuffle-fixed", action="store_true",
-                   help="fix one shuffle permutation per example across epochs")
+    p.add_argument("--perturb", default=perturb.format_mode(T.TrainConfig().train_perturb),
+                   help="natural | sort | shuffle:<seed>")
+    _add_fields(p, M.ModelConfig(), {
+        "--position-mode": "position_mode", "--layers": "n_layers", "--heads": "n_heads",
+        "--hidden": "hidden", "--ff-dim": "ff_dim", "--max-len": "max_len",
+        "--dropout": "dropout_rate",
+    }, position_mode=("learned", "none"))
+    _add_fields(p, T.TrainConfig(), {
+        "--batch-size": "batch_size", "--lr": "lr_peak", "--warmup": "warmup_steps",
+        "--steps": "total_steps", "--epoch-size": "epoch_size",
+        "--weight-decay": "weight_decay", "--seed": "seed",
+    })
 
 
 def _cmd_train(args):
     triples = corpus.load_triples(args.triples)
     vocab = tokenizer.load_vocab(args.vocab)
-    cfg = M.ModelConfig(
-        n_layers=args.layers, n_heads=args.heads, hidden=args.hidden,
-        ff_dim=args.ff_dim, vocab_size=len(vocab), max_len=args.max_len,
-        dropout_rate=args.dropout, position_mode=args.position_mode,
-    )
-    tcfg = T.TrainConfig(
-        batch_size=args.batch_size, lr_peak=args.lr, warmup_steps=args.warmup,
-        total_steps=args.steps, epoch_size=args.epoch_size, seed=args.seed,
-        train_perturb=perturb.parse_mode(args.perturb),
-        weight_decay=args.weight_decay, shuffle_fixed=args.shuffle_fixed,
-    )
+    cfg = _from_flags(M.ModelConfig(), args, vocab_size=len(vocab))
+    tcfg = _from_flags(T.TrainConfig(), args, train_perturb=perturb.parse_mode(args.perturb))
     mdl = M.init(cfg, args.seed)
     hook = None
     if args.dev_triples:

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -42,12 +41,13 @@ class Condition:
     train_perturb: perturb.PerturbMode
     eval_perturb: perturb.PerturbMode
 
+    def text(self) -> str:
+        """`position_mode/train_perturb/eval_perturb`, as `parse_condition` reads it."""
+        return "/".join((self.position_mode, perturb.format_mode(self.train_perturb),
+                         perturb.format_mode(self.eval_perturb)))
+
     def label(self) -> str:
-        return "_".join((
-            self.position_mode,
-            perturb.format_mode(self.train_perturb).replace(":", ""),
-            perturb.format_mode(self.eval_perturb).replace(":", ""),
-        ))
+        return self.text().replace(":", "").replace("/", "_")
 
 
 def default_conditions(shuffle_seed: int = 13) -> list[Condition]:
@@ -67,19 +67,23 @@ def default_conditions(shuffle_seed: int = 13) -> list[Condition]:
     ]
 
 
+# no config sets these: the dev evals re-rank each dev query's BM25 top DEV_RERANK_K;
+# CKA compares each test query's top CKA_DOCS_PER_QUERY, CKA_BATCH_SIZE per forward
+DEV_RERANK_K = 50
+CKA_BATCH_SIZE = 64
+CKA_DOCS_PER_QUERY = 5
+
+
 @dataclass
 class ExperimentSpec:
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
     model: M.ModelConfig = field(default_factory=M.ModelConfig)
     train: T.TrainConfig = field(default_factory=T.TrainConfig)
-    conditions: list[Condition] = field(default_factory=default_conditions)
     seed: int = 13
     rerank_k: int = 100
     dev_queries: int = 50
     test_queries: int = 50
-    dev_rerank_k: int = 50
-    cka_batch_size: int = 64
-    cka_docs_per_query: int = 5
+    conditions: list[Condition] = field(default_factory=default_conditions)
 
     def validate(self):
         if not self.conditions:
@@ -91,79 +95,6 @@ class ExperimentSpec:
             raise ValueError("dev + test queries must leave training queries")
 
 
-# ---------------------------------------------------------------------------
-# config file (plain key = value, one section per module)
-
-
-def spec_from_config(path) -> ExperimentSpec:
-    """The spec a config file sets, over the defaults.
-
-    A file that configparser cannot read (no section header, a key set
-    twice in a section, a stray `%` in a value) is a ValueError, with
-    configparser's message on one line.
-    """
-    cp = configparser.ConfigParser()
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            cp.read_file(f)
-        return _spec_from_sections(cp)
-    except configparser.Error as exc:
-        raise ValueError(f"config {path}: {' '.join(str(exc).splitlines())}") from None
-
-
-def _spec_from_sections(cp: configparser.ConfigParser) -> ExperimentSpec:
-    spec = ExperimentSpec()
-
-    if cp.has_section("synthetic"):
-        s = cp["synthetic"]
-        spec.synthetic = SyntheticSpec(
-            vocab_size=s.getint("vocab_size", spec.synthetic.vocab_size),
-            n_docs=s.getint("n_docs", spec.synthetic.n_docs),
-            n_queries=s.getint("n_queries", spec.synthetic.n_queries),
-            doc_len_range=(s.getint("doc_len_min", spec.synthetic.doc_len_range[0]),
-                           s.getint("doc_len_max", spec.synthetic.doc_len_range[1])),
-            query_len_range=(s.getint("query_len_min", spec.synthetic.query_len_range[0]),
-                             s.getint("query_len_max", spec.synthetic.query_len_range[1])),
-            relevance_rule=s.get("relevance_rule", spec.synthetic.relevance_rule),
-            zipf_exponent=s.getfloat("zipf_exponent", spec.synthetic.zipf_exponent),
-            seed=s.getint("seed", spec.synthetic.seed),
-        )
-    if cp.has_section("model"):
-        s = cp["model"]
-        spec.model = M.ModelConfig(
-            n_layers=s.getint("n_layers", spec.model.n_layers),
-            n_heads=s.getint("n_heads", spec.model.n_heads),
-            hidden=s.getint("hidden", spec.model.hidden),
-            ff_dim=s.getint("ff_dim", spec.model.ff_dim),
-            max_len=s.getint("max_len", spec.model.max_len),
-            dropout_rate=s.getfloat("dropout_rate", spec.model.dropout_rate),
-            numeric_precision=s.getint("numeric_precision", spec.model.numeric_precision),
-        )
-    if cp.has_section("train"):
-        s = cp["train"]
-        spec.train = T.TrainConfig(
-            batch_size=s.getint("batch_size", spec.train.batch_size),
-            lr_peak=s.getfloat("lr_peak", spec.train.lr_peak),
-            warmup_steps=s.getint("warmup_steps", spec.train.warmup_steps),
-            total_steps=s.getint("total_steps", spec.train.total_steps),
-            epoch_size=s.getint("epoch_size", spec.train.epoch_size),
-            weight_decay=s.getfloat("weight_decay", spec.train.weight_decay),
-            grad_clip_norm=s.getfloat("grad_clip_norm", spec.train.grad_clip_norm),
-            shuffle_fixed=s.getboolean("shuffle_fixed", spec.train.shuffle_fixed),
-        )
-    if cp.has_section("experiment"):
-        s = cp["experiment"]
-        spec.seed = s.getint("seed", spec.seed)
-        spec.rerank_k = s.getint("rerank_k", spec.rerank_k)
-        spec.dev_queries = s.getint("dev_queries", spec.dev_queries)
-        spec.test_queries = s.getint("test_queries", spec.test_queries)
-        if "conditions" in s:
-            spec.conditions = [
-                parse_condition(c.strip()) for c in s["conditions"].split(",") if c.strip()
-            ]
-    return spec
-
-
 def parse_condition(text: str) -> Condition:
     """`position_mode/train_perturb/eval_perturb`, perturbs in CLI grammar."""
     parts = text.split("/")
@@ -172,33 +103,89 @@ def parse_condition(text: str) -> Condition:
     return Condition(parts[0], perturb.parse_mode(parts[1]), perturb.parse_mode(parts[2]))
 
 
+# ---------------------------------------------------------------------------
+# config file: a section per dataclass of the spec and a key per field,
+# but for the fields the run sets itself. A `*_len_range` is two keys,
+# `*_len_min` and `*_len_max`, and the conditions one comma-separated
+# line; every other value is read by the type of its field's default.
+
+_DERIVED = {"model": {"vocab_size", "position_mode"}, "train": {"seed", "train_perturb"}}
+
+
+def _sections(spec: ExperimentSpec) -> dict:
+    return {"synthetic": spec.synthetic, "model": spec.model, "train": spec.train,
+            "experiment": spec}
+
+
+def _flat(obj, section: str) -> dict[str, str]:
+    """{config key: value as text} of the fields of `obj` that a config sets."""
+    flat = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.name in _DERIVED.get(section, ()) or is_dataclass(value):
+            continue
+        if isinstance(value, tuple):
+            stem = f.name.removesuffix("_range")
+            flat[f"{stem}_min"], flat[f"{stem}_max"] = map(str, value)
+        elif isinstance(value, list):
+            flat[f.name] = ", ".join(c.text() for c in value)
+        else:
+            flat[f.name] = str(value)
+    return flat
+
+
+def _unflat(obj, flat: dict[str, str]):
+    """`obj` with every field that `_flat` writes read back from `flat`."""
+    changes = {}
+    for f in fields(obj):
+        default = getattr(obj, f.name)
+        if isinstance(default, tuple):
+            stem = f.name.removesuffix("_range")
+            changes[f.name] = (int(flat[f"{stem}_min"]), int(flat[f"{stem}_max"]))
+        elif isinstance(default, list):
+            changes[f.name] = [parse_condition(c.strip())
+                               for c in flat[f.name].split(",") if c.strip()]
+        elif f.name in flat:
+            changes[f.name] = type(default)(flat[f.name])
+    return replace(obj, **changes)
+
+
 def write_resolved_config(spec: ExperimentSpec, path):
-    cond_text = ", ".join(
-        f"{c.position_mode}/{perturb.format_mode(c.train_perturb)}/{perturb.format_mode(c.eval_perturb)}"
-        for c in spec.conditions
-    )
+    """Every field of `spec` that a config sets, as `spec_from_config` reads it."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write("[synthetic]\n")
-        s = spec.synthetic
-        f.write(f"vocab_size = {s.vocab_size}\nn_docs = {s.n_docs}\nn_queries = {s.n_queries}\n")
-        f.write(f"doc_len_min = {s.doc_len_range[0]}\ndoc_len_max = {s.doc_len_range[1]}\n")
-        f.write(f"query_len_min = {s.query_len_range[0]}\nquery_len_max = {s.query_len_range[1]}\n")
-        f.write(f"relevance_rule = {s.relevance_rule}\nzipf_exponent = {s.zipf_exponent}\nseed = {s.seed}\n")
-        f.write("\n[model]\n")
-        m = spec.model
-        f.write(f"n_layers = {m.n_layers}\nn_heads = {m.n_heads}\nhidden = {m.hidden}\n")
-        f.write(f"ff_dim = {m.ff_dim}\nmax_len = {m.max_len}\ndropout_rate = {m.dropout_rate}\n")
-        f.write(f"numeric_precision = {m.numeric_precision}\n")
-        f.write("\n[train]\n")
-        t = spec.train
-        f.write(f"batch_size = {t.batch_size}\nlr_peak = {t.lr_peak}\nwarmup_steps = {t.warmup_steps}\n")
-        f.write(f"total_steps = {t.total_steps}\nepoch_size = {t.epoch_size}\n")
-        f.write(f"weight_decay = {t.weight_decay}\ngrad_clip_norm = {t.grad_clip_norm}\n")
-        f.write(f"shuffle_fixed = {t.shuffle_fixed}\n")
-        f.write("\n[experiment]\n")
-        f.write(f"seed = {spec.seed}\nrerank_k = {spec.rerank_k}\n")
-        f.write(f"dev_queries = {spec.dev_queries}\ntest_queries = {spec.test_queries}\n")
-        f.write(f"conditions = {cond_text}\n")
+        f.write("\n".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in _flat(o, name).items())
+                          for name, o in _sections(spec).items()))
+
+
+def spec_from_config(path) -> ExperimentSpec:
+    """The spec a config file sets, over the defaults. A file configparser
+    cannot read (no section header, a key set twice, a stray `%`), an
+    unknown section or key, a key the run sets itself, or a value its
+    field's type cannot parse is a ValueError, in one line."""
+    cp = configparser.ConfigParser()
+    sections = _sections(ExperimentSpec())
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            cp.read_file(f)
+        for name in cp.sections():
+            if name not in sections:
+                raise ValueError(f"unknown section [{name}]")
+            flat = _flat(sections[name], name)
+            for key in cp[name]:
+                if key not in flat:
+                    raise ValueError(f"[{name}] {key} is set by the run, not by a config"
+                                     if key in _DERIVED.get(name, ()) else
+                                     f"unknown key {key} in [{name}]")
+            try:
+                sections[name] = _unflat(sections[name], {**flat, **cp[name]})
+            except ValueError as exc:
+                raise ValueError(f"[{name}] {exc}") from None
+    except configparser.Error as exc:
+        raise ValueError(f"config {path}: {' '.join(str(exc).splitlines())}") from None
+    except ValueError as exc:
+        raise ValueError(f"config {path}: {exc}") from None
+    return replace(sections["experiment"], synthetic=sections["synthetic"],
+                   model=sections["model"], train=sections["train"])
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +422,7 @@ def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
         train_triples = [t for qid in train_ids for t in by_query.get(qid, [])]
     write_triples(train_triples, os.path.join(data, "triples.tsv"))
     test_run = bm25.retrieve_run(index, _subset(queries, test_ids), spec.rerank_k)
-    dev_run = bm25.retrieve_run(index, _subset(queries, dev_ids), spec.dev_rerank_k)
+    dev_run = bm25.retrieve_run(index, _subset(queries, dev_ids), DEV_RERANK_K)
     write_run(test_run, os.path.join(outdir, "runs", "bm25_test.run"))
     write_run(dev_run, os.path.join(outdir, "runs", "bm25_dev.run"))
     # every report of the run grades against one by-query map
@@ -467,7 +454,7 @@ def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
 
         def dev_hook(m, _mode=cond.train_perturb):
             reranked = rerank_run(dev_run, m, vocab, queries, collection,
-                                  spec.dev_rerank_k, _mode, tag="dev", memo=memo)
+                                  DEV_RERANK_K, _mode, tag="dev", memo=memo)
             return metrics.evaluate(reranked, grades).mean["ndcg@10"]
 
         mdl, tlog = T.train(mdl, train_triples, tcfg, vocab, eval_hook=dev_hook, memo=memo)
@@ -505,8 +492,7 @@ def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
         f.write("position_mode\ttrain_perturb\teval_perturb\tndcg@10\tmap\trecall@100\tmrr@10\n")
         for cond in spec.conditions:
             report = results[cond.label()]
-            row = [cond.position_mode, perturb.format_mode(cond.train_perturb),
-                   perturb.format_mode(cond.eval_perturb)]
+            row = cond.text().split("/")
             if report is None:
                 row.extend(["failed"] * 4)
             else:
@@ -514,15 +500,18 @@ def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
                            for m in ("ndcg@10", "map", "recall@100", "mrr@10"))
             f.write("\t".join(row) + "\n")
 
-    # -- CKA artifacts over test pairs. Each (model, perturbation) is
-    # captured once: a model's natural capture serves both its [CLS]
-    # comparisons and the layerwise reports
-    cka_pairs = [
-        memo.encode(queries.entries[qid], collection.entries[e.doc_id])
-        for qid in test_ids
-        for e in test_run.entries.get(qid, [])[: spec.cka_docs_per_query]
-    ]
-    capture = partial(cka.capture, dataset=cka_pairs, batch_size=spec.cka_batch_size)
+    # -- CKA artifacts over test pairs. Each example, keyed by its index,
+    # is perturbed once per mode through the run's memo, and each (model,
+    # perturbation) is captured once: a model's natural capture serves
+    # both its [CLS] comparisons and the layerwise reports
+    cka_texts = [(queries.entries[qid], collection.entries[e.doc_id])
+                 for qid in test_ids
+                 for e in test_run.entries.get(qid, [])[:CKA_DOCS_PER_QUERY]]
+
+    def capture(mdl, mode):
+        examples = [memo.perturbed(q, p, mode, str(i)) for i, (q, p) in enumerate(cka_texts)]
+        return cka.capture(mdl, examples, perturb.format_mode(mode), CKA_BATCH_SIZE)
+
     natural = {key: capture(mdl, perturb.NATURAL) for key, mdl in trained.items()}
     # a shuffle-trained model is compared on its own permutation seed,
     # any other model on the first shuffle stream the conditions use

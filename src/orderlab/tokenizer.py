@@ -1,11 +1,12 @@
-"""Subword tokenizer and paired-input encoding.
+"""Whole-word tokenizer and paired-input encoding.
 
-Vocabulary construction is a simplified frequency-based approximation of
-WordPiece training: all characters first, then the most frequent whole
-words, then the most frequent "##" suffix pieces, until the target size
-is reached. Tokenization is greedy longest-prefix matching with "##"
-continuation pieces, falling back to [UNK]. `PairMemo` keeps a run's
-encoded pairs and their perturbed forms, each made once.
+A vocabulary holds the reserved tokens, then every character of the
+corpus, then its most frequent whole words, until the target size is
+reached; the experiment sizes it so that every corpus word is a whole
+token. A word is its own token, else [UNK]. The character tier holds
+the ids after the reserved ones in every vocabulary the lab builds.
+`PairMemo` keeps a run's encoded pairs and their perturbed forms, each
+made once.
 """
 
 from __future__ import annotations
@@ -40,9 +41,6 @@ class Vocab:
 
     def __len__(self):
         return len(self.tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
 
     def id(self, token: str) -> int:
         return self.token_to_id[token]
@@ -83,13 +81,13 @@ def word_counts(texts) -> Counter:
 
 
 def build_vocab(texts, target_size: int) -> Vocab:
-    """Greedy frequency-based vocabulary over `texts`, whose words are
-    counted a chunk of texts per pass (`word_counts`); see `vocab_from_counts`."""
+    """`vocab_from_counts` of the words of `texts` (`word_counts`)."""
     return vocab_from_counts(word_counts(texts), target_size)
 
 
 def vocab_from_counts(word_freq: Counter, target_size: int) -> Vocab:
-    """Greedy frequency-based vocabulary from word counts (`word_counts`).
+    """Greedy frequency-based vocabulary from word counts (`word_counts`):
+    every character, then whole words until `target_size` tokens.
 
     Ties broken lexicographically within each tier, so the result is
     deterministic for a given corpus.
@@ -110,87 +108,16 @@ def vocab_from_counts(word_freq: Counter, target_size: int) -> Vocab:
     def by_freq(counter):
         return sorted(counter, key=lambda t: (-counter[t], t))
 
-    tokens = list(RESERVED)
-    tokens.extend(by_freq(char_freq))
+    tokens = [*RESERVED, *by_freq(char_freq)]
     present = set(tokens)
-
-    for word in by_freq(word_freq):
-        if len(tokens) >= target_size:
-            break
-        if word not in present:
-            tokens.append(word)
-            present.add(word)
-
-    if len(tokens) < target_size:
-        suffix_freq = Counter()
-        for word, n in word_freq.items():
-            for i in range(1, len(word)):
-                suffix_freq["##" + word[i:]] += n
-        for piece in by_freq(suffix_freq):
-            if len(tokens) >= target_size:
-                break
-            if piece not in present:
-                tokens.append(piece)
-                present.add(piece)
-
-    return Vocab(tokens)
-
-
-def tokenize_word(word: str, vocab: Vocab) -> list[str]:
-    """Greedy longest-prefix decomposition of one word; [UNK] if stuck."""
-    if word in vocab:
-        return [word]
-    pieces = []
-    start = 0
-    while start < len(word):
-        end = len(word)
-        match = None
-        while end > start:
-            piece = word[start:end]
-            if start > 0:
-                piece = "##" + piece
-            if piece in vocab:
-                match = piece
-                break
-            end -= 1
-        if match is None:
-            return [UNK]
-        pieces.append(match)
-        start = end
-    return pieces
-
-
-def tokenize(text: str, vocab: Vocab) -> list[str]:
-    tokens = []
-    for word in _pretokenize(text):
-        tokens.extend(tokenize_word(word, vocab))
-    return tokens
+    words = [w for w in by_freq(word_freq) if w not in present]
+    return Vocab(tokens + words[: target_size - len(tokens)])
 
 
 def token_ids(text: str, vocab: Vocab) -> list[int]:
-    """`[vocab.id(t) for t in tokenize(text, vocab)]`, with one lookup per
-    whole word: a word is split into pieces only when it is not a token."""
+    """One id per pretokenized word: the word's own, or [UNK]'s."""
     lookup = vocab.token_to_id
-    ids = []
-    for word in _pretokenize(text):
-        i = lookup.get(word)
-        if i is None:
-            ids.extend(lookup[t] for t in tokenize_word(word, vocab))
-        else:
-            ids.append(i)
-    return ids
-
-
-def detokenize(tokens: list[str]) -> str:
-    """Merge "##" continuations back into words; inverse of tokenize up to
-    whitespace/casing for in-vocab text."""
-    words = []
-    for t in tokens:
-        if t.startswith("##") and words:
-            words[-1] += t[2:]
-        else:
-            words.append(t)
-    return " ".join(words)
+    return [lookup.get(word, UNK_ID) for word in _pretokenize(text)]
 
 
 @dataclass

@@ -5,7 +5,7 @@ passage for the same query). Optimization is Adam with bias correction
 and decoupled weight decay, linear warmup then linear decay to zero,
 and global gradient-norm clipping. Input perturbation is applied per
 example with a key derived from (epoch, example index) so shuffles are
-reproducible but re-drawn every epoch (unless `shuffle_fixed`).
+reproducible but re-drawn every epoch.
 """
 
 from __future__ import annotations
@@ -18,6 +18,9 @@ from . import model as M
 from . import perturb
 from .corpus import Triple
 from .tokenizer import PairMemo, Vocab, encode_pair
+
+
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # no config sets these
 
 
 class DivergenceError(RuntimeError):
@@ -35,10 +38,6 @@ class TrainConfig:
     train_perturb: perturb.PerturbMode = perturb.NATURAL
     weight_decay: float = 0.001
     grad_clip_norm: float = 1.0
-    shuffle_fixed: bool = False      # one permutation per example across epochs
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def validate(self):
         if self.total_steps < 0 or self.warmup_steps < 0:
@@ -130,8 +129,7 @@ def train(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab,
         raise ValueError("empty triple stream")
     max_len = mdl.config.max_len
     # natural encodings, made on a pair's first draw; perturbed per use
-    # by perturb.apply, not kept by the memo: epoch:idx keys repeat only
-    # under shuffle_fixed
+    # by perturb.apply, not kept by the memo: epoch:idx keys never repeat
     if memo is None:
         memo = PairMemo(vocab, max_len)
     encode = memo.check(vocab, max_len).encode
@@ -168,7 +166,6 @@ def train(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab,
     order = order_rng.permutation(len(triples))
     cursor = 0
     per_step = cfg.batch_size // 2
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
 
     for step in range(cfg.total_steps):
         batch_pairs, batch_labels = [], []
@@ -180,9 +177,8 @@ def train(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab,
             idx = int(order[cursor])
             cursor += 1
             q, pos, neg = triples[idx]
-            key_epoch = 0 if cfg.shuffle_fixed else epoch
             for side, pair, label in (("pos", encode(q, pos), 1), ("neg", encode(q, neg), 0)):
-                p = perturb.apply(pair, cfg.train_perturb, f"{key_epoch}:{idx}|{side}")
+                p = perturb.apply(pair, cfg.train_perturb, f"{epoch}:{idx}|{side}")
                 batch_pairs.append(p)
                 batch_labels.append(label)
 
@@ -207,17 +203,17 @@ def train(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab,
 
         lr = lr_at(step, cfg)
         t = step + 1
-        adam_m *= b1
-        np.multiply(grads, 1 - b1, out=scratch)
+        adam_m *= ADAM_BETA1
+        np.multiply(grads, 1 - ADAM_BETA1, out=scratch)
         adam_m += scratch
-        adam_v *= b2
-        np.multiply(grads, 1 - b2, out=scratch)
+        adam_v *= ADAM_BETA2
+        np.multiply(grads, 1 - ADAM_BETA2, out=scratch)
         scratch *= grads
         adam_v += scratch
-        np.divide(adam_v, 1.0 - b2 ** t, out=scratch)
+        np.divide(adam_v, 1.0 - ADAM_BETA2 ** t, out=scratch)
         np.sqrt(scratch, out=scratch)
-        scratch += cfg.adam_eps
-        np.divide(adam_m, 1.0 - b1 ** t, out=update)
+        scratch += ADAM_EPS
+        np.divide(adam_m, 1.0 - ADAM_BETA1 ** t, out=update)
         update /= scratch
         if cfg.weight_decay > 0:
             update[:n_decay] += cfg.weight_decay * params[:n_decay]

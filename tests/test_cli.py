@@ -1,5 +1,8 @@
+import importlib.util
+import os
 import shutil
 import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -282,17 +285,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: epoch_size must be >= 1\n"
 
-    @pytest.mark.parametrize("break_config", [
-        lambda text: text[text.index("vocab_size"):],
-        lambda text: text + "\n[model]\nn_layers = 1\nn_layers = 2\n",
-        lambda text: text.replace("[synthetic]\n", "[synthetic]\nrelevance_rule = over%lap\n"),
-    ], ids=["no_section_header", "duplicate_key", "stray_percent"])
-    def test_malformed_config_is_a_data_error(self, tmp_path, capsys, break_config):
+    @pytest.mark.parametrize("break_config, message", [
+        (lambda text: text[text.index("vocab_size"):], "no section headers"),
+        (lambda text: text + "\n[model]\nn_layers = 1\nn_layers = 2\n", "already exists"),
+        (lambda text: text.replace("[synthetic]\n", "[synthetic]\nrelevance_rule = over%lap\n"),
+         "'%' must be followed"),
+        (lambda text: text.replace("[train]\n", "[model]\nn_layer = 4\n\n[train]\n"),
+         "unknown key n_layer in [model]"),
+        (lambda text: text.replace("[train]\n", "[modle]\nn_layers = 4\n\n[train]\n"),
+         "unknown section [modle]"),
+        (lambda text: text.replace("[train]\n", "[model]\nvocab_size = 50\n\n[train]\n"),
+         "[model] vocab_size is set by the run"),
+        (lambda text: text[:text.index("[train]")] + OLD_TRAIN_SECTION
+         + text[text.index("[experiment]"):], "unknown key shuffle_fixed in [train]"),
+    ], ids=["no_section_header", "duplicate_key", "stray_percent", "misspelt_key",
+            "misspelt_section", "derived_key", "old_config_txt"])
+    def test_malformed_config_is_a_data_error(self, tmp_path, capsys, break_config, message):
         cfg = tmp_path / "config.ini"
         cfg.write_text(break_config(CONFIG))
         assert run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: config ") and err.count("\n") == 1 and message in err
         assert not (tmp_path / "out").exists()
 
     def test_numeric_failure_divergence(self, data_dir, tmp_path, capsys):
@@ -332,6 +345,84 @@ dev_queries = 4
 test_queries = 6
 conditions = learned/natural/natural, learned/natural/sort, none/natural/natural
 """
+
+
+# the [train] section of a config.txt written before `shuffle_fixed` was removed
+OLD_TRAIN_SECTION = """\
+[train]
+batch_size = 16
+lr_peak = 0.0003
+warmup_steps = 100
+total_steps = 2000
+epoch_size = 200
+weight_decay = 0.001
+grad_clip_norm = 1.0
+shuffle_fixed = False
+
+"""
+
+
+def _moved(value):
+    """A value of the same type as `value` and unequal to it."""
+    if isinstance(value, tuple):
+        return tuple(v + 1 for v in value)
+    if isinstance(value, list):
+        return [experiment.parse_condition("none/sort/shuffle:7")]
+    return value + ("_x" if isinstance(value, str) else 1)
+
+
+class TestConfigSchema:
+    def test_default_spec_round_trips(self, tmp_path):
+        spec = experiment.ExperimentSpec()
+        experiment.write_resolved_config(spec, tmp_path / "config.txt")
+        assert experiment.spec_from_config(tmp_path / "config.txt") == spec
+
+    def test_every_written_field_round_trips(self, tmp_path):
+        # every field config.txt holds, moved off its default: a field
+        # the writer or the reader drops reads back as its default
+        derived = {"model": {"vocab_size", "position_mode"}, "train": {"seed", "train_perturb"}}
+        default = experiment.ExperimentSpec()
+        parts = {name: replace(obj, **{f.name: _moved(getattr(obj, f.name)) for f in fields(obj)
+                                       if f.name not in derived.get(name, ())})
+                 for name, obj in (("synthetic", default.synthetic), ("model", default.model),
+                                   ("train", default.train))}
+        spec = replace(default, **parts, **{f.name: _moved(getattr(default, f.name))
+                                            for f in fields(default) if f.name not in parts})
+        experiment.write_resolved_config(spec, tmp_path / "config.txt")
+        text = (tmp_path / "config.txt").read_text()
+        model_section = text[text.index("[model]"):text.index("[train]")]
+        assert "init_scale = " in model_section and "n_segments = " in model_section
+        assert "vocab_size" not in model_section and "shuffle_fixed" not in text
+        assert experiment.spec_from_config(tmp_path / "config.txt") == spec
+
+    def test_run_config_reads_back_to_its_spec(self, exp):
+        cfg, out = exp
+        spec = experiment.spec_from_config(cfg)
+        assert experiment.spec_from_config(out / "config.txt") == spec
+        assert spec != experiment.ExperimentSpec()
+
+    def test_generate_defaults_are_the_spec_defaults(self):
+        args = cli.build_parser().parse_args(["generate", "--out", "x"])
+        assert cli._from_flags(corpus.SyntheticSpec(), args) == corpus.SyntheticSpec()
+
+    def test_train_defaults_are_the_config_defaults(self):
+        args = cli.build_parser().parse_args(["train", "--triples", "t", "--vocab", "v",
+                                              "--out", "o"])
+        assert cli._from_flags(M.ModelConfig(), args) == M.ModelConfig()
+        assert cli._from_flags(T.TrainConfig(), args,
+                               train_perturb=perturb.parse_mode(args.perturb)) == T.TrainConfig()
+
+
+def test_benchmark_trace_sites_resolve():
+    # perfbench/spans.py patches each (module, name) of TARGETS by getattr;
+    # a name the program drops would break its traced runs
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for span, (sites, _) in spans.TARGETS.items():
+        for module, name in sites:
+            assert callable(getattr(module, name, None)), f"{span}: {module.__name__}.{name}"
 
 
 @pytest.fixture(scope="module")
@@ -403,11 +494,11 @@ class TestExperimentCommand:
         pairs = [tokenizer.encode_pair(queries.entries[q], coll.entries[e.doc_id],
                                        vocab, mdl.config.max_len)
                  for q in sorted(test_run.entries)
-                 for e in test_run.entries[q][: spec.cka_docs_per_query]]
+                 for e in test_run.entries[q][: experiment.CKA_DOCS_PER_QUERY]]
 
         def cls_cka(seed):
             rep = cka.compare(mdl, perturb.NATURAL, mdl, perturb.shuffle_mode(seed), pairs,
-                              selector="cls_only", batch_size=spec.cka_batch_size)
+                              selector="cls_only", batch_size=experiment.CKA_BATCH_SIZE)
             return f"{rep.per_layer[-1]:.6f}"
 
         rows = [line.split("\t") for line in
@@ -490,7 +581,7 @@ class TestEvalExamplesPerturbedOnce:
 
         want = set()
         for c in spec.conditions:
-            for mode, examples in ((c.train_perturb, keys(dev_run, spec.dev_rerank_k)),
+            for mode, examples in ((c.train_perturb, keys(dev_run, experiment.DEV_RERANK_K)),
                                    (c.eval_perturb, keys(test_run, spec.rerank_k))):
                 if mode.kind != "natural":
                     want |= {(mode, key) for key in examples}
@@ -509,16 +600,24 @@ class TestExperimentCka:
                                 "learned/natural/natural, learned/sort/sort, "
                                 "learned/shuffle:13/shuffle:13, none/natural/natural"))
         spec = experiment.spec_from_config(cfg)
-        spec.cka_batch_size = 8
+        monkeypatch.setattr(experiment, "CKA_BATCH_SIZE", 8)
         captured = []
         forward = M.forward
+        cka_perturbs = []
+        apply = perturb.apply
 
         def counting_forward(mdl, pairs, capture=False, **kw):
             if capture:
                 captured.append(len(pairs))
             return forward(mdl, pairs, capture=capture, **kw)
 
+        def counting_apply(pair, mode, example_key=""):
+            if example_key.isdigit():  # CKA keys are indexes
+                cka_perturbs.append((perturb.format_mode(mode), example_key))
+            return apply(pair, mode, example_key)
+
         monkeypatch.setattr(M, "forward", counting_forward)
+        monkeypatch.setattr(perturb, "apply", counting_apply)
         out = tmp_path / "out"
         experiment.run_experiment(spec, out, log=lambda *a: None)
         monkeypatch.undo()
@@ -533,10 +632,13 @@ class TestExperimentCka:
         pairs = [tokenizer.encode_pair(queries.entries[q], coll.entries[e.doc_id],
                                        vocab, spec.model.max_len)
                  for q in sorted(test_run.entries)
-                 for e in test_run.entries[q][: spec.cka_docs_per_query]]
+                 for e in test_run.entries[q][: experiment.CKA_DOCS_PER_QUERY]]
         batches = [len(pairs[s:s + 8]) for s in range(0, len(pairs), 8)]
         assert len(batches) > 2 and min(batches) >= 2
         assert captured == batches * 12
+        # each example perturbed once per mode, not once per (model, mode)
+        assert sorted(cka_perturbs) == sorted((mode, str(i)) for i in range(len(pairs))
+                                              for mode in ("shuffle:13", "sort"))
 
         def compare(a, mode_a, b, mode_b, selector):
             return cka.compare(a, mode_a, b, mode_b, pairs, selector=selector, batch_size=8)

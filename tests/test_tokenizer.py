@@ -7,7 +7,7 @@ from orderlab import experiment
 from orderlab import tokenizer as tok
 from orderlab.corpus import Collection, QuerySet, SyntheticSpec, generate_synthetic
 from orderlab.tokenizer import (CLS_ID, PAD_ID, SEP_ID, UNK, UNK_ID, Vocab,
-                                build_vocab, detokenize, encode_pair, tokenize)
+                                build_vocab, encode_pair)
 
 
 def make_vocab(extra):
@@ -17,17 +17,17 @@ def make_vocab(extra):
 class TestBuildVocab:
     def test_tiny_corpus_tiers(self):
         # chars by frequency (a appears 5x, b 2x), then whole words by
-        # frequency, then suffix pieces; target 8 leaves room for exactly
-        # two post-char entries
+        # frequency; target 8 leaves room for exactly two post-char entries
         vocab = build_vocab(["aa", "aa", "ab"], target_size=8)
         assert vocab.tokens[:4] == tok.RESERVED
         assert vocab.tokens[4:6] == ["a", "b"]
         assert vocab.tokens[6] == "aa"   # freq 2 beats ab freq 1
         assert vocab.tokens[7] == "ab"
 
-    def test_suffix_tier_reached(self):
+    def test_stops_after_whole_words(self):
+        # a target past every char and word adds nothing more
         vocab = build_vocab(["aa", "aa", "ab"], target_size=10)
-        assert "##a" in vocab.tokens and "##b" in vocab.tokens
+        assert vocab.tokens == [*tok.RESERVED, "a", "b", "aa", "ab"]
 
     def test_deterministic(self):
         texts = ["the cat sat", "the dog ran", "cats and dogs"]
@@ -74,60 +74,50 @@ class TestOnePassCount:
 
     @pytest.mark.parametrize("target_size", [None, 40, 60, 90, 200])
     def test_mixed_texts(self, target_size):
-        # small targets stop in the word tier, large ones reach the "##" tier
+        # small targets stop in the word tier, large ones hold every word
         got = build_vocab(self.TEXTS, target_size) if target_size else \
             experiment._vocab_for(Collection({f"d{i}": t for i, t in enumerate(self.TEXTS[:-4])}),
                                   QuerySet({f"q{i}": t for i, t in enumerate(self.TEXTS[-4:])}))
         assert got.tokens == per_text_vocab(self.TEXTS, target_size).tokens
 
-    def test_suffix_tier_is_reached(self):
-        vocab = build_vocab(self.TEXTS, 200)
-        assert any(t.startswith("##") for t in vocab.tokens)
+    def test_every_word_is_a_token(self):
+        # the experiment's sizing leaves no corpus word to [UNK]
+        vocab = experiment._vocab_for(Collection({f"d{i}": t for i, t in enumerate(self.TEXTS)}),
+                                      QuerySet({}))
+        words = {w for text in self.TEXTS for w in tok._pretokenize(text)}
+        assert words <= set(vocab.tokens)
 
 
 class TestTokenize:
     def test_whole_word(self):
         vocab = make_vocab(["white"])
-        assert tokenize("White", vocab) == ["white"]
-
-    def test_greedy_pieces(self):
-        vocab = make_vocab(["b", "##lea", "##ch", "##l"])
-        assert tokenize("bleach", vocab) == ["b", "##lea", "##ch"]
+        assert tok.token_ids("White", vocab) == [vocab.id("white")]
 
     def test_unknown_word(self):
-        vocab = make_vocab(["b"])
-        assert tokenize("xyz", vocab) == [UNK]
+        # every letter is a token, the word is not: one [UNK], no pieces
+        vocab = make_vocab(["b", "x", "y", "z"])
+        assert tok.token_ids("xyz", vocab) == [UNK_ID]
 
     def test_punctuation_split(self):
         vocab = make_vocab(["white", ",", "clothes", "."])
-        assert tokenize("white, clothes.", vocab) == ["white", ",", "clothes", "."]
+        assert tok.token_ids("white, clothes.", vocab) == [vocab.id(t) for t in
+                                                            ["white", ",", "clothes", "."]]
+
+    TOKENS = {"white bleach": ["white", UNK], "Bleach, xyz white.": [UNK, ",", UNK, "white", "."],
+              "bl WHITE bleachl": [UNK, "white", UNK], "q7 , .": [UNK, ",", "."], "": []}
 
     @pytest.mark.parametrize("text", ["white bleach", "Bleach, xyz white.", "bl WHITE bleachl",
                                       "q7 , .", ""])
     def test_token_ids_match_tokenize(self, text):
-        # whole words, "##" pieces and [UNK]: one id per token, in order
-        vocab = make_vocab(["white", "b", "##lea", "##ch", "##l", ",", "."])
-        assert tok.token_ids(text, vocab) == [vocab.id(t) for t in tokenize(text, vocab)]
-
-    def test_token_ids_match_tokenize_on_a_split_corpus(self):
-        # 20 whole words; every other word splits into "w" and digit
-        # pieces, and a word with a letter outside the vocab is [UNK]
-        coll, qs, _, _ = generate_synthetic(SyntheticSpec(vocab_size=200, n_docs=60,
-                                                          n_queries=6, seed=4))
-        texts = list(coll.entries.values()) + list(qs.entries.values())
-        digits = "0123456789"
-        words = sorted({w for t in texts for w in t.split()})
-        vocab = make_vocab(["w", *digits, *words[:20], *(f"##{d}" for d in digits),
-                            *(f"##{a}{b}" for a in "01" for b in digits)])
-        split = [t for x in texts for t in tokenize(x, vocab)]
-        assert "##0" in split and "[UNK]" not in split and "w" in split
-        for text in texts + ["w0001 zz w17x"]:
-            assert tok.token_ids(text, vocab) == [vocab.id(t) for t in tokenize(text, vocab)]
+        # whole words and [UNK], one id per word in order, whatever
+        # characters or prefixes of a word the vocab holds
+        vocab = make_vocab(["white", "b", "l", "bleac", ",", "."])
+        assert tok.token_ids(text, vocab) == [vocab.id(t) for t in self.TOKENS[text]]
 
     def test_detokenize_inverse(self):
-        vocab = make_vocab(["b", "##lea", "##ch", "white"])
-        tokens = tokenize("white bleach", vocab)
-        assert detokenize(tokens) == "white bleach"
+        vocab = make_vocab(["bleach", "white"])
+        decoded = tok.decode_ids(tok.token_ids("White bleach", vocab), vocab)
+        assert " ".join(decoded) == "white bleach"
 
 
 class TestEncodePair:
@@ -186,9 +176,9 @@ class TestEncodePair:
             assert pair.n_total <= 128
             pair.validate()
             decoded = tok.decode_ids(pair.span_ids(pair.passage_span), vocab)
-            assert detokenize(decoded) == coll.entries[doc_id].lower()
+            assert " ".join(decoded) == coll.entries[doc_id].lower()
             decoded_q = tok.decode_ids(pair.span_ids(pair.query_span), vocab)
-            assert detokenize(decoded_q) == qs.entries[qid].lower()
+            assert " ".join(decoded_q) == qs.entries[qid].lower()
 
     def test_multiset_of_ids_matches_token_stream(self):
         pair = encode_pair("t3 t1", "t2 t2 t9", self.vocab, 32)

@@ -180,13 +180,13 @@ def reference_train(mdl, triples, cfg, vocab):
                 g *= scale
         lr = T.lr_at(step, cfg)
         t = step + 1
-        bc1 = 1.0 - cfg.adam_beta1 ** t
-        bc2 = 1.0 - cfg.adam_beta2 ** t
+        bc1 = 1.0 - T.ADAM_BETA1 ** t
+        bc2 = 1.0 - T.ADAM_BETA2 ** t
         for name, p in params.items():
             g = grads[name]
-            m_state[name] = cfg.adam_beta1 * m_state[name] + (1 - cfg.adam_beta1) * g
-            v_state[name] = cfg.adam_beta2 * v_state[name] + (1 - cfg.adam_beta2) * g * g
-            update = (m_state[name] / bc1) / (np.sqrt(v_state[name] / bc2) + cfg.adam_eps)
+            m_state[name] = T.ADAM_BETA1 * m_state[name] + (1 - T.ADAM_BETA1) * g
+            v_state[name] = T.ADAM_BETA2 * v_state[name] + (1 - T.ADAM_BETA2) * g * g
+            update = (m_state[name] / bc1) / (np.sqrt(v_state[name] / bc2) + T.ADAM_EPS)
             if cfg.weight_decay > 0 and p.ndim >= 2:
                 update = update + cfg.weight_decay * p
             p -= lr * update
