@@ -6,8 +6,8 @@ Run from the root of a source checkout. It times, per call, the
 encoder's hot entry points on pairs of the benchmark's `matrix` corpus
 (`perfbench/workloads.matrix_spec`, seed 1) at its model settings:
 
-- `loss_and_grads`: `model.loss_and_grads` at batch 16 in train mode,
-  one training step's forward and backward without the Adam update;
+- `loss_and_grads`: `model.loss_and_grads` at batch 16, one training
+  step's forward and backward without the Adam update;
 - `forward`: `model.forward` at batch 64, one scoring batch;
 - `rerank_eval`: one dev-eval-shaped `experiment.rerank_run`, the spec's
   2 dev queries x their BM25 top 50 under `shuffle:13`, through a run
@@ -83,10 +83,8 @@ def _worker(tree: str) -> dict:
              for q, pos, neg in triples for doc in (pos, neg)]
     labels = [1, 0] * (len(pairs) // 2)
     grads = {name: np.zeros_like(p) for name, p in mdl.params.items()}
-    rng = np.random.default_rng(SEED)
     _, dev_ids, _ = experiment._split_queries(queries, spec.dev_queries, spec.test_queries)
-    # the dev evals' depth; a field of the spec in trees older than the constant
-    dev_k = getattr(experiment, "DEV_RERANK_K", None) or spec.dev_rerank_k
+    dev_k = experiment.DEV_RERANK_K
     dev_run = bm25.retrieve_run(bm25.build_index(collection),
                                 experiment._subset(queries, dev_ids), dev_k)
     memo = tokenizer.PairMemo(vocab, cfg.max_len)
@@ -128,7 +126,7 @@ def _worker(tree: str) -> dict:
     mode = perturb.shuffle_mode(EVAL_SEED)
     return {"env": perfbench_run.environment(malloc),
             "loss_and_grads_ms": timed("loss_and_grads_ms", lambda b, y: M.loss_and_grads(
-                mdl, b, y, train_mode=True, rng=rng, grads=grads), batches(STEP_BATCH)),
+                mdl, b, y, grads=grads), batches(STEP_BATCH)),
             "forward_ms": timed("forward_ms", lambda b, y: M.forward(mdl, b),
                                 batches(SCORE_BATCH)),
             "rerank_eval_ms": timed("rerank_eval_ms", lambda: experiment.rerank_run(

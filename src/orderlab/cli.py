@@ -105,7 +105,6 @@ def _add_train(sub):
     _add_fields(p, M.ModelConfig(), {
         "--position-mode": "position_mode", "--layers": "n_layers", "--heads": "n_heads",
         "--hidden": "hidden", "--ff-dim": "ff_dim", "--max-len": "max_len",
-        "--dropout": "dropout_rate",
     }, position_mode=("learned", "none"))
     _add_fields(p, T.TrainConfig(), {
         "--batch-size": "batch_size", "--lr": "lr_peak", "--warmup": "warmup_steps",

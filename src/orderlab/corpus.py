@@ -35,13 +35,6 @@ class Collection:
     def __len__(self):
         return len(self.entries)
 
-    @property
-    def avg_length(self) -> float:
-        """Mean whitespace-token count over all passages."""
-        if not self.entries:
-            return 0.0
-        return sum(len(t.split()) for t in self.entries.values()) / len(self.entries)
-
 
 @dataclass
 class QuerySet:
@@ -57,12 +50,6 @@ class Qrels:
 
     def grade(self, qid: str, doc_id: str) -> int:
         return self.grades.get((qid, doc_id), 0)
-
-    def relevant(self, qid: str, threshold: int = 1) -> set[str]:
-        return {d for (q, d), g in self.grades.items() if q == qid and g >= threshold}
-
-    def query_ids(self) -> list[str]:
-        return sorted({q for (q, _d) in self.grades})
 
     def by_query(self) -> dict[str, dict[str, int]]:
         out: dict[str, dict[str, int]] = {}
@@ -251,8 +238,9 @@ def write_triples(triples: list[Triple], path):
 
 
 # ---------------------------------------------------------------------------
-# relevance rules (pure functions of the texts; the generator and any
-# oracle re-apply the same definitions)
+# relevance rules: a grade from a count of what the doc matches. The
+# generator counts each query's matches in postings of the final texts,
+# so a rule re-applied to the texts gives the emitted grade
 
 
 def overlap_grade_from_count(n_matched: int, n_terms: int) -> int:
@@ -278,33 +266,6 @@ def overlap_grade(query_text: str, doc_text: str) -> int:
 def bigram_grade_from_count(n_bigrams: int) -> int:
     """Bigram grade of a doc holding the marker bigram `n_bigrams` times."""
     return min(3, n_bigrams)
-
-
-def bigram_grade(query_text: str, doc_text: str) -> int:
-    """Grade from adjacent in-order occurrences of the query's two marker terms.
-
-    The markers are the first two query tokens (a, b); the grade is the
-    number of positions where `a` is immediately followed by `b`, capped
-    at 3. Any token permutation of the doc changes this, which makes the
-    rule order-sensitive by construction.
-    """
-    q_tokens = query_text.split()
-    if len(q_tokens) < 2:
-        return 0
-    a, b = q_tokens[0], q_tokens[1]
-    d_tokens = doc_text.split()
-    count = sum(
-        1 for i in range(len(d_tokens) - 1) if d_tokens[i] == a and d_tokens[i + 1] == b
-    )
-    return bigram_grade_from_count(count)
-
-
-def relevance_grade(rule: str, query_text: str, doc_text: str) -> int:
-    if rule == "overlap":
-        return overlap_grade(query_text, doc_text)
-    if rule == "bigram_order":
-        return bigram_grade(query_text, doc_text)
-    raise ValueError(f"unknown relevance rule {rule!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ learned position) embeddings, multi-head self-attention with padding
 mask, GELU feed-forward, and a binary relevance classifier on the final
 [CLS] state. With position_mode="none" the position table and every
 position-index input are absent, so the forward pass is structurally
-invariant to within-span reordering.
+invariant to within-span reordering. There is no dropout: training and
+scoring run the same pass. Two segments (query and passage) and the
+initial weights' scale are module constants, not config fields.
 
 Forward and backward passes are hand-written in numpy; `train.grad_check`
 verifies the analytic gradients against central finite differences.
@@ -32,8 +34,10 @@ from scipy.special import erf as scipy_erf
 from .tokenizer import TokenizedPair, PAD_ID
 
 LN_EPS = 1e-12
+N_SEGMENTS = 2  # query and passage
+INIT_SCALE = 0.02  # sd of the initial weights; no config sets it
 _MAGIC = b"ORDERLAB-CKPT\n"
-_VERSION = 1
+_VERSION = 2
 
 
 @dataclass
@@ -44,24 +48,21 @@ class ModelConfig:
     ff_dim: int = 64
     vocab_size: int = 1000
     max_len: int = 64
-    n_segments: int = 2
-    dropout_rate: float = 0.0
     position_mode: str = "learned"  # learned | none
     numeric_precision: int = 64  # 32 | 64
-    init_scale: float = 0.02
 
     def validate(self):
+        # sizes first: a checkpoint header may hold any JSON value
+        for name in ("n_layers", "n_heads", "hidden", "ff_dim", "vocab_size", "max_len"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value <= 0:
+                raise ValueError(f"{name} must be a positive integer")
         if self.hidden % self.n_heads != 0:
             raise ValueError("hidden must be divisible by n_heads")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
         if self.position_mode not in ("learned", "none"):
             raise ValueError(f"unknown position_mode {self.position_mode!r}")
         if self.numeric_precision not in (32, 64):
             raise ValueError("numeric_precision must be 32 or 64")
-        for name in ("n_layers", "n_heads", "hidden", "ff_dim", "vocab_size", "max_len"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
     @property
     def dtype(self):
@@ -86,14 +87,13 @@ class ForwardOutput:
     logits: np.ndarray            # [B, 2]
     relevance_prob: np.ndarray    # [B], softmax(logits)[:, 1]
     activations: list[np.ndarray] | None = None  # L+1 arrays [B, T, d]
-    cls_states: list[np.ndarray] | None = None   # L+1 arrays [B, d]
 
 
 def _param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
     d, ff = cfg.hidden, cfg.ff_dim
     shapes = {
         "tok_emb": (cfg.vocab_size, d),
-        "seg_emb": (cfg.n_segments, d),
+        "seg_emb": (N_SEGMENTS, d),
         "emb_ln_g": (d,),
         "emb_ln_b": (d,),
         "cls_W": (d, 2),
@@ -131,9 +131,9 @@ def init(cfg: ModelConfig, seed: int) -> Model:
             # token embeddings: token identity then dominates the early
             # input geometry and positional structure is grown by the
             # optimizer only where the task rewards it
-            arr = rng.normal(0.0, cfg.init_scale * 0.1, size=shape)
+            arr = rng.normal(0.0, INIT_SCALE * 0.1, size=shape)
         else:
-            arr = rng.normal(0.0, cfg.init_scale, size=shape)
+            arr = rng.normal(0.0, INIT_SCALE, size=shape)
         params[name] = arr.astype(cfg.dtype)
     return Model(cfg, params)
 
@@ -265,17 +265,6 @@ def scatter_rows(ids, values, n_rows):
     return sums.reshape(n_rows, d).astype(values.dtype, copy=False)
 
 
-def _dropout(x, rate, rng, rows):
-    """Inverted dropout. The mask is drawn with `rows` rows on x's
-    second-last axis, the full pass's count, and cut to x's, so a pruned
-    layer takes the full pass's draws."""
-    if rate <= 0.0 or rng is None:
-        return x, None
-    u = rng.random(x.shape[:-2] + (rows, x.shape[-1]))[..., :x.shape[-2], :]
-    keep = (u >= rate).astype(x.dtype) / (1.0 - rate)
-    return x * keep, keep
-
-
 # ---------------------------------------------------------------------------
 # forward / backward
 
@@ -290,12 +279,13 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(B, T, H * dh)
 
 
-def _forward(model: Model, ids, segs, mask, train_mode=False, rng=None, capture=False):
+def _forward(model: Model, ids, segs, mask, capture=False):
     """Run the encoder; returns (logits, activations, tape for backward).
 
-    Without `capture` the last layer computes keys and values for every
-    token and everything after them for rows 0 and 1 only, and the tape
-    holds those two rows; the logits are the full pass's bytes.
+    The same pass serves training, scoring and CKA. Without `capture`
+    the last layer computes keys and values for every token and
+    everything after them for rows 0 and 1 only, and the tape holds
+    those two rows; the logits are the full pass's bytes.
     """
     cfg = model.config
     P = model.params
@@ -305,17 +295,14 @@ def _forward(model: Model, ids, segs, mask, train_mode=False, rng=None, capture=
     if ids.max() >= cfg.vocab_size or ids.min() < 0:
         raise ValueError("token id out of range")
 
-    drop = cfg.dropout_rate if train_mode else 0.0
-    tape: dict = {"ids": ids, "segs": segs, "mask": mask, "drop": drop, "layers": []}
+    tape: dict = {"ids": ids, "segs": segs, "mask": mask, "layers": []}
 
     emb = np.take(P["tok_emb"], ids, axis=0)
     emb += np.take(P["seg_emb"], segs, axis=0)
     if cfg.position_mode == "learned":
         emb += P["pos_emb"][:T]
     h, ln_cache = layer_norm_fwd(emb, P["emb_ln_g"], P["emb_ln_b"])
-    h, keep = _dropout(h, drop, rng, T)
     tape["emb_ln"] = ln_cache
-    tape["emb_keep"] = keep
 
     acts = [h] if capture else None
     # additive key mask: 0 where attendable, -inf where padded
@@ -340,11 +327,9 @@ def _forward(model: Model, ids, segs, mask, train_mode=False, rng=None, capture=
         scores *= scale
         scores += neg
         A = softmax(scores)
-        A_d, a_keep = _dropout(A, drop, rng, T)
-        ctx = _merge_heads(A_d @ vh)
+        ctx = _merge_heads(A @ vh)
         attn = ctx @ P[p + "Wo"]
         attn += P[p + "bo"]
-        attn, o_keep = _dropout(attn, drop, rng, T)
         attn += hq  # the residual; attn is this pass's own array
         h1, ln1_cache = layer_norm_fwd(attn, P[p + "ln1_g"], P[p + "ln1_b"])
 
@@ -354,14 +339,12 @@ def _forward(model: Model, ids, segs, mask, train_mode=False, rng=None, capture=
         a = gelu(z, cdf2)
         ff = a @ P[p + "W2"]
         ff += P[p + "b2"]
-        ff, f_keep = _dropout(ff, drop, rng, T)
         ff += h1
         h2, ln2_cache = layer_norm_fwd(ff, P[p + "ln2_g"], P[p + "ln2_b"])
 
         tape["layers"].append(dict(
-            h_in=h, hq=hq, qh=qh, kh=kh, vh=vh, A=A, A_d=A_d, a_keep=a_keep, ctx=ctx,
-            o_keep=o_keep, ln1=ln1_cache, h1=h1, z=z, cdf2=cdf2, a=a, f_keep=f_keep,
-            ln2=ln2_cache))
+            h_in=h, hq=hq, qh=qh, kh=kh, vh=vh, A=A, ctx=ctx, ln1=ln1_cache, h1=h1, z=z,
+            cdf2=cdf2, a=a, ln2=ln2_cache))
         h = h2
         if capture:
             acts.append(h)
@@ -398,12 +381,10 @@ def _backward(model: Model, tape, dlogits, grads=None):
         p = f"layer{l}."
         lt = tape["layers"][l]
 
-        dsum2, dg2, db2 = layer_norm_bwd(dh, lt["ln2"])
+        # a residual sum's gradient is its branch's and its residual's
+        dff, dg2, db2 = layer_norm_bwd(dh, lt["ln2"])
         grads[p + "ln2_g"] += dg2
         grads[p + "ln2_b"] += db2
-        dff = dsum2
-        if lt["f_keep"] is not None:
-            dff = dff * lt["f_keep"]
         a2d = lt["a"].reshape(-1, cfg.ff_dim)
         dff2d = dff.reshape(-1, cfg.hidden)
         grads[p + "W2"] += a2d.T @ dff2d
@@ -414,31 +395,27 @@ def _backward(model: Model, tape, dlogits, grads=None):
         dz2d = dz.reshape(-1, cfg.ff_dim)
         grads[p + "W1"] += h12d.T @ dz2d
         grads[p + "b1"] += dz2d.sum(axis=0)
-        # dff is read for the last time above, so dsum2 can take dh1's sum
-        dh1 = dsum2
+        # dff is read for the last time above, so it can take dh1's sum
+        dh1 = dff
         dh1 += dz @ P[p + "W1"].T
 
-        dsum1, dg1, db1 = layer_norm_bwd(dh1, lt["ln1"])
+        dattn, dg1, db1 = layer_norm_bwd(dh1, lt["ln1"])
         grads[p + "ln1_g"] += dg1
         grads[p + "ln1_b"] += db1
-        # the layer's input has every row; its output, dsum1 and dq may
+        # the layer's input has every row; its output, dattn and dq may
         # have only the first rows (the last layer of a pruned pass)
         h_in, hq = lt["h_in"], lt["hq"]
         dh_in = np.zeros_like(h_in)
-        dh_in[:, :hq.shape[1]] = dsum1
-        dattn = dsum1
-        if lt["o_keep"] is not None:
-            dattn = dattn * lt["o_keep"]
+        dh_in[:, :hq.shape[1]] = dattn
         ctx2d = lt["ctx"].reshape(-1, cfg.hidden)
         dattn2d = dattn.reshape(-1, cfg.hidden)
         grads[p + "Wo"] += ctx2d.T @ dattn2d
         grads[p + "bo"] += dattn2d.sum(axis=0)
         dctx = _split_heads(dattn @ P[p + "Wo"].T, cfg.n_heads)
 
-        dA_d = dctx @ lt["vh"].transpose(0, 1, 3, 2)
-        dvh = lt["A_d"].transpose(0, 1, 3, 2) @ dctx
-        dA = dA_d * lt["a_keep"] if lt["a_keep"] is not None else dA_d
         A = lt["A"]
+        dA = dctx @ lt["vh"].transpose(0, 1, 3, 2)
+        dvh = A.transpose(0, 1, 3, 2) @ dctx
         # dscores = A * (dA - (dA * A).sum(-1)), in dA's own array
         dscores = dA
         dscores -= (dA * A).sum(axis=-1, keepdims=True)
@@ -460,14 +437,12 @@ def _backward(model: Model, tape, dlogits, grads=None):
 
         dh = dh_in
 
-    if tape["emb_keep"] is not None:
-        dh = dh * tape["emb_keep"]
     demb, dg, db = layer_norm_bwd(dh, tape["emb_ln"])
     grads["emb_ln_g"] += dg
     grads["emb_ln_b"] += db
 
     grads["tok_emb"] += scatter_rows(ids, demb, cfg.vocab_size)
-    grads["seg_emb"] += scatter_rows(segs, demb, cfg.n_segments)
+    grads["seg_emb"] += scatter_rows(segs, demb, N_SEGMENTS)
     if cfg.position_mode == "learned":
         grads["pos_emb"][:T] += demb.sum(axis=0)
     return grads
@@ -477,29 +452,22 @@ def _backward(model: Model, tape, dlogits, grads=None):
 # public entry points
 
 
-def forward(model: Model, pairs: list[TokenizedPair], capture=False,
-            train_mode=False, rng=None) -> ForwardOutput:
+def forward(model: Model, pairs: list[TokenizedPair], capture=False) -> ForwardOutput:
     """Score a batch; `capture=True` records all per-layer hidden states."""
     ids, segs, mask = pad_batch(pairs, dtype=model.config.dtype)
-    logits, acts, _ = _forward(model, ids, segs, mask, train_mode=train_mode,
-                               rng=rng, capture=capture)
-    probs = softmax(logits, axis=-1)[:, 1]
-    out = ForwardOutput(logits=logits, relevance_prob=probs)
-    if capture:
-        out.activations = acts
-        out.cls_states = [a[:, 0, :] for a in acts]
-    return out
+    logits, acts, _ = _forward(model, ids, segs, mask, capture=capture)
+    return ForwardOutput(logits=logits, relevance_prob=softmax(logits, axis=-1)[:, 1],
+                         activations=acts)
 
 
-def loss_and_grads(model: Model, pairs: list[TokenizedPair], labels,
-                   train_mode=False, rng=None, grads=None):
+def loss_and_grads(model: Model, pairs: list[TokenizedPair], labels, grads=None):
     """Mean cross-entropy over the batch and gradients for every parameter.
 
     `grads`, if given, maps each parameter name to an array of its shape;
     the gradients are written there and that dict is returned.
     """
     ids, segs, mask = pad_batch(pairs, dtype=model.config.dtype)
-    logits, _, tape = _forward(model, ids, segs, mask, train_mode=train_mode, rng=rng)
+    logits, _, tape = _forward(model, ids, segs, mask)
     B = logits.shape[0]
     probs = softmax(logits, axis=-1)
     y = np.asarray(labels, dtype=np.int64)
@@ -512,7 +480,7 @@ def loss_and_grads(model: Model, pairs: list[TokenizedPair], labels,
 
 
 def batch_loss(model: Model, pairs, labels) -> float:
-    """Loss only (eval mode); used by the finite-difference gradient check."""
+    """Loss only; used by the finite-difference gradient check."""
     ids, segs, mask = pad_batch(pairs, dtype=model.config.dtype)
     logits, _, _ = _forward(model, ids, segs, mask)
     B = logits.shape[0]
@@ -566,7 +534,12 @@ def load(path) -> Model:
         if version != _VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         (cfg_len,) = struct.unpack("<Q", _read(f, 8, "config length"))
-        cfg = ModelConfig(**json.loads(_read(f, cfg_len, "config").decode("utf-8")))
+        header = json.loads(_read(f, cfg_len, "config").decode("utf-8"))
+        try:
+            cfg = ModelConfig(**header)
+        except TypeError as exc:
+            # an unknown key or a header that is not a JSON object
+            raise ValueError(f"checkpoint config is not a ModelConfig: {exc}") from None
         cfg.validate()
         (n_params,) = struct.unpack("<I", _read(f, 4, "parameter count"))
         params = {}

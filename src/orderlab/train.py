@@ -135,7 +135,6 @@ def train(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab,
     encode = memo.check(vocab, max_len).encode
 
     order_rng = np.random.default_rng(cfg.seed)
-    dropout_rng = np.random.default_rng(cfg.seed + 1)
 
     layout, n_decay = _flat_layout(mdl.params)
     params = np.empty(sum(p.size for p in mdl.params.values()), dtype=mdl.config.dtype)
@@ -185,8 +184,7 @@ def train(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab,
         # a diverging run overflows here first; the DivergenceError below
         # reports it in one line instead of numpy warning per operation
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            loss, _ = M.loss_and_grads(mdl, batch_pairs, batch_labels,
-                                       train_mode=True, rng=dropout_rng, grads=grad_views)
+            loss, _ = M.loss_and_grads(mdl, batch_pairs, batch_labels, grads=grad_views)
             # each parameter's squares are summed on their own and the sums
             # added in parameter order: one sum over the buffer rounds differently
             np.multiply(grads, grads, out=scratch)
@@ -237,7 +235,7 @@ def grad_check(mdl: M.Model, example, eps: float = 1e-5, n_coords: int = 200,
     """Max relative error between analytic and central-difference gradients.
 
     Samples roughly n_coords coordinates spread over every named
-    parameter. Requires 64-bit precision and dropout off. The relative
+    parameter. Requires 64-bit precision. The relative
     denominator is floored at 1e-6: below that the central difference is
     dominated by round-off (~1e-11 absolute at eps=1e-5), so tiny
     gradients are compared absolutely.

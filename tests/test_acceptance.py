@@ -178,7 +178,7 @@ def random_pair(rng, max_len=48):
 def small_model(rng_seed, position_mode="learned"):
     cfg = M.ModelConfig(n_layers=2, n_heads=2, hidden=16, ff_dim=32,
                         vocab_size=len(VOCAB.tokens), max_len=48,
-                        dropout_rate=0.0, position_mode=position_mode)
+                        position_mode=position_mode)
     return M.init(cfg, rng_seed)
 
 

@@ -19,8 +19,7 @@ def pairs_of(n, rng):
 
 def small_model(seed=0, **kw):
     cfg = M.ModelConfig(n_layers=2, n_heads=2, hidden=16, ff_dim=32,
-                        vocab_size=len(VOCAB.tokens), max_len=32,
-                        dropout_rate=0.0, **kw)
+                        vocab_size=len(VOCAB.tokens), max_len=32, **kw)
     return M.init(cfg, seed)
 
 

@@ -1,6 +1,8 @@
 import importlib.util
+import json
 import os
 import shutil
+import struct
 import warnings
 from dataclasses import fields, replace
 
@@ -68,7 +70,7 @@ class TestTrainRerank:
         assert run_cli("train", "--triples", str(data_dir / "triples.tsv"),
                        "--vocab", str(data_dir / "vocab.txt"),
                        "--out", str(ckpt), "--steps", "30", "--warmup", "5",
-                       "--epoch-size", "16", "--dropout", "0.0") == 0
+                       "--epoch-size", "16") == 0
         assert ckpt.exists()
         run_path = tmp_path / "bm25.run"
         assert run_cli("retrieve", "--collection", str(data_dir / "collection.tsv"),
@@ -95,8 +97,7 @@ def checkpoint(data_dir, tmp_path_factory):
     ckpt = tmp_path_factory.mktemp("model") / "model.ckpt"
     assert run_cli("train", "--triples", str(data_dir / "triples.tsv"),
                    "--vocab", str(data_dir / "vocab.txt"), "--out", str(ckpt),
-                   "--steps", "10", "--warmup", "2", "--epoch-size", "10",
-                   "--dropout", "0.0") == 0
+                   "--steps", "10", "--warmup", "2", "--epoch-size", "10") == 0
     return ckpt
 
 
@@ -130,6 +131,30 @@ class TestRerankData:
         run_path.write_text("q0000 Q0 d000001 1 1.000000 bm25\n")
         assert rerank_cli(data_dir, cut, run_path, tmp_path / "out.run") == 2
         assert "truncated checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("version, edit_header, message", [
+        # a checkpoint written while ModelConfig held the three removed fields
+        (1, lambda h: {**h, "n_segments": 2, "dropout_rate": 0.0, "init_scale": 0.02},
+         "unsupported checkpoint version 1"),
+        (2, lambda h: {**h, "dropout_rate": 0.0}, "checkpoint config is not a ModelConfig"),
+        (2, lambda h: list(h.values()), "checkpoint config is not a ModelConfig"),
+        (2, lambda h: {**h, "hidden": str(h["hidden"])}, "hidden must be a positive integer"),
+    ], ids=["version_1", "unknown_header_key", "list_header", "string_size"])
+    def test_bad_checkpoint_header_is_a_data_error(self, data_dir, checkpoint, tmp_path,
+                                                   capsys, version, edit_header, message):
+        data = checkpoint.read_bytes()
+        start = len(M._MAGIC) + 4
+        (cfg_len,) = struct.unpack("<Q", data[start:start + 8])
+        header = json.loads(data[start + 8:start + 8 + cfg_len])
+        blob = json.dumps(edit_header(header)).encode("utf-8")
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(M._MAGIC + struct.pack("<IQ", version, len(blob)) + blob
+                        + data[start + 8 + cfg_len:])
+        run_path = tmp_path / "one.run"
+        run_path.write_text("q0000 Q0 d000001 1 1.000000 bm25\n")
+        assert rerank_cli(data_dir, bad, run_path, tmp_path / "out.run") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
     def test_memo_gives_the_same_run(self, data_dir, checkpoint):
         coll = corpus.load_collection(data_dir / "collection.tsv")
@@ -298,8 +323,10 @@ class TestExitCodes:
          "[model] vocab_size is set by the run"),
         (lambda text: text[:text.index("[train]")] + OLD_TRAIN_SECTION
          + text[text.index("[experiment]"):], "unknown key shuffle_fixed in [train]"),
+        (lambda text: text.replace("[train]\n", OLD_MODEL_SECTION + "[train]\n"),
+         "unknown key n_segments in [model]"),
     ], ids=["no_section_header", "duplicate_key", "stray_percent", "misspelt_key",
-            "misspelt_section", "derived_key", "old_config_txt"])
+            "misspelt_section", "derived_key", "old_config_txt", "old_model_section"])
     def test_malformed_config_is_a_data_error(self, tmp_path, capsys, break_config, message):
         cfg = tmp_path / "config.ini"
         cfg.write_text(break_config(CONFIG))
@@ -362,6 +389,23 @@ shuffle_fixed = False
 """
 
 
+# the [model] section of a config.txt written while dropout_rate,
+# n_segments and init_scale were ModelConfig fields
+OLD_MODEL_SECTION = """\
+[model]
+n_layers = 2
+n_heads = 2
+hidden = 32
+ff_dim = 64
+max_len = 64
+n_segments = 2
+dropout_rate = 0.0
+numeric_precision = 64
+init_scale = 0.02
+
+"""
+
+
 def _moved(value):
     """A value of the same type as `value` and unequal to it."""
     if isinstance(value, tuple):
@@ -391,7 +435,8 @@ class TestConfigSchema:
         experiment.write_resolved_config(spec, tmp_path / "config.txt")
         text = (tmp_path / "config.txt").read_text()
         model_section = text[text.index("[model]"):text.index("[train]")]
-        assert "init_scale = " in model_section and "n_segments = " in model_section
+        for constant in ("init_scale", "n_segments", "dropout_rate"):
+            assert f"\n{constant} = " not in model_section
         assert "vocab_size" not in model_section and "shuffle_fixed" not in text
         assert experiment.spec_from_config(tmp_path / "config.txt") == spec
 

@@ -41,10 +41,6 @@ class TestCollectionIO:
         corpus.write_collection(coll, p)
         assert corpus.load_collection(p).entries == coll.entries
 
-    def test_avg_length(self):
-        coll = Collection({"d1": "a b c", "d2": "a"})
-        assert coll.avg_length == 2.0
-
 
 class TestQrelsIO:
     def test_parse_line(self, tmp_path):

@@ -12,7 +12,7 @@ from orderlab.tokenizer import CLS_ID, RESERVED, SEP_ID, TokenizedPair, Vocab, e
 
 def small_cfg(**kw):
     base = dict(n_layers=2, n_heads=2, hidden=16, ff_dim=32, vocab_size=50,
-                max_len=32, dropout_rate=0.0)
+                max_len=32)
     base.update(kw)
     return ModelConfig(**base)
 
@@ -28,8 +28,6 @@ class TestConfig:
     def test_validate_rejects_bad_values(self):
         with pytest.raises(ValueError):
             small_cfg(hidden=15).validate()
-        with pytest.raises(ValueError):
-            small_cfg(dropout_rate=1.0).validate()
         with pytest.raises(ValueError):
             small_cfg(position_mode="sinusoidal").validate()
         with pytest.raises(ValueError):
@@ -110,7 +108,6 @@ class TestForward:
         assert len(out.activations) == mdl.config.n_layers + 1
         T = max(p.n_total for p in pairs)
         assert out.activations[0].shape == (3, T, mdl.config.hidden)
-        assert len(out.cls_states) == 3 == len(out.activations)
 
     def test_probability_range(self):
         mdl = init(small_cfg(), 1)
@@ -124,19 +121,6 @@ class TestForward:
         alone = score(mdl, short)
         batched = float(forward(mdl, [short, long]).relevance_prob[0])
         assert abs(alone - batched) < 1e-9
-
-    def test_eval_mode_deterministic(self):
-        mdl = init(small_cfg(dropout_rate=0.1), 3)
-        pair = pair_of("t0 t1", "t2 t3")
-        assert score(mdl, pair) == score(mdl, pair)
-
-    def test_dropout_changes_training_forward(self):
-        mdl = init(small_cfg(dropout_rate=0.5), 3)
-        pair = pair_of("t0 t1", "t2 t3")
-        rng = np.random.default_rng(0)
-        a = forward(mdl, [pair], train_mode=True, rng=rng).logits
-        b = forward(mdl, [pair], train_mode=True, rng=rng).logits
-        assert not np.array_equal(a, b)
 
     def test_out_of_range_ids_rejected(self):
         mdl = init(small_cfg(vocab_size=10), 0)
@@ -457,7 +441,7 @@ class TestClsOnlyPass:
 
     @pytest.mark.parametrize("precision", [32, 64])
     def test_batch_loss_matches_loss_and_grads_bitwise(self, precision):
-        mdl = init(small_cfg(numeric_precision=precision, dropout_rate=0.1), 5)
+        mdl = init(small_cfg(numeric_precision=precision), 5)
         rng = np.random.default_rng(precision)
         for B in (1, 2, 7, 16):
             pairs = [_random_pair(rng, int(rng.integers(4, 33))) for _ in range(B)]
@@ -467,43 +451,39 @@ class TestClsOnlyPass:
 
     @pytest.mark.parametrize("kw", SWEEP_MODELS, ids=_sweep_id)
     def test_gradients_match_capture_path_tape(self, kw):
-        # the reference is _backward on the capture path's full tape, with
-        # the same dropout draws; products over two rows may take another
-        # BLAS kernel than over every row, so gradients agree to rounding
+        # the reference is _backward on the capture path's full tape;
+        # products over two rows may take another BLAS kernel than over
+        # every row, so gradients agree to rounding
         tol = 1e-13 if kw["numeric_precision"] == 64 else 1e-5
         rng = np.random.default_rng(kw["n_layers"] * 3 + kw["hidden"])
         worst = 0.0
-        for rate in (0.0, 0.1):
-            mdl = init(small_cfg(max_len=64, dropout_rate=rate, **kw), kw["hidden"] + 1)
-            for B in (2, 5, 16, 33):
-                for T in (4, 23, 64):
-                    pairs = [_random_pair(rng, T)] + [
-                        _random_pair(rng, int(rng.integers(4, T + 1))) for _ in range(B - 1)]
-                    labels = rng.integers(0, 2, B)
-                    loss, grads = M.loss_and_grads(mdl, pairs, labels, train_mode=True,
-                                                   rng=np.random.default_rng(B + T))
-                    ids, segs, mask = M.pad_batch(pairs, dtype=mdl.config.dtype)
-                    logits, _, tape = M._forward(mdl, ids, segs, mask, train_mode=True,
-                                                 rng=np.random.default_rng(B + T), capture=True)
-                    probs = M.softmax(logits, axis=-1)
-                    full_loss = -np.log(np.clip(probs[np.arange(B), labels], 1e-300, None)).mean()
-                    assert loss == float(full_loss), (rate, B, T)
-                    dlogits = probs.copy()
-                    dlogits[np.arange(B), labels] -= 1.0
-                    dlogits /= B
-                    full = M._backward(mdl, tape, dlogits.astype(mdl.config.dtype))
-                    top = max(np.abs(g).max() for g in full.values())
-                    worst = max(worst, max(np.abs(grads[n] - full[n]).max() for n in full) / top)
+        mdl = init(small_cfg(max_len=64, **kw), kw["hidden"] + 1)
+        for B in (2, 5, 16, 33):
+            for T in (4, 23, 64):
+                pairs = [_random_pair(rng, T)] + [
+                    _random_pair(rng, int(rng.integers(4, T + 1))) for _ in range(B - 1)]
+                labels = rng.integers(0, 2, B)
+                loss, grads = M.loss_and_grads(mdl, pairs, labels)
+                ids, segs, mask = M.pad_batch(pairs, dtype=mdl.config.dtype)
+                logits, _, tape = M._forward(mdl, ids, segs, mask, capture=True)
+                probs = M.softmax(logits, axis=-1)
+                full_loss = -np.log(np.clip(probs[np.arange(B), labels], 1e-300, None)).mean()
+                assert loss == float(full_loss), (B, T)
+                dlogits = probs.copy()
+                dlogits[np.arange(B), labels] -= 1.0
+                dlogits /= B
+                full = M._backward(mdl, tape, dlogits.astype(mdl.config.dtype))
+                top = max(np.abs(g).max() for g in full.values())
+                worst = max(worst, max(np.abs(grads[n] - full[n]).max() for n in full) / top)
         assert worst <= tol
 
     def test_training_tape_holds_two_query_rows(self):
-        mdl = init(small_cfg(n_layers=2, dropout_rate=0.1), 6)
+        mdl = init(small_cfg(n_layers=2), 6)
         pairs = [pair_of("t0 t1", "t2 t3 t4 t5"), pair_of("t6", "t7 t8")]
         ids, segs, mask = M.pad_batch(pairs)
         B, T = ids.shape
         d, H = mdl.config.hidden, mdl.config.n_heads
-        logits, acts, tape = M._forward(mdl, ids, segs, mask, train_mode=True,
-                                        rng=np.random.default_rng(0))
+        logits, acts, tape = M._forward(mdl, ids, segs, mask)
         assert acts is None and logits.shape == (B, 2)
         first, last = tape["layers"]
         assert first["hq"].shape == first["h1"].shape == (B, T, d)
@@ -511,15 +491,7 @@ class TestClsOnlyPass:
         assert last["kh"].shape == last["vh"].shape == (B, H, T, d // H)
         assert last["hq"].shape == last["h1"].shape == last["ctx"].shape == (B, 2, d)
         assert last["qh"].shape == (B, H, 2, d // H)
-        assert last["A"].shape == last["a_keep"].shape == (B, H, 2, T)
-        assert last["o_keep"].shape == last["f_keep"].shape == (B, 2, d)
+        assert last["A"].shape == (B, H, 2, T)
         assert tape["h_final"].shape == (B, 2, d)
         _, _, full = M._forward(mdl, ids, segs, mask, capture=True)
         assert full["layers"][-1]["hq"].shape == full["h_final"].shape == (B, T, d)
-
-    def test_training_forward_draws_the_full_pass_masks(self):
-        mdl = init(small_cfg(dropout_rate=0.3), 7)
-        pairs = [pair_of("t0 t1", "t2 t3 t4"), pair_of("t5", "t6 t7")]
-        a = forward(mdl, pairs, train_mode=True, rng=np.random.default_rng(0))
-        b = forward(mdl, pairs, train_mode=True, capture=True, rng=np.random.default_rng(0))
-        assert a.logits.tobytes() == b.logits.tobytes()

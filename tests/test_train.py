@@ -22,8 +22,7 @@ def toy_triples(n=20):
 
 def small_model(seed=0, **kw):
     cfg = M.ModelConfig(n_layers=2, n_heads=2, hidden=16, ff_dim=32,
-                        vocab_size=len(VOCAB.tokens), max_len=32,
-                        dropout_rate=0.0, **kw)
+                        vocab_size=len(VOCAB.tokens), max_len=32, **kw)
     return M.init(cfg, seed)
 
 
@@ -154,7 +153,7 @@ class TestTrainLoop:
 
 def reference_train(mdl, triples, cfg, vocab):
     """The per-parameter Adam loop, for batches that each hold every triple
-    once (batch_size = 2 * len(triples), natural order, no dropout).
+    once (batch_size = 2 * len(triples), natural order).
 
     Returns the final parameters and the pre-clip grad norm of each step.
     """
