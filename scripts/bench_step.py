@@ -23,10 +23,12 @@ data stage (one takes about 0.2 s), after a few untimed ones, in a
 fresh process per source tree, with one BLAS thread and glibc's
 allocator pinned as `perfbench/run.py` does. Every call's time is
 scaled, as the benchmark's are, by the calibration kernel
-(`perfbench/calibrate.py`, median of 3 runs) timed before and after
-the calls of its entry point in that round: `time * REF_S / mean of the
-two kernel times`, so that the machine's drift between rounds is
-divided out. The output keeps each round's factors. `--parent TREE` is another
+(`perfbench/calibrate.py`, median of 3 runs). The kernel is timed
+after the untimed calls and then after every `MARK_EVERY` timed calls,
+and each block of calls is scaled by the marks around it:
+`time * REF_S / mean of the two kernel times`, so that the machine's
+drift within a round, as well as between rounds, is divided out. The
+output keeps each round's factors, one per block. `--parent TREE` is another
 checkout, such as the parent commit; rounds alternate between that tree
 and this one, first one then the other, so that drift in the machine's
 speed falls on both alike. The output holds, for each tree, its commit,
@@ -54,6 +56,7 @@ import time  # noqa: E402
 STEP_BATCH, SCORE_BATCH = 16, 64
 SEED, EVAL_SEED = 1, 13  # matrix corpus seed; the dev evals' shuffle:13
 KERNEL_CALLS = {"calls_per_round": 200, "warmup_calls": 10}
+MARK_EVERY = 50  # timed calls between two kernel marks
 # each timed call, what one call does, and how often it runs a round
 TIMED = {"loss_and_grads_ms": {"batch": STEP_BATCH, **KERNEL_CALLS},
          "forward_ms": {"batch": SCORE_BATCH, **KERNEL_CALLS},
@@ -98,17 +101,26 @@ def _worker(tree: str) -> dict:
             yield pairs[start:start + size], labels[start:start + size]
             start += size
 
+    kernel_factors = {}
+
     def timed(key, call, feed=itertools.repeat(())):
         warmup, calls = TIMED[key]["warmup_calls"], TIMED[key]["calls_per_round"]
-        times = []
-        for i in range(warmup + calls):
-            args = next(feed)
-            t0 = time.perf_counter()
-            call(*args)
-            if i >= warmup:
-                times.append((time.perf_counter() - t0) * 1e3)
-        factor = speed.mark()
-        return [t * factor for t in times]
+        for _ in range(warmup):
+            call(*next(feed))
+        speed.mark()  # opens the first block
+        times, factors = [], []
+        for start in range(0, calls, MARK_EVERY):
+            block = []
+            for _ in range(min(MARK_EVERY, calls - start)):
+                args = next(feed)
+                t0 = time.perf_counter()
+                call(*args)
+                block.append((time.perf_counter() - t0) * 1e3)
+            factor = speed.mark()
+            factors.append(round(factor, 4))
+            times.extend(t * factor for t in block)
+        kernel_factors[key] = factors
+        return times
 
     def mean_padded_len(size):
         warmup, calls = KERNEL_CALLS["warmup_calls"], KERNEL_CALLS["calls_per_round"]
@@ -133,7 +145,7 @@ def _worker(tree: str) -> dict:
                 dev_run, mdl, vocab, queries, collection, dev_k, mode,
                 tag="dev", memo=memo)),
             "data_stage_ms": timed("data_stage_ms", data_stage),
-            "kernel_factors": dict(zip(TIMED, (round(f, 4) for f in speed.factors))),
+            "kernel_factors": kernel_factors,
             "mean_padded_len": {"loss_and_grads": mean_padded_len(STEP_BATCH),
                                 "forward": mean_padded_len(SCORE_BATCH)}}
 
@@ -196,7 +208,7 @@ def main(argv=None) -> int:
 
     result = {
         "harness": "scripts/bench_step.py",
-        "settings": {"seed": SEED, "rounds": args.rounds,
+        "settings": {"seed": SEED, "rounds": args.rounds, "mark_every": MARK_EVERY,
                      "corpus": "perfbench/workloads.matrix_spec",
                      "scaled_to_kernel_s": calibrate.REF_S},
         "machine": rounds["change"][0]["env"],

@@ -163,16 +163,12 @@ def _add_evaluate(sub):
     p.add_argument("--qrels", required=True)
     p.add_argument("--out", help="write report TSV here instead of stdout")
     p.add_argument("--per-query", action="store_true")
-    p.add_argument("--threshold", type=int, default=1,
-                   help="binarization threshold for map/recall/mrr")
-    p.add_argument("--exponential-gain", action="store_true")
 
 
 def _cmd_evaluate(args):
     run = corpus.load_run(args.run)
     qrels = corpus.load_qrels(args.qrels)
-    report = metrics.evaluate(run, qrels, rel_threshold=args.threshold,
-                              exponential_gain=args.exponential_gain)
+    report = metrics.evaluate(run, qrels)
     if args.out:
         metrics.write_report(report, args.out, per_query=args.per_query)
     else:

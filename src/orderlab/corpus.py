@@ -255,14 +255,6 @@ def overlap_grade_from_count(n_matched: int, n_terms: int) -> int:
     return 0
 
 
-def overlap_grade(query_text: str, doc_text: str) -> int:
-    """Grade from the fraction of distinct query terms present in the doc."""
-    q_terms = set(query_text.split())
-    if not q_terms:
-        return 0
-    return overlap_grade_from_count(len(q_terms & set(doc_text.split())), len(q_terms))
-
-
 def bigram_grade_from_count(n_bigrams: int) -> int:
     """Bigram grade of a doc holding the marker bigram `n_bigrams` times."""
     return min(3, n_bigrams)

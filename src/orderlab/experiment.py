@@ -68,8 +68,10 @@ def default_conditions(shuffle_seed: int = 13) -> list[Condition]:
 
 
 # no config sets these: the dev evals re-rank each dev query's BM25 top DEV_RERANK_K;
+# re-ranking and held-out accuracy score SCORE_BATCH_SIZE pairs per forward;
 # CKA compares each test query's top CKA_DOCS_PER_QUERY, CKA_BATCH_SIZE per forward
 DEV_RERANK_K = 50
+SCORE_BATCH_SIZE = 64
 CKA_BATCH_SIZE = 64
 CKA_DOCS_PER_QUERY = 5
 
@@ -207,8 +209,7 @@ def missing_id_error(qid: str, block: list[RunEntry], queries: QuerySet,
 def rerank_run(run: Run, mdl: M.Model, vocab: Vocab, queries: QuerySet,
                collection: Collection, k: int,
                mode: perturb.PerturbMode = perturb.NATURAL,
-               tag: str = "rerank", batch_size: int = 64,
-               memo: PairMemo | None = None) -> Run:
+               tag: str = "rerank", memo: PairMemo | None = None) -> Run:
     """Re-score the top-k block of each query with the model.
 
     The block is re-ordered by model score (ties by doc_id); entries
@@ -237,8 +238,8 @@ def rerank_run(run: Run, mdl: M.Model, vocab: Vocab, queries: QuerySet,
                 raise
             raise error from None
         scores = []
-        for start in range(0, len(pairs), batch_size):
-            scores.extend(M.forward(mdl, pairs[start:start + batch_size]).relevance_prob)
+        for start in range(0, len(pairs), SCORE_BATCH_SIZE):
+            scores.extend(M.forward(mdl, pairs[start:start + SCORE_BATCH_SIZE]).relevance_prob)
         rescored = sorted(
             zip((e.doc_id for e in block), scores), key=lambda kv: (-kv[1], kv[0])
         )
@@ -257,20 +258,22 @@ def rerank_run(run: Run, mdl: M.Model, vocab: Vocab, queries: QuerySet,
 
 
 def held_out_hook(triples: list[Triple], vocab: Vocab, max_len: int,
-                  mode: perturb.PerturbMode = perturb.NATURAL, batch_size: int = 64):
+                  mode: perturb.PerturbMode = perturb.NATURAL):
     """Eval hook for `train.train`: the model's `held_out_accuracy` on
-    `triples`, whose examples are encoded and perturbed once, here."""
+    `triples`, whose examples, keyed `acc:{i}|pos` and `acc:{i}|neg`, are
+    encoded and perturbed once, here."""
+    example = PairMemo(vocab, max_len).perturbed
     pairs, labels = [], []
-    for i, t in enumerate(triples):
-        for pair, label in T.make_examples(t, vocab, max_len, mode, f"acc:{i}"):
-            pairs.append(pair)
+    for i, (query, pos, neg) in enumerate(triples):
+        for side, passage, label in (("pos", pos, 1), ("neg", neg, 0)):
+            pairs.append(example(query, passage, mode, f"acc:{i}|{side}"))
             labels.append(label)
 
     def accuracy(mdl: M.Model) -> float:
         correct = 0
-        for start in range(0, len(pairs), batch_size):
-            probs = M.forward(mdl, pairs[start:start + batch_size]).relevance_prob
-            for p, y in zip(probs, labels[start:start + batch_size]):
+        for start in range(0, len(pairs), SCORE_BATCH_SIZE):
+            probs = M.forward(mdl, pairs[start:start + SCORE_BATCH_SIZE]).relevance_prob
+            for p, y in zip(probs, labels[start:start + SCORE_BATCH_SIZE]):
                 correct += int((p >= 0.5) == bool(y))
         return correct / len(pairs)
 
@@ -278,10 +281,9 @@ def held_out_hook(triples: list[Triple], vocab: Vocab, max_len: int,
 
 
 def held_out_accuracy(mdl: M.Model, triples: list[Triple], vocab: Vocab,
-                      mode: perturb.PerturbMode = perturb.NATURAL,
-                      batch_size: int = 64) -> float:
+                      mode: perturb.PerturbMode = perturb.NATURAL) -> float:
     """Classification accuracy over the two examples of each triple."""
-    return held_out_hook(triples, vocab, mdl.config.max_len, mode, batch_size)(mdl)
+    return held_out_hook(triples, vocab, mdl.config.max_len, mode)(mdl)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, asdict
 from itertools import chain
@@ -460,6 +461,19 @@ def forward(model: Model, pairs: list[TokenizedPair], capture=False) -> ForwardO
                          activations=acts)
 
 
+def _cross_entropy(logits, labels):
+    """Mean cross-entropy of `labels` under softmax(logits), and its
+    gradient with respect to the logits."""
+    B = logits.shape[0]
+    probs = softmax(logits, axis=-1)
+    y = np.asarray(labels, dtype=np.int64)
+    loss = -np.log(np.clip(probs[np.arange(B), y], 1e-300, None)).mean()
+    dlogits = probs.copy()
+    dlogits[np.arange(B), y] -= 1.0
+    dlogits /= B
+    return float(loss), dlogits
+
+
 def loss_and_grads(model: Model, pairs: list[TokenizedPair], labels, grads=None):
     """Mean cross-entropy over the batch and gradients for every parameter.
 
@@ -468,25 +482,16 @@ def loss_and_grads(model: Model, pairs: list[TokenizedPair], labels, grads=None)
     """
     ids, segs, mask = pad_batch(pairs, dtype=model.config.dtype)
     logits, _, tape = _forward(model, ids, segs, mask)
-    B = logits.shape[0]
-    probs = softmax(logits, axis=-1)
-    y = np.asarray(labels, dtype=np.int64)
-    loss = -np.log(np.clip(probs[np.arange(B), y], 1e-300, None)).mean()
-    dlogits = probs.copy()
-    dlogits[np.arange(B), y] -= 1.0
-    dlogits /= B
+    loss, dlogits = _cross_entropy(logits, labels)
     grads = _backward(model, tape, dlogits.astype(model.config.dtype), grads)
-    return float(loss), grads
+    return loss, grads
 
 
 def batch_loss(model: Model, pairs, labels) -> float:
     """Loss only; used by the finite-difference gradient check."""
     ids, segs, mask = pad_batch(pairs, dtype=model.config.dtype)
     logits, _, _ = _forward(model, ids, segs, mask)
-    B = logits.shape[0]
-    probs = softmax(logits, axis=-1)
-    y = np.asarray(labels, dtype=np.int64)
-    return float(-np.log(np.clip(probs[np.arange(B), y], 1e-300, None)).mean())
+    return _cross_entropy(logits, labels)[0]
 
 
 def score(model: Model, pair: TokenizedPair) -> float:
@@ -520,10 +525,11 @@ def save(model: Model, path):
 
 
 def _read(f, n: int, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise ValueError(f"truncated checkpoint: {what} needs {n} bytes, {len(data)} left")
-    return data
+    # checked before the read: a corrupt length would otherwise allocate n bytes
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise ValueError(f"truncated checkpoint: {what} needs {n} bytes, {left} left")
+    return f.read(n)
 
 
 def load(path) -> Model:
@@ -546,13 +552,15 @@ def load(path) -> Model:
         for _ in range(n_params):
             (name_len,) = struct.unpack("<H", _read(f, 2, "parameter name length"))
             name = _read(f, name_len, "parameter name").decode("utf-8")
-            dtype_code = _read(f, 2, f"{name} dtype").decode()
+            dtype_code = _read(f, 2, f"{name} dtype")
+            if dtype_code not in (b"f4", b"f8"):
+                raise ValueError(f"checkpoint array {name} has dtype {dtype_code!r}, not f4 or f8")
             (ndim,) = struct.unpack("<B", _read(f, 1, f"{name} rank"))
             shape = tuple(struct.unpack("<Q", _read(f, 8, f"{name} shape"))[0]
                           for _ in range(ndim))
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(_read(f, count * int(dtype_code[1]), f"{name} data"),
-                                 dtype="<" + dtype_code)
+            n_bytes = math.prod(shape) * int(dtype_code[1:])
+            data = np.frombuffer(_read(f, n_bytes, f"{name} data"),
+                                 dtype="<" + dtype_code.decode())
             params[name] = data.reshape(shape).astype(cfg.dtype)
     expected = _param_shapes(cfg)
     if set(params) != set(expected):

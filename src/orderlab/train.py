@@ -17,7 +17,8 @@ import numpy as np
 from . import model as M
 from . import perturb
 from .corpus import Triple
-from .tokenizer import PairMemo, Vocab, encode_pair
+from .tokenizer import PairMemo, Vocab
+from .tokenizer import encode_pair  # noqa: F401  (perfbench/spans.py traces it at this name)
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # no config sets these
@@ -46,8 +47,8 @@ class TrainConfig:
             raise ValueError("epoch_size must be >= 1")
         if self.warmup_steps > self.total_steps:
             raise ValueError("warmup_steps must not exceed total_steps")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2 (balanced pos/neg)")
+        if self.batch_size < 2 or self.batch_size % 2:
+            raise ValueError("batch_size must be even and >= 2 (balanced pos/neg)")
 
 
 @dataclass
@@ -80,16 +81,6 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
     if cfg.total_steps == cfg.warmup_steps:
         return cfg.lr_peak
     return cfg.lr_peak * (cfg.total_steps - step) / (cfg.total_steps - cfg.warmup_steps)
-
-
-def make_examples(triple: Triple, vocab: Vocab, max_len: int,
-                  mode: perturb.PerturbMode = perturb.NATURAL,
-                  example_key: str = ""):
-    """Encode one triple into a (positive, negative) labelled example pair."""
-    query, pos_text, neg_text = triple
-    pos = perturb.apply(encode_pair(query, pos_text, vocab, max_len), mode, example_key + "|pos")
-    neg = perturb.apply(encode_pair(query, neg_text, vocab, max_len), mode, example_key + "|neg")
-    return [(pos, 1), (neg, 0)]
 
 
 def _flat_layout(params: dict[str, np.ndarray]):

@@ -156,6 +156,31 @@ class TestRerankData:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
+    @pytest.mark.parametrize("edit_array, message", [
+        (lambda dtype, dims: (b"f3", dims), "has dtype b'f3', not f4 or f8"),
+        (lambda dtype, dims: (dtype, struct.pack("<Q", 2 ** 58) + dims[8:]), "data needs"),
+    ], ids=["bad_dtype", "oversized_array"])
+    def test_bad_checkpoint_array_is_a_data_error(self, data_dir, checkpoint, tmp_path,
+                                                  capsys, edit_array, message):
+        # the first parameter's record: name length, name, dtype code, rank, dims
+        data = checkpoint.read_bytes()
+        start = len(M._MAGIC) + 4
+        (cfg_len,) = struct.unpack("<Q", data[start:start + 8])
+        name_at = start + 8 + cfg_len + 4
+        (name_len,) = struct.unpack("<H", data[name_at:name_at + 2])
+        dtype_at = name_at + 2 + name_len
+        ndim = data[dtype_at + 2]
+        dims_at = dtype_at + 3
+        dtype, dims = edit_array(data[dtype_at:dtype_at + 2], data[dims_at:dims_at + 8 * ndim])
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(data[:dtype_at] + dtype + data[dtype_at + 2:dims_at] + dims
+                        + data[dims_at + 8 * ndim:])
+        run_path = tmp_path / "one.run"
+        run_path.write_text("q0000 Q0 d000001 1 1.000000 bm25\n")
+        assert rerank_cli(data_dir, bad, run_path, tmp_path / "out.run") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
     def test_memo_gives_the_same_run(self, data_dir, checkpoint):
         coll = corpus.load_collection(data_dir / "collection.tsv")
         queries = corpus.load_queries(data_dir / "queries.tsv")
@@ -226,43 +251,54 @@ class TestTrainDevHook:
     def test_dev_triples_encoded_once(self, data_dir, tmp_path, monkeypatch):
         triples = corpus.load_triples(data_dir / "triples.tsv")
         calls = []
-        encode = T.encode_pair
+        encode = tokenizer.encode_pair
         counted = lambda *a, **kw: calls.append(1) or encode(*a, **kw)  # noqa: E731
-        # training encodes through a PairMemo, the dev hook through make_examples
+        # training and the dev hook each encode through a PairMemo of their own
         monkeypatch.setattr(tokenizer, "encode_pair", counted)
-        monkeypatch.setattr(T, "encode_pair", counted)
         # evals at steps 10, 20, 30 and 40 on the training triples as dev set
         assert run_cli("train", "--triples", str(data_dir / "triples.tsv"),
                        "--dev-triples", str(data_dir / "triples.tsv"),
                        "--vocab", str(data_dir / "vocab.txt"), "--out", str(tmp_path / "m.ckpt"),
                        "--steps", "40", "--warmup", "2",
                        "--epoch-size", "10", "--perturb", "shuffle:3") == 0
-        # training encodes each distinct pair once; the evals two examples per triple, once
+        # training encodes each distinct pair once, and so do the evals
         distinct = {(q, doc) for q, pos, neg in triples for doc in (pos, neg)}
-        assert len(calls) == len(distinct) + 2 * len(triples)
+        assert len(calls) == 2 * len(distinct)
 
-    @pytest.mark.parametrize("mode", [perturb.NATURAL, perturb.shuffle_mode(3)])
-    def test_hook_gives_per_call_accuracy(self, data_dir, checkpoint, mode):
-        # reference: encode and perturb the dev examples on every call
-        def per_call_accuracy(mdl, triples, vocab):
-            pairs, labels = [], []
-            for i, t in enumerate(triples):
-                for pair, label in T.make_examples(t, vocab, mdl.config.max_len, mode,
-                                                   f"acc:{i}"):
-                    pairs.append(pair)
-                    labels.append(label)
-            probs = np.concatenate([M.forward(mdl, pairs[s:s + 64]).relevance_prob
-                                    for s in range(0, len(pairs), 64)])
-            return sum(int((p >= 0.5) == bool(y)) for p, y in zip(probs, labels)) / len(pairs)
-
+    @pytest.mark.parametrize("mode", [perturb.NATURAL, perturb.shuffle_mode(3),
+                                      perturb.SORT_DESC])
+    def test_hook_gives_per_call_accuracy(self, data_dir, checkpoint, monkeypatch, mode):
         triples = corpus.load_triples(data_dir / "triples.tsv")
         vocab = tokenizer.load_vocab(data_dir / "vocab.txt")
         trained = M.load(checkpoint)
+        # reference: each side of triple i encoded and perturbed under key acc:i|side
+        pairs, labels = [], []
+        for i, (q, pos, neg) in enumerate(triples):
+            for side, text, label in (("pos", pos, 1), ("neg", neg, 0)):
+                pair = tokenizer.encode_pair(q, text, vocab, trained.config.max_len)
+                pairs.append(perturb.apply(pair, mode, f"acc:{i}|{side}"))
+                labels.append(label)
+
+        forward = M.forward
+        scored = []
+        monkeypatch.setattr(M, "forward", lambda mdl, batch: scored.extend(batch)
+                            or forward(mdl, batch))
         hook = experiment.held_out_hook(triples, vocab, trained.config.max_len, mode)
         for mdl in (trained, M.init(trained.config, 1)):
-            want = per_call_accuracy(mdl, triples, vocab)
-            assert hook(mdl) == want == hook(mdl)
+            step = experiment.SCORE_BATCH_SIZE
+            probs = np.concatenate([forward(mdl, pairs[s:s + step]).relevance_prob
+                                    for s in range(0, len(pairs), step)])
+            want = sum(int((p >= 0.5) == bool(y)) for p, y in zip(probs, labels)) / len(pairs)
+            scored.clear()
+            assert hook(mdl) == want
+            assert [p.ids for p in scored] == [p.ids for p in pairs]
+            assert hook(mdl) == want  # the pairs made once serve every call
             assert experiment.held_out_accuracy(mdl, triples, vocab, mode) == want
+        # a scorer that picks out exactly the positive examples is right on each
+        positives = {tuple(p.ids) for p, y in zip(pairs, labels) if y}
+        monkeypatch.setattr(M, "forward", lambda mdl, batch: M.ForwardOutput(
+            logits=None, relevance_prob=[float(tuple(p.ids) in positives) for p in batch]))
+        assert hook(trained) == 1.0
 
 
 class TestPerturbText:
@@ -294,7 +330,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flags", [("--epoch-size", "0"),
                                        ("--steps", "-3", "--warmup", "-5"),
-                                       ("--warmup", "-1")])
+                                       ("--warmup", "-1"), ("--batch-size", "17")])
     def test_bad_schedule_is_a_data_error(self, data_dir, tmp_path, capsys, flags):
         assert run_cli("train", "--triples", str(data_dir / "triples.tsv"),
                        "--vocab", str(data_dir / "vocab.txt"),
@@ -309,6 +345,13 @@ class TestExitCodes:
         assert run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
         err = capsys.readouterr().err
         assert err == "error: epoch_size must be >= 1\n"
+
+    def test_experiment_odd_batch_size_is_a_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(CONFIG.replace("batch_size = 8", "batch_size = 17"))
+        assert run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err == "error: batch_size must be even and >= 2 (balanced pos/neg)\n"
 
     @pytest.mark.parametrize("break_config, message", [
         (lambda text: text[text.index("vocab_size"):], "no section headers"),
@@ -816,6 +859,14 @@ def _qid_of(queries):
     return qid_of
 
 
+def _doc_ids(collection):
+    # a triple holds passage text: every doc id with that text
+    ids = {}
+    for doc_id, text in collection.entries.items():
+        ids.setdefault(text, []).append(doc_id)
+    return ids
+
+
 def _load_data(out):
     data = out / "data"
     return (corpus.load_collection(data / "collection.tsv"),
@@ -833,14 +884,15 @@ class TestMinedTriples:
         coll, queries, qrels = _load_data(out)
         index = bm25.build_index(coll)
         qid_of = _qid_of(queries)
+        doc_ids = _doc_ids(coll)
         triples = corpus.load_triples(out / "data" / "triples.tsv")
         assert triples
         for query, pos, neg in triples:
             qid = qid_of[query]
             top_k = [d for d, _ in bm25.retrieve(index, query, spec.rerank_k)]
             assert any(coll.entries[d] == neg and qrels.grade(qid, d) == 0 for d in top_k)
-            assert corpus.overlap_grade(query, neg) == 0
-            assert corpus.overlap_grade(query, pos) >= 2
+            assert all(qrels.grade(qid, d) == 0 for d in doc_ids[neg])
+            assert all(qrels.grade(qid, d) >= 2 for d in doc_ids[pos])
 
     def test_only_training_queries_contribute(self, exp):
         cfg, out = exp
@@ -878,8 +930,9 @@ class TestMinedTriples:
             by_query.setdefault(q, []).append(neg)
         assert queries.entries[starved] not in by_query
         assert set(by_query[queries.entries[short]]) == {coll.entries[zero[0].doc_id]}
+        qid_of, doc_ids = _qid_of(queries), _doc_ids(coll)
         for q, _, neg in mined:
-            assert corpus.overlap_grade(q, neg) == 0
+            assert all(qrels.grade(qid_of[q], d) == 0 for d in doc_ids[neg])
 
     def test_no_grade_zero_candidates_anywhere_is_a_data_error(self, tmp_path):
         # at depth 1 every training query's only candidate is relevant

@@ -138,7 +138,6 @@ class TestSyntheticGeneration:
 
     def test_overlap_doc_equal_to_query_is_max_grade(self):
         assert oracle_overlap("w1 w2 w3 w4", "w1 w2 w3 w4 " * 3) == 3
-        assert corpus.overlap_grade("w1 w2 w3 w4", "w1 w2 w3 w4 " * 3) == 3
 
     def test_qrels_match_independent_rule_application(self):
         spec = SyntheticSpec(vocab_size=1000, n_docs=2000, n_queries=200, seed=7)

@@ -30,8 +30,8 @@ def ref_ndcg(ranking, grades, k):
     return None if idcg == 0 else dcg / idcg
 
 
-def ref_ap(ranking, grades, threshold=1):
-    rel = {d for d, g in grades.items() if g >= threshold}
+def ref_ap(ranking, grades):
+    rel = {d for d, g in grades.items() if g >= 1}
     if not rel:
         return None
     hits, total = 0, 0.0
@@ -42,15 +42,15 @@ def ref_ap(ranking, grades, threshold=1):
     return total / len(rel)
 
 
-def ref_recall(ranking, grades, k, threshold=1):
-    rel = {d for d, g in grades.items() if g >= threshold}
+def ref_recall(ranking, grades, k):
+    rel = {d for d, g in grades.items() if g >= 1}
     if not rel:
         return None
     return len(rel & set(ranking[:k])) / len(rel)
 
 
-def ref_mrr(ranking, grades, k, threshold=1):
-    rel = {d for d, g in grades.items() if g >= threshold}
+def ref_mrr(ranking, grades, k):
+    rel = {d for d, g in grades.items() if g >= 1}
     if not rel:
         return None
     for i, d in enumerate(ranking[:k], start=1):
@@ -105,25 +105,10 @@ class TestSkipsAndThresholds:
         per_q, skipped = metrics.map_metric(run, make_qrels({"d1": 0}))
         assert per_q == {} and skipped == 1
 
-    def test_rel_threshold_binarization(self):
-        run = make_run(["d1", "d2"])
-        qrels = make_qrels({"d1": 1, "d2": 2})
-        strict, _ = metrics.map_metric(run, qrels, rel_threshold=2)
-        assert strict["q1"] == pytest.approx((1 / 2) / 1)
-
     def test_unjudged_doc_is_grade_zero(self):
         run = make_run(["dunknown", "d1"])
         per_q, _ = metrics.ndcg_at_k(run, make_qrels({"d1": 1}), k=10)
         assert per_q["q1"] == pytest.approx(0.6309297535714575, abs=1e-9)
-
-    def test_exponential_gain_flag(self):
-        run = make_run(["d1", "d2"])
-        qrels = make_qrels({"d1": 1, "d2": 3})
-        lin, _ = metrics.ndcg_at_k(run, qrels, k=10)
-        exp, _ = metrics.ndcg_at_k(run, qrels, k=10, exponential=True)
-        want = (1 + 7 / math.log2(3)) / (7 + 1 / math.log2(3))
-        assert exp["q1"] == pytest.approx(want, abs=1e-12)
-        assert exp["q1"] != pytest.approx(lin["q1"])
 
 
 class TestAgainstReference:
@@ -165,8 +150,7 @@ class TestAgainstReference:
                    for j in range(6)})
         qrels = Qrels({(f"q{j}", d): int(rng.integers(0, 4))
                        for j in range(5) for d in rng.choice(docs, size=8)})
-        for kwargs in ({}, {"ndcg_k": 5, "recall_k": 10, "rel_threshold": 2,
-                            "exponential_gain": True}):
+        for kwargs in ({}, {"ndcg_k": 5, "recall_k": 10, "mrr_k": 3}):
             want = metrics.evaluate(run, qrels, **kwargs)
             got = metrics.evaluate(run, qrels.by_query(), **kwargs)
             assert got == want

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from orderlab import model as M
-from orderlab import perturb
 from orderlab import train as T
-from orderlab.tokenizer import RESERVED, PairMemo, Vocab
+from orderlab.tokenizer import RESERVED, PairMemo, Vocab, encode_pair
 
 VOCAB = Vocab(list(RESERVED) + [f"t{i}" for i in range(60)])
 
@@ -18,6 +17,11 @@ def toy_triples(n=20):
         a, b = f"t{i % 20}", f"t{(i + 1) % 20}"
         out.append((f"{a} {b}", f"{a} {b} t{(i + 2) % 20}", f"t{20 + i % 20} t{40 + i % 10}"))
     return out
+
+
+def examples(query, pos, neg):
+    """A triple's two labelled examples, natural order, as (pairs, labels)."""
+    return [encode_pair(query, pos, VOCAB, 32), encode_pair(query, neg, VOCAB, 32)], [1, 0]
 
 
 def small_model(seed=0, **kw):
@@ -42,33 +46,14 @@ class TestSchedule:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             T.TrainConfig(warmup_steps=10, total_steps=5).validate()
-        with pytest.raises(ValueError):
-            T.TrainConfig(batch_size=1).validate()
+        for batch_size in (1, 17):
+            with pytest.raises(ValueError):
+                T.TrainConfig(batch_size=batch_size).validate()
         for bad in (dict(epoch_size=0), dict(total_steps=-3, warmup_steps=-5),
                     dict(warmup_steps=-1)):
             with pytest.raises(ValueError):
                 T.TrainConfig(**bad).validate()
         T.TrainConfig(total_steps=0, warmup_steps=0, epoch_size=1).validate()
-
-
-class TestMakeExamples:
-    def test_labels_and_query_sharing(self):
-        triple = ("t0 t1", "t0 t1 t2", "t30 t31")
-        (pos, lp), (neg, ln) = T.make_examples(triple, VOCAB, 32)
-        assert (lp, ln) == (1, 0)
-        assert pos.span_ids(pos.query_span) == neg.span_ids(neg.query_span)
-
-    def test_perturbation_applied(self):
-        triple = ("t5 t1", "t2 t9 t4", "t30 t31")
-        (pos, _), _ = T.make_examples(triple, VOCAB, 32, perturb.SORT_DESC)
-        ids = pos.span_ids(pos.passage_span)
-        assert ids == sorted(ids, reverse=True)
-
-    def test_distinct_sides_get_distinct_shuffles(self):
-        triple = ("t0 t1 t2 t3 t4 t5", "t6 t7 t8 t9 t10 t11", "t6 t7 t8 t9 t10 t11")
-        exs = T.make_examples(triple, VOCAB, 32, perturb.shuffle_mode(0), "k")
-        # same passage text on both sides, but keys differ per side
-        assert exs[0][0].ids != exs[1][0].ids
 
 
 class TestTrainLoop:
@@ -159,7 +144,8 @@ def reference_train(mdl, triples, cfg, vocab):
     """
     params = {k: v.copy() for k, v in mdl.params.items()}
     ref = M.Model(mdl.config, params)
-    encoded = [T.make_examples(t, vocab, mdl.config.max_len) for t in triples]
+    encoded = [[(encode_pair(q, text, vocab, mdl.config.max_len), label)
+                for text, label in ((pos, 1), (neg, 0))] for q, pos, neg in triples]
     order_rng = np.random.default_rng(cfg.seed)
     m_state = {k: np.zeros_like(v) for k, v in params.items()}
     v_state = {k: np.zeros_like(v) for k, v in params.items()}
@@ -218,24 +204,18 @@ class TestFlatAdam:
 class TestGradCheck:
     def test_small_model_passes(self):
         mdl = small_model(7)
-        exs = T.make_examples(("t0 t1", "t0 t1 t2", "t30 t31"), VOCAB, 32)
-        pairs = [p for p, _ in exs]
-        labels = [l for _, l in exs]
-        assert T.grad_check(mdl, (pairs, labels), n_coords=150) < 1e-4
+        assert T.grad_check(mdl, examples("t0 t1", "t0 t1 t2", "t30 t31"), n_coords=150) < 1e-4
 
     def test_requires_float64(self):
         mdl = small_model(0, numeric_precision=32)
-        exs = T.make_examples(("t0", "t1", "t2"), VOCAB, 32)
         with pytest.raises(ValueError):
-            T.grad_check(mdl, ([p for p, _ in exs], [l for _, l in exs]))
+            T.grad_check(mdl, examples("t0", "t1", "t2"))
 
     def test_error_shrinks_with_eps(self):
         # central differences are O(eps^2): a much larger eps gives a
         # clearly worse agreement
         mdl = small_model(9)
-        exs = T.make_examples(("t0 t1", "t0 t1 t2", "t30 t31"), VOCAB, 32)
-        pairs = [p for p, _ in exs]
-        labels = [l for _, l in exs]
-        coarse = T.grad_check(mdl, (pairs, labels), eps=1e-1, n_coords=60)
-        fine = T.grad_check(mdl, (pairs, labels), eps=1e-5, n_coords=60)
+        example = examples("t0 t1", "t0 t1 t2", "t30 t31")
+        coarse = T.grad_check(mdl, example, eps=1e-1, n_coords=60)
+        fine = T.grad_check(mdl, example, eps=1e-5, n_coords=60)
         assert fine < coarse
