@@ -14,9 +14,10 @@ encoder's hot entry points on pairs of the benchmark's `matrix` corpus
   memo (`tokenizer.PairMemo`) that earlier calls have filled, as the
   second and later dev evals of a training run find it;
 - `data_stage`: what a run does before any model, on the same spec:
-  `corpus.generate_synthetic`, `experiment._vocab_for`,
-  `bm25.build_index` and the training queries' `bm25.retrieve_run` at
-  `rerank_k`.
+  `experiment.run_experiment` in a fresh directory, from its start to
+  its first `[experiment] training model` log, the segment the
+  benchmark's `matrix` `setup_s` times. It runs whatever the tree's
+  runner does there, so both trees are timed on their own code.
 
 Each round times 200 calls of each of the first three, and 10 of the
 data stage (one takes about 0.2 s), after a few untimed ones, in a
@@ -24,11 +25,12 @@ fresh process per source tree, with one BLAS thread and glibc's
 allocator pinned as `perfbench/run.py` does. Every call's time is
 scaled, as the benchmark's are, by the calibration kernel
 (`perfbench/calibrate.py`, median of 3 runs). The kernel is timed
-after the untimed calls and then after every `MARK_EVERY` timed calls,
-and each block of calls is scaled by the marks around it:
-`time * REF_S / mean of the two kernel times`, so that the machine's
-drift within a round, as well as between rounds, is divided out. The
-output keeps each round's factors, one per block. `--parent TREE` is another
+after the untimed calls and then after every `mark_every` timed calls
+of the entry (`TIMED`): every 50 calls of the first three, every call
+of the data stage. Each block of calls is scaled by the marks around
+it: `time * REF_S / mean of the two kernel times`, so that the
+machine's drift within a round, as well as between rounds, is divided
+out. The output keeps each round's factors, one per block. `--parent TREE` is another
 checkout, such as the parent commit; rounds alternate between that tree
 and this one, first one then the other, so that drift in the machine's
 speed falls on both alike. The output holds, for each tree, its commit,
@@ -49,21 +51,32 @@ import calibrate  # noqa: E402
 import argparse  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
+import shutil  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 
 STEP_BATCH, SCORE_BATCH = 16, 64
 SEED, EVAL_SEED = 1, 13  # matrix corpus seed; the dev evals' shuffle:13
-KERNEL_CALLS = {"calls_per_round": 200, "warmup_calls": 10}
-MARK_EVERY = 50  # timed calls between two kernel marks
+# timed calls a round, untimed ones before them, and timed calls between two kernel marks
+KERNEL_CALLS = {"calls_per_round": 200, "warmup_calls": 10, "mark_every": 50}
 # each timed call, what one call does, and how often it runs a round
 TIMED = {"loss_and_grads_ms": {"batch": STEP_BATCH, **KERNEL_CALLS},
          "forward_ms": {"batch": SCORE_BATCH, **KERNEL_CALLS},
          "rerank_eval_ms": {"queries": 2, "top_k": 50, "mode": f"shuffle:{EVAL_SEED}",
                             **KERNEL_CALLS},
-         "data_stage_ms": {"spec": "matrix_spec(1)", "calls_per_round": 10,
-                           "warmup_calls": 1}}
+         "data_stage_ms": {"spec": "matrix_spec(1)", "until": "first model's training",
+                           "calls_per_round": 10, "warmup_calls": 1, "mark_every": 1}}
+
+
+class _FirstModel(Exception):
+    """Raised by the data stage's log when the run starts its first model."""
+
+
+def _stop_at_first_model(message):
+    if message.startswith("[experiment] training model"):
+        raise _FirstModel
 
 
 def _worker(tree: str) -> dict:
@@ -104,14 +117,15 @@ def _worker(tree: str) -> dict:
     kernel_factors = {}
 
     def timed(key, call, feed=itertools.repeat(())):
-        warmup, calls = TIMED[key]["warmup_calls"], TIMED[key]["calls_per_round"]
+        warmup, calls, every = (TIMED[key][k] for k in ("warmup_calls", "calls_per_round",
+                                                        "mark_every"))
         for _ in range(warmup):
             call(*next(feed))
         speed.mark()  # opens the first block
         times, factors = [], []
-        for start in range(0, calls, MARK_EVERY):
+        for start in range(0, calls, every):
             block = []
-            for _ in range(min(MARK_EVERY, calls - start)):
+            for _ in range(min(every, calls - start)):
                 args = next(feed)
                 t0 = time.perf_counter()
                 call(*args)
@@ -127,27 +141,35 @@ def _worker(tree: str) -> dict:
         timed_batches = itertools.islice(batches(size), warmup, warmup + calls)
         return statistics.mean(max(p.n_total for p in b) for b, _ in timed_batches)
 
-    def data_stage():
-        collection, queries, _, _ = corpus.generate_synthetic(spec.synthetic)
-        experiment._vocab_for(collection, queries)
-        train_ids, _, _ = experiment._split_queries(queries, spec.dev_queries,
-                                                    spec.test_queries)
-        bm25.retrieve_run(bm25.build_index(collection),
-                          experiment._subset(queries, train_ids), spec.rerank_k)
+    def fresh_dirs(root):
+        # made and removed between calls, outside the timed part
+        while True:
+            outdir = tempfile.mkdtemp(dir=root)
+            yield (outdir,)
+            shutil.rmtree(outdir)
+
+    def data_stage(outdir):
+        try:
+            experiment.run_experiment(spec, outdir, log=_stop_at_first_model)
+        except _FirstModel:
+            return
+        raise RuntimeError("the data stage trained no model")
 
     mode = perturb.shuffle_mode(EVAL_SEED)
-    return {"env": perfbench_run.environment(malloc),
-            "loss_and_grads_ms": timed("loss_and_grads_ms", lambda b, y: M.loss_and_grads(
-                mdl, b, y, grads=grads), batches(STEP_BATCH)),
-            "forward_ms": timed("forward_ms", lambda b, y: M.forward(mdl, b),
-                                batches(SCORE_BATCH)),
-            "rerank_eval_ms": timed("rerank_eval_ms", lambda: experiment.rerank_run(
-                dev_run, mdl, vocab, queries, collection, dev_k, mode,
-                tag="dev", memo=memo)),
-            "data_stage_ms": timed("data_stage_ms", data_stage),
-            "kernel_factors": kernel_factors,
-            "mean_padded_len": {"loss_and_grads": mean_padded_len(STEP_BATCH),
-                                "forward": mean_padded_len(SCORE_BATCH)}}
+    result = {"env": perfbench_run.environment(malloc),
+              "loss_and_grads_ms": timed("loss_and_grads_ms", lambda b, y: M.loss_and_grads(
+                  mdl, b, y, grads=grads), batches(STEP_BATCH)),
+              "forward_ms": timed("forward_ms", lambda b, y: M.forward(mdl, b),
+                                  batches(SCORE_BATCH)),
+              "rerank_eval_ms": timed("rerank_eval_ms", lambda: experiment.rerank_run(
+                  dev_run, mdl, vocab, queries, collection, dev_k, mode,
+                  tag="dev", memo=memo))}
+    with tempfile.TemporaryDirectory(prefix="bench-step-") as root:
+        result["data_stage_ms"] = timed("data_stage_ms", data_stage, fresh_dirs(root))
+    result["kernel_factors"] = kernel_factors
+    result["mean_padded_len"] = {"loss_and_grads": mean_padded_len(STEP_BATCH),
+                                 "forward": mean_padded_len(SCORE_BATCH)}
+    return result
 
 
 def _commit(tree: str) -> str:
@@ -208,7 +230,7 @@ def main(argv=None) -> int:
 
     result = {
         "harness": "scripts/bench_step.py",
-        "settings": {"seed": SEED, "rounds": args.rounds, "mark_every": MARK_EVERY,
+        "settings": {"seed": SEED, "rounds": args.rounds,
                      "corpus": "perfbench/workloads.matrix_spec",
                      "scaled_to_kernel_s": calibrate.REF_S},
         "machine": rounds["change"][0]["env"],

@@ -87,8 +87,8 @@ def _add_retrieve(sub):
 def _cmd_retrieve(args):
     coll = corpus.load_collection(args.collection)
     queries = corpus.load_queries(args.queries)
-    index = bm25.build_index(coll)
-    run = bm25.retrieve_run(index, queries, args.k, bm25.Bm25Params(args.k1, args.b), args.tag)
+    index = bm25.build_index(coll, bm25.Bm25Params(args.k1, args.b))
+    run = bm25.retrieve_run(index, queries, args.k, args.tag)
     corpus.write_run(run, args.out)
     print(f"wrote run for {len(run.entries)} queries to {args.out}")
 
@@ -98,7 +98,8 @@ def _add_train(sub):
     p.add_argument("--triples", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
-    p.add_argument("--dev-triples", help="held-out triples for best-checkpoint selection")
+    p.add_argument("--dev-triples", help="held-out triples; the checkpoint kept is the one "
+                   "that scores the most positives above their negatives")
     p.add_argument("--log", help="training log TSV path")
     p.add_argument("--perturb", default=perturb.format_mode(T.TrainConfig().train_perturb),
                    help="natural | sort | shuffle:<seed>")
@@ -206,11 +207,11 @@ def _add_cka(sub):
     p.add_argument("--queries", required=True)
     p.add_argument("--collection", required=True)
     p.add_argument("--run", required=True, help="run supplying the (query, passage) pairs")
-    p.add_argument("--depth", type=int, default=5, help="passages per query")
+    p.add_argument("--depth", type=int, default=experiment.CKA_DOCS_PER_QUERY,
+                   help="passages per query")
     p.add_argument("--mode-a", default="natural")
     p.add_argument("--mode-b", default="natural")
     p.add_argument("--selector", choices=("cls_only", "all_tokens"), default="cls_only")
-    p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--out", help="CSV output path")
 
 
@@ -231,7 +232,7 @@ def _cmd_cka(args):
                                            vocab, model_a.config.max_len) for e in block)
     report = cka.compare(model_a, perturb.parse_mode(args.mode_a),
                          model_b, perturb.parse_mode(args.mode_b),
-                         pairs, selector=args.selector, batch_size=args.batch_size)
+                         pairs, selector=args.selector, batch_size=experiment.CKA_BATCH_SIZE)
     if args.out:
         cka.write_report_csv(report, args.out)
     for layer, value in enumerate(report.per_layer):

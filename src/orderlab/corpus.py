@@ -348,7 +348,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Collection, QuerySet, Qrels
     # therefore sits at the same lead slot in every doc that carries it
     rare_lo = spec.vocab_size // 2
     n_classes = spec.query_len_range[1]
-    class_members = [np.arange(rare_lo + c, spec.vocab_size, n_classes) for c in range(n_classes)]
+    class_members = [list(range(rare_lo + c, spec.vocab_size, n_classes)) for c in range(n_classes)]
     word_class = {words[i]: (i - rare_lo) % n_classes for i in range(rare_lo, spec.vocab_size)}
 
     # queries: distinct terms from distinct classes, in class order, drawn
@@ -358,6 +358,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Collection, QuerySet, Qrels
     # query's relevant docs rarely look relevant to another query
     queries = QuerySet()
     query_terms: dict[str, list[str]] = {}
+    query_idxs: dict[str, list[int]] = {}
     term_users: dict[int, list[int]] = {}
     for qi in range(spec.n_queries):
         qlen = int(rng.integers(spec.query_len_range[0], spec.query_len_range[1] + 1))
@@ -380,11 +381,12 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Collection, QuerySet, Qrels
         qid = f"q{qi:04d}"
         queries.entries[qid] = " ".join(terms)
         query_terms[qid] = terms
+        query_idxs[qid] = best_idxs
 
     # planted docs, in query order, then background docs
     docs: list[str] = []
 
-    def plant_overlap(terms: list[str]):
+    def plant_overlap(terms: list[str], idxs: list[int]):
         # four fully-matching docs, one doc per partial grade, two one-term
         # decoys (below the relevance cutoff) and one zero-overlap doc. Every
         # planted doc leads with one rare word per class, in class order: the
@@ -394,9 +396,14 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Collection, QuerySet, Qrels
         # in every other doc too, so word order tells nothing that the bag
         # of words does not: only how many lead words match the query does
         n_q = len(terms)
-        term_set = set(terms)
         term_of_class = {word_class[t]: t for t in terms}
-        others = [[i for i in members if words[i] not in term_set] for members in class_members]
+        # each class's words but the query's term; the terms come from
+        # distinct classes, so each is taken out of its own class only
+        others = list(class_members)
+        for i in idxs:
+            c = (i - rare_lo) % n_classes
+            others[c] = others[c].copy()
+            others[c].remove(i)
         k2, k1 = math.ceil(0.75 * n_q), math.ceil(0.5 * n_q)
         matched = [terms] * 4 + [terms[:k2], terms[:k1]]
         matched += [[terms[int(j)]] for j in rng.choice(n_q, size=2, replace=False)]
@@ -430,7 +437,8 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Collection, QuerySet, Qrels
     for qi in range(spec.n_queries):
         qid = f"q{qi:04d}"
         terms = query_terms[qid]
-        planted = plant_overlap(terms) if spec.relevance_rule == "overlap" else plant_bigram(terms)
+        planted = (plant_overlap(terms, query_idxs[qid]) if spec.relevance_rule == "overlap"
+                   else plant_bigram(terms))
         if len(docs) + len(planted) > spec.n_docs:
             raise ValueError(
                 f"n_docs={spec.n_docs} too small to plant graded docs for {spec.n_queries} queries"
@@ -443,11 +451,15 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Collection, QuerySet, Qrels
 
     collection = Collection({f"d{i:06d}": text for i, text in enumerate(docs)})
 
-    # qrels: the rule applied to every doc that shares a query term (overlap)
-    # or holds the marker bigram (bigram_order), found through postings;
-    # no other doc can grade above 0. Grade-0 rows are kept only for the
-    # planted zero-grade docs, so every query has a judged non-relevant doc
+    # qrels: the rule applied to every doc that holds at least half of a
+    # query's distinct terms (overlap) or holds the marker bigram
+    # (bigram_order), found through postings; no other doc can grade above
+    # 0, since an overlap grade is 0 below half the terms. Grade-0 rows are
+    # kept only for the planted zero-grade docs, so every query has a
+    # judged non-relevant doc. `query_grades` holds each query's grades
+    # above 0, for the triples below
     qrels = Qrels()
+    query_grades: dict[str, dict[str, int]] = {}
     n_planted = 9 if spec.relevance_rule == "overlap" else 5
     doc_items = sorted(collection.entries.items())
     # postings, each in doc-id order
@@ -477,13 +489,14 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Collection, QuerySet, Qrels
                 for doc_id in docs_with.get(t, ()):
                     n_matched[doc_id] = n_matched.get(doc_id, 0) + 1
             graded = [(d, overlap_grade_from_count(n_matched[d], len(distinct)))
-                      for d in sorted(n_matched)]
+                      for d in sorted(d for d, n in n_matched.items() if 2 * n >= len(distinct))]
         else:
             graded = [(d, bigram_grade_from_count(n))
                       for d, n in bigram_counts.get((terms[0], terms[1]), {}).items()]
+        grades = query_grades[qid] = {}
         for doc_id, grade in graded:
             if grade > 0:
-                qrels.grades[(qid, doc_id)] = grade
+                qrels.grades[(qid, doc_id)] = grades[doc_id] = grade
         # planted grade-0 docs for this query
         base = qi * n_planted
         zero_slots = [8] if spec.relevance_rule == "overlap" else [3, 4]
@@ -498,9 +511,10 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Collection, QuerySet, Qrels
     for qi in range(spec.n_queries):
         qid = f"q{qi:04d}"
         base = qi * n_planted
+        grade_of = query_grades[qid].get
         planted_ids = [f"d{base + s:06d}" for s in range(n_planted)]
-        positives = [d for d in planted_ids if qrels.grade(qid, d) >= 2]
-        negatives = [d for d in planted_ids if qrels.grade(qid, d) == 0]
+        positives = [d for d in planted_ids if grade_of(d, 0) >= 2]
+        negatives = [d for d in planted_ids if grade_of(d, 0) == 0]
         if not positives or not negatives:
             continue
         if spec.relevance_rule == "bigram_order":
@@ -516,13 +530,13 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Collection, QuerySet, Qrels
             if len(negatives) > 1:
                 neg_pool.append(negatives[qi % (len(negatives) - 1)])  # a decoy
             other_pos = f"d{((qi + 1) % spec.n_queries) * n_planted:06d}"
-            if qrels.grade(qid, other_pos) == 0:
+            if grade_of(other_pos, 0) == 0:
                 neg_pool.append(other_pos)
             attempts = 0
             while len(neg_pool) < 4 and n_bg_start < spec.n_docs and attempts < 100:
                 cand = f"d{int(rng.integers(n_bg_start, spec.n_docs)):06d}"
                 attempts += 1
-                if qrels.grade(qid, cand) == 0 and cand not in neg_pool:
+                if grade_of(cand, 0) == 0 and cand not in neg_pool:
                     neg_pool.append(cand)
             # ~8 triples per query, cycling the pairing so every negative
             # type appears against several positives: with the fixed step

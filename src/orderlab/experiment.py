@@ -28,7 +28,7 @@ from . import bm25, cka, metrics
 from . import model as M
 from . import perturb
 from . import train as T
-from .corpus import (Collection, Qrels, QuerySet, Run, RunEntry, SyntheticSpec, Triple,
+from .corpus import (Collection, QuerySet, Run, RunEntry, SyntheticSpec, Triple,
                      ValidationError, generate_synthetic, write_collection, write_qrels,
                      write_queries, write_run, write_triples)
 from .tokenizer import PairMemo, Vocab, save_vocab, vocab_from_counts, word_counts
@@ -257,33 +257,50 @@ def rerank_run(run: Run, mdl: M.Model, vocab: Vocab, queries: QuerySet,
     return out
 
 
+def _triple_scorer(triples: list[Triple], vocab: Vocab, max_len: int,
+                   mode: perturb.PerturbMode):
+    """A function of a model giving its relevance probability of each
+    triple's positive, then its negative, triple by triple. The examples,
+    keyed `acc:{i}|pos` and `acc:{i}|neg`, are encoded and perturbed once,
+    here, and scored SCORE_BATCH_SIZE per forward."""
+    example = PairMemo(vocab, max_len).perturbed
+    pairs = [example(query, passage, mode, f"acc:{i}|{side}")
+             for i, (query, pos, neg) in enumerate(triples)
+             for side, passage in (("pos", pos), ("neg", neg))]
+
+    def probs(mdl: M.Model) -> list[float]:
+        out = []
+        for start in range(0, len(pairs), SCORE_BATCH_SIZE):
+            out.extend(M.forward(mdl, pairs[start:start + SCORE_BATCH_SIZE]).relevance_prob)
+        return out
+
+    return probs
+
+
 def held_out_hook(triples: list[Triple], vocab: Vocab, max_len: int,
                   mode: perturb.PerturbMode = perturb.NATURAL):
-    """Eval hook for `train.train`: the model's `held_out_accuracy` on
-    `triples`, whose examples, keyed `acc:{i}|pos` and `acc:{i}|neg`, are
-    encoded and perturbed once, here."""
-    example = PairMemo(vocab, max_len).perturbed
-    pairs, labels = [], []
-    for i, (query, pos, neg) in enumerate(triples):
-        for side, passage, label in (("pos", pos, 1), ("neg", neg, 0)):
-            pairs.append(example(query, passage, mode, f"acc:{i}|{side}"))
-            labels.append(label)
+    """Eval hook for `train.train`: the share of `triples` whose positive
+    the model scores above its negative, a tie counting half. It needs no
+    threshold, so it ranks checkpoints whose probabilities all sit on one
+    side of 0.5, as a briefly trained model's do."""
+    probs = _triple_scorer(triples, vocab, max_len, mode)
 
-    def accuracy(mdl: M.Model) -> float:
-        correct = 0
-        for start in range(0, len(pairs), SCORE_BATCH_SIZE):
-            probs = M.forward(mdl, pairs[start:start + SCORE_BATCH_SIZE]).relevance_prob
-            for p, y in zip(probs, labels[start:start + SCORE_BATCH_SIZE]):
-                correct += int((p >= 0.5) == bool(y))
-        return correct / len(pairs)
+    def pairwise_accuracy(mdl: M.Model) -> float:
+        p = probs(mdl)
+        wins = sum(1.0 if pos > neg else 0.5 if pos == neg else 0.0
+                   for pos, neg in zip(p[0::2], p[1::2]))
+        return wins / len(triples)
 
-    return accuracy
+    return pairwise_accuracy
 
 
 def held_out_accuracy(mdl: M.Model, triples: list[Triple], vocab: Vocab,
                       mode: perturb.PerturbMode = perturb.NATURAL) -> float:
-    """Classification accuracy over the two examples of each triple."""
-    return held_out_hook(triples, vocab, mdl.config.max_len, mode)(mdl)
+    """Classification accuracy at p >= 0.5 over the two examples of each
+    triple, the positive labelled 1 and the negative 0."""
+    p = _triple_scorer(triples, vocab, mdl.config.max_len, mode)(mdl)
+    labels = [1, 0] * len(triples)
+    return sum(int((x >= 0.5) == bool(y)) for x, y in zip(p, labels)) / len(p)
 
 
 # ---------------------------------------------------------------------------
@@ -329,23 +346,27 @@ def _triples_by_query(triples: list[Triple], queries: QuerySet) -> dict[str, lis
 
 
 def mine_triples(triples: list[Triple], queries: QuerySet, collection: Collection,
-                 qrels: Qrels, first_stage: Run, seed: int) -> list[Triple]:
+                 grades: dict[str, dict[str, int]], ranked: dict[str, list[str]],
+                 seed: int) -> list[Triple]:
     """Re-pair the generator's positives with negatives mined from BM25.
 
-    Only queries in `first_stage` contribute (a triple's query is the
-    lowest id with its text). Each of a query's triples keeps its
-    positive and gets a negative drawn from the grade-0 docs of that
-    query's own first-stage top-k: without replacement, or with
-    replacement when the pool is smaller than the query's triple count.
-    A query with no grade-0 doc in its top-k contributes nothing. The
-    draws come from one generator seeded with `seed` and walk the
-    queries in id order.
+    `ranked` holds each mining query's first-stage top-k doc ids in rank
+    order (`bm25.retrieve`), and `grades` is the by-query grade map
+    (`Qrels.by_query`); a doc it lacks for a query is grade 0. Only
+    queries in `ranked` contribute (a triple's query is the lowest id
+    with its text). Each of a query's triples keeps its positive and
+    gets a negative drawn from the grade-0 docs of that query's own
+    top-k: without replacement, or with replacement when the pool is
+    smaller than the query's triple count. A query with no grade-0 doc
+    in its top-k contributes nothing. The draws come from one generator
+    seeded with `seed` and walk the queries in id order.
     """
     by_query = _triples_by_query(triples, queries)
     rng = np.random.default_rng(seed)
     mined: list[Triple] = []
-    for qid in sorted(set(by_query) & set(first_stage.entries)):
-        pool = [e.doc_id for e in first_stage.entries[qid] if qrels.grade(qid, e.doc_id) == 0]
+    for qid in sorted(set(by_query) & set(ranked)):
+        judged = grades.get(qid, {})
+        pool = [d for d in ranked[qid] if judged.get(d, 0) == 0]
         if not pool:
             continue
         n = len(by_query[qid])
@@ -405,6 +426,8 @@ def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
     save_vocab(vocab, vocab_path)
 
     train_ids, dev_ids, test_ids = _split_queries(queries, spec.dev_queries, spec.test_queries)
+    # every report of the run, and the mining, grade against one by-query map
+    grades = qrels.by_query()
 
     # -- first-stage BM25 runs; under the overlap rule the training
     # queries' own top-k supplies the negatives every model trains on.
@@ -412,11 +435,11 @@ def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
     # marker-count-matched negative, the hard case for that rule
     index = bm25.build_index(collection)
     if spec.synthetic.relevance_rule == "overlap":
-        # the training run is needed only here; not keeping it spares
-        # rerank_k entries per training query for the rest of the run
-        train_triples = mine_triples(
-            triples, queries, collection, qrels,
-            bm25.retrieve_run(index, _subset(queries, train_ids), spec.rerank_k), spec.seed)
+        # mining reads only each training query's ranked doc ids
+        ranked = {qid: [doc_id for doc_id, _ in bm25.retrieve(index, queries.entries[qid],
+                                                               spec.rerank_k)]
+                  for qid in train_ids}
+        train_triples = mine_triples(triples, queries, collection, grades, ranked, spec.seed)
         if not train_triples:
             raise ExperimentError("no training query has a grade-0 doc in its BM25 top-k")
     else:
@@ -427,8 +450,6 @@ def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
     dev_run = bm25.retrieve_run(index, _subset(queries, dev_ids), DEV_RERANK_K)
     write_run(test_run, os.path.join(outdir, "runs", "bm25_test.run"))
     write_run(dev_run, os.path.join(outdir, "runs", "bm25_dev.run"))
-    # every report of the run grades against one by-query map
-    grades = qrels.by_query()
     bm25_report = metrics.evaluate(test_run, grades)
     metrics.write_report(bm25_report, os.path.join(outdir, "metrics", "bm25.tsv"))
 

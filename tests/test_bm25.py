@@ -71,23 +71,24 @@ class TestScoring:
             assert d1 == d2
             assert s2 == pytest.approx(2 * s1)
 
-    def test_retrieve_matches_exhaustive_oracle(self):
-        # full-depth retrieval equals scoring every document directly
+    @pytest.mark.parametrize("k1,b", [(1.2, 0.75), (2.0, 0.3), (0.9, 0.0), (1.2, 1.0)])
+    def test_retrieve_matches_exhaustive_oracle(self, k1, b):
+        # full-depth retrieval from an index built for (k1, b) equals
+        # scoring every document directly under the same params
+        params = Bm25Params(k1=k1, b=b)
         rng = np.random.default_rng(1)
         for trial in range(20):
             coll = random_collection(rng)
-            idx = build_index(coll)
+            idx = build_index(coll, params)
             q = " ".join(rng.choice([f"w{i}" for i in range(12)], size=3))
             got = retrieve(idx, q, k=len(coll))
             terms = bm25.text_tokens(q)
             want = sorted(
-                ((d, score_one(idx, terms, d, Bm25Params())) for d in coll.entries),
+                ((d, score_one(idx, terms, d, params)) for d in coll.entries),
                 key=lambda kv: (-kv[1], kv[0]),
             )
-            want = [(d, s) for d, s in want if s > 0.0]
-            assert [d for d, _ in got] == [d for d, _ in want]
-            for (_, a), (_, b) in zip(got, want):
-                assert a == pytest.approx(b, abs=1e-12)
+            # the same floats: the index's norm is the oracle's expression
+            assert got == [(d, s) for d, s in want if s > 0.0]
 
     def test_idf_nonnegative_for_ubiquitous_term(self):
         coll = Collection({f"d{i}": "cat" for i in range(5)})
@@ -108,6 +109,9 @@ class TestScoring:
             Bm25Params(b=1.5).validate()
         with pytest.raises(ValueError):
             retrieve(build_index(CATS), "cat", k=0)
+        for params in (Bm25Params(k1=-1.0), Bm25Params(b=1.5)):
+            with pytest.raises(ValueError):
+                build_index(CATS, params)
 
 
 class TestRun:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -271,7 +272,10 @@ class TestTrainDevHook:
         triples = corpus.load_triples(data_dir / "triples.tsv")
         vocab = tokenizer.load_vocab(data_dir / "vocab.txt")
         trained = M.load(checkpoint)
-        # reference: each side of triple i encoded and perturbed under key acc:i|side
+        # reference: each side of triple i encoded and perturbed under key
+        # acc:i|side; the hook counts the triples whose positive scores above
+        # its negative, a tie as half, and held_out_accuracy the examples
+        # on their label's side of 0.5
         pairs, labels = [], []
         for i, (q, pos, neg) in enumerate(triples):
             for side, text, label in (("pos", pos, 1), ("neg", neg, 0)):
@@ -288,17 +292,37 @@ class TestTrainDevHook:
             step = experiment.SCORE_BATCH_SIZE
             probs = np.concatenate([forward(mdl, pairs[s:s + step]).relevance_prob
                                     for s in range(0, len(pairs), step)])
-            want = sum(int((p >= 0.5) == bool(y)) for p, y in zip(probs, labels)) / len(pairs)
+            want = sum(1.0 if p > n else 0.5 if p == n else 0.0
+                       for p, n in zip(probs[0::2], probs[1::2])) / len(triples)
             scored.clear()
             assert hook(mdl) == want
             assert [p.ids for p in scored] == [p.ids for p in pairs]
             assert hook(mdl) == want  # the pairs made once serve every call
-            assert experiment.held_out_accuracy(mdl, triples, vocab, mode) == want
+            accuracy = sum(int((p >= 0.5) == bool(y)) for p, y in zip(probs, labels)) / len(pairs)
+            assert experiment.held_out_accuracy(mdl, triples, vocab, mode) == accuracy
         # a scorer that picks out exactly the positive examples is right on each
         positives = {tuple(p.ids) for p, y in zip(pairs, labels) if y}
         monkeypatch.setattr(M, "forward", lambda mdl, batch: M.ForwardOutput(
             logits=None, relevance_prob=[float(tuple(p.ids) in positives) for p in batch]))
         assert hook(trained) == 1.0
+
+    def test_hook_ranks_below_the_threshold(self, data_dir, monkeypatch):
+        # every positive at 0.3 and every negative at 0.2: each triple is
+        # ranked right, though every probability is under 0.5
+        triples = corpus.load_triples(data_dir / "triples.tsv")
+        vocab = tokenizer.load_vocab(data_dir / "vocab.txt")
+        max_len = M.ModelConfig().max_len
+        positives = {tuple(tokenizer.encode_pair(q, pos, vocab, max_len).ids)
+                     for q, pos, _ in triples}
+        monkeypatch.setattr(M, "forward", lambda mdl, batch: M.ForwardOutput(
+            logits=None, relevance_prob=[0.3 if tuple(p.ids) in positives else 0.2
+                                         for p in batch]))
+        hook = experiment.held_out_hook(triples, vocab, max_len)
+        assert hook(None) == 1.0
+        # a scorer that gives every example one probability ties every triple
+        monkeypatch.setattr(M, "forward", lambda mdl, batch: M.ForwardOutput(
+            logits=None, relevance_prob=[0.478] * len(batch)))
+        assert hook(None) == 0.5
 
 
 class TestPerturbText:
@@ -563,6 +587,26 @@ class TestExperimentCommand:
         # only trained model pairs get a layerwise CSV; no sort-trained
         # model exists in this condition list
         assert (out / "cka" / "layers_nopos.csv").exists()
+
+    def test_cka_command_reports_the_run_quantity(self, exp, capsys):
+        # `orderlab cka` on the run's natural model against the shuffle
+        # stream the run compares it on prints the run's recorded [CLS] CKA
+        _, out = exp
+        ckpt = str(out / "models" / "learned_natural.ckpt")
+        argv = ["cka", "--checkpoint-a", ckpt, "--checkpoint-b", ckpt,
+                "--vocab", str(out / "data" / "vocab.txt"),
+                "--queries", str(out / "data" / "queries.tsv"),
+                "--collection", str(out / "data" / "collection.tsv"),
+                "--run", str(out / "runs" / "bm25_test.run"), "--mode-b", "shuffle:13",
+                "--depth", str(experiment.CKA_DOCS_PER_QUERY)]
+        capsys.readouterr()
+        assert run_cli(*argv) == 0
+        last = capsys.readouterr().out.splitlines()[-1].split("\t")
+        rows = [line.split("\t") for line in
+                (out / "cka" / "cls_similarity.tsv").read_text().splitlines()[1:]]
+        assert [r[3] for r in rows if r[:3] == ["learned", "natural", "shuffle"]] == [last[1]]
+        # the batch size is the run's, not an option
+        assert run_cli(*argv, "--batch-size", "8") == 1
 
     def test_cls_similarity_uses_the_trained_shuffle_stream(self, tmp_path):
         # with an experiment seed other than the shuffle seed, the
@@ -874,6 +918,48 @@ def _load_data(out):
             corpus.load_qrels(data / "qrels.txt"))
 
 
+# sha256 of the BM25 runs and the mined triples of the benchmark's matrix
+# spec (perfbench/workloads.matrix_spec(1)), recorded when `retrieve`
+# computed each doc's length norm at every posting it visited and mining
+# read the training queries' validated `retrieve_run`
+FIRST_STAGE_GOLDEN = {
+    "all.run": "b3b582ff6be63271d647929cf56a947736aac9fb08006f00e9532601c6ac2362",
+    "all_k1_2.0_b_0.3.run": "3ff5ac9bcd7c8d7b398300005c98bf95e8ea9a557600f0ab27c0453bffdbaaef",
+    "bm25_test.run": "a9a7d99bbd00d3edcf4435f8606b36ae0e123ad9f2ff3be5502336cd07e65190",
+    "bm25_dev.run": "7c1db4e60227e603a7d103b6df862420ff5c6e9a6c667784dc19fe0c09060994",
+    "triples.tsv": "35d2150912496ecdfc6802e735bf22cda8747064b0ff70f1c3d66265a4aa577b",
+}
+
+
+def test_first_stage_and_mining_match_golden_digests(tmp_path):
+    # the run's files as run_experiment writes them, and every query's
+    # top-k under the default and under other params
+    spec = experiment.ExperimentSpec(
+        synthetic=corpus.SyntheticSpec(n_docs=2000, n_queries=200, seed=1),
+        dev_queries=2, test_queries=2)
+    coll, queries, qrels, triples = corpus.generate_synthetic(spec.synthetic)
+    train_ids, dev_ids, test_ids = experiment._split_queries(
+        queries, spec.dev_queries, spec.test_queries)
+    index = bm25.build_index(coll)
+    runs = {
+        "all.run": bm25.retrieve_run(index, queries, spec.rerank_k),
+        "all_k1_2.0_b_0.3.run": bm25.retrieve_run(
+            bm25.build_index(coll, bm25.Bm25Params(2.0, 0.3)), queries, spec.rerank_k),
+        "bm25_test.run": bm25.retrieve_run(index, experiment._subset(queries, test_ids),
+                                           spec.rerank_k),
+        "bm25_dev.run": bm25.retrieve_run(index, experiment._subset(queries, dev_ids),
+                                          experiment.DEV_RERANK_K),
+    }
+    for name, run in runs.items():
+        corpus.write_run(run, tmp_path / name)
+    ranked = {q: [d for d, _ in bm25.retrieve(index, queries.entries[q], spec.rerank_k)]
+              for q in train_ids}
+    corpus.write_triples(experiment.mine_triples(triples, queries, coll, qrels.by_query(),
+                                                 ranked, spec.seed), tmp_path / "triples.tsv")
+    assert ({p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+            == FIRST_STAGE_GOLDEN)
+
+
 class TestMinedTriples:
     """The experiment trains on negatives mined from each training query's
     own BM25 top-k, and writes exactly those triples to data/triples.tsv."""
@@ -913,23 +999,23 @@ class TestMinedTriples:
         triples = corpus.generate_synthetic(spec.synthetic)[3]
         train_ids, _, _ = experiment._split_queries(
             queries, spec.dev_queries, spec.test_queries)
-        first_stage = bm25.retrieve_run(
-            bm25.build_index(coll),
-            corpus.QuerySet({q: queries.entries[q] for q in train_ids}), spec.rerank_k)
+        index = bm25.build_index(coll)
+        ranked = {q: [d for d, _ in bm25.retrieve(index, queries.entries[q], spec.rerank_k)]
+                  for q in train_ids}
         starved, short = train_ids[0], train_ids[1]
         # one query keeps only judged-relevant candidates, another keeps a
         # single grade-0 candidate, fewer than its triples need
-        first_stage.entries[starved] = [
-            e for e in first_stage.entries[starved] if qrels.grade(starved, e.doc_id) > 0]
-        assert first_stage.entries[starved]
-        zero = [e for e in first_stage.entries[short] if qrels.grade(short, e.doc_id) == 0]
-        first_stage.entries[short] = zero[:1]
-        mined = experiment.mine_triples(triples, queries, coll, qrels, first_stage, spec.seed)
+        ranked[starved] = [d for d in ranked[starved] if qrels.grade(starved, d) > 0]
+        assert ranked[starved]
+        zero = [d for d in ranked[short] if qrels.grade(short, d) == 0]
+        ranked[short] = zero[:1]
+        mined = experiment.mine_triples(triples, queries, coll, qrels.by_query(), ranked,
+                                        spec.seed)
         by_query = {}
         for q, _, neg in mined:
             by_query.setdefault(q, []).append(neg)
         assert queries.entries[starved] not in by_query
-        assert set(by_query[queries.entries[short]]) == {coll.entries[zero[0].doc_id]}
+        assert set(by_query[queries.entries[short]]) == {coll.entries[zero[0]]}
         qid_of, doc_ids = _qid_of(queries), _doc_ids(coll)
         for q, _, neg in mined:
             assert all(qrels.grade(qid_of[q], d) == 0 for d in doc_ids[neg])

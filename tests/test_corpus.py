@@ -155,6 +155,13 @@ class TestSyntheticGeneration:
                     n_positive += 1
         assert n_positive == sum(1 for g in qrels.grades.values() if g > 0)
 
+    def test_overlap_grade_above_zero_from_half_the_terms(self):
+        # the generator grades only docs holding at least half of a query's
+        # distinct terms: no smaller count reaches grade 1
+        for n_terms in range(1, 17):
+            for n in range(n_terms + 1):
+                assert (corpus.overlap_grade_from_count(n, n_terms) > 0) == (2 * n >= n_terms)
+
     def test_overlap_grade_permutation_invariant(self):
         spec = SyntheticSpec(vocab_size=300, n_docs=300, n_queries=20, seed=5)
         coll, qs, qrels, _ = generate_synthetic(spec)
