@@ -32,9 +32,6 @@ class CkaReport:
     per_layer: list[float] = field(default_factory=list)
     per_batch: list[list[float]] = field(default_factory=list)  # [batch][layer]
     n_batches: int = 0
-    selector: str = "cls_only"
-    condition_a: str = ""
-    condition_b: str = ""
 
 
 def cka_linear(x: np.ndarray, y: np.ndarray) -> float:
@@ -72,19 +69,15 @@ def _rows(acts, pairs, selector):
     return rows_per_layer
 
 
-@dataclass
-class Capture:
-    """Every layer's hidden states of one (model, perturbation) over a
-    dataset: per batch, its offset, perturbed pairs and L+1 activations."""
-    condition: str
-    batches: list[tuple[int, list, list[np.ndarray]]]
+Capture = list[tuple[int, list, list[np.ndarray]]]
 
 
-def capture(mdl: M.Model, examples, condition: str = "natural",
-            batch_size: int = 64) -> Capture:
-    """One capture forward per batch of `examples` (TokenizedPair, under
-    the perturbation named by `condition`). A last batch of fewer than 2
-    examples is left out: CKA needs 2 rows."""
+def capture(mdl: M.Model, examples, batch_size: int = 64) -> Capture:
+    """Every layer's hidden states of one (model, perturbation) over
+    `examples` (TokenizedPair, each as perturbed), from one capture
+    forward per batch: per batch, its offset, perturbed pairs and L+1
+    activations. A last batch of fewer than 2 examples is left out: CKA
+    needs 2 rows."""
     if not examples:
         raise ValueError("empty dataset")
     batches = []
@@ -93,7 +86,7 @@ def capture(mdl: M.Model, examples, condition: str = "natural",
         if len(batch) < 2:
             break
         batches.append((start, batch, M.forward(mdl, batch, capture=True).activations))
-    return Capture(condition, batches)
+    return batches
 
 
 def score(a: Capture, b: Capture, selector: str = "cls_only") -> CkaReport:
@@ -107,12 +100,11 @@ def score(a: Capture, b: Capture, selector: str = "cls_only") -> CkaReport:
     """
     if selector not in ("cls_only", "all_tokens"):
         raise ValueError(f"unknown selector {selector!r}")
-    if [start for start, _, _ in a.batches] != [start for start, _, _ in b.batches]:
+    if [start for start, _, _ in a] != [start for start, _, _ in b]:
         raise ValueError("captures cover different batches")
 
-    report = CkaReport(selector=selector, condition_a=a.condition, condition_b=b.condition)
-    n_layers = None
-    for (_, pairs_a, acts_a), (_, pairs_b, acts_b) in zip(a.batches, b.batches):
+    report = CkaReport()
+    for (_, pairs_a, acts_a), (_, pairs_b, acts_b) in zip(a, b):
         rows_a = _rows(acts_a, pairs_a, selector)
         rows_b = _rows(acts_b, pairs_b, selector)
         if len(rows_a) != len(rows_b):
@@ -120,13 +112,10 @@ def score(a: Capture, b: Capture, selector: str = "cls_only") -> CkaReport:
         values = [_cka_or_nan(xa, xb) for xa, xb in zip(rows_a, rows_b)]
         report.per_batch.append(values)
         report.n_batches += 1
-        n_layers = len(values)
 
     if report.n_batches == 0:
         raise ValueError("no usable batches")
-    report.per_layer = [
-        sum(b[l] for b in report.per_batch) / report.n_batches for l in range(n_layers)
-    ]
+    report.per_layer = [sum(layer) / report.n_batches for layer in zip(*report.per_batch)]
     return report
 
 
@@ -142,8 +131,7 @@ def compare(model_a: M.Model, perturb_a: perturb.PerturbMode,
         raise ValueError("models disagree on max_len")
     a, b = ([perturb.apply(p, mode, str(i)) for i, p in enumerate(dataset)]
             for mode in (perturb_a, perturb_b))
-    return score(capture(model_a, a, perturb.format_mode(perturb_a), batch_size),
-                 capture(model_b, b, perturb.format_mode(perturb_b), batch_size), selector)
+    return score(capture(model_a, a, batch_size), capture(model_b, b, batch_size), selector)
 
 
 def write_report_csv(report: CkaReport, path):

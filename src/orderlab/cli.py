@@ -36,8 +36,8 @@ def _from_flags(defaults, args, **derived):
                                 for k, v in given.items()}, **derived)
 
 
-def _add_generate(sub):
-    p = sub.add_parser("generate", help="generate a synthetic corpus")
+def _add_generate(p):
+    """generate a synthetic corpus"""
     p.add_argument("--out", required=True, help="output directory")
     _add_fields(p, corpus.SyntheticSpec(), {
         "--vocab-size": "vocab_size", "--n-docs": "n_docs", "--n-queries": "n_queries",
@@ -47,21 +47,15 @@ def _add_generate(sub):
 
 
 def _cmd_generate(args):
-    spec = _from_flags(corpus.SyntheticSpec(), args)
-    collection, queries, qrels, triples = corpus.generate_synthetic(spec)
-    os.makedirs(args.out, exist_ok=True)
-    corpus.write_collection(collection, os.path.join(args.out, "collection.tsv"))
-    corpus.write_queries(queries, os.path.join(args.out, "queries.tsv"))
-    corpus.write_qrels(qrels, os.path.join(args.out, "qrels.txt"))
+    collection, queries, qrels, triples, _ = experiment.write_data(
+        _from_flags(corpus.SyntheticSpec(), args), args.out)
     corpus.write_triples(triples, os.path.join(args.out, "triples.tsv"))
-    vocab = experiment._vocab_for(collection, queries)
-    tokenizer.save_vocab(vocab, os.path.join(args.out, "vocab.txt"))
     print(f"wrote {len(collection)} docs, {len(queries)} queries, "
           f"{len(qrels.grades)} judgments, {len(triples)} triples to {args.out}")
 
 
-def _add_index(sub):
-    p = sub.add_parser("index", help="build a BM25 index and print statistics")
+def _add_index(p):
+    """build a BM25 index and print statistics"""
     p.add_argument("--collection", required=True)
 
 
@@ -73,8 +67,8 @@ def _cmd_index(args):
     print(f"avgdl\t{index.avgdl:.4f}")
 
 
-def _add_retrieve(sub):
-    p = sub.add_parser("retrieve", help="BM25 retrieval to a TREC run file")
+def _add_retrieve(p):
+    """BM25 retrieval to a TREC run file"""
     p.add_argument("--collection", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--out", required=True)
@@ -93,8 +87,8 @@ def _cmd_retrieve(args):
     print(f"wrote run for {len(run.entries)} queries to {args.out}")
 
 
-def _add_train(sub):
-    p = sub.add_parser("train", help="fine-tune a cross-encoder from triples")
+def _add_train(p):
+    """fine-tune a cross-encoder from triples"""
     p.add_argument("--triples", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
@@ -133,8 +127,8 @@ def _cmd_train(args):
           f"best metric {log.best_metric if log.evals else 'n/a'}")
 
 
-def _add_rerank(sub):
-    p = sub.add_parser("rerank", help="re-score the top-k of a run with a checkpoint")
+def _add_rerank(p):
+    """re-score the top-k of a run with a checkpoint"""
     p.add_argument("--run", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", required=True)
@@ -158,8 +152,8 @@ def _cmd_rerank(args):
     print(f"reranked top-{args.k} for {len(out.entries)} queries -> {args.out}")
 
 
-def _add_evaluate(sub):
-    p = sub.add_parser("evaluate", help="score a run against qrels")
+def _add_evaluate(p):
+    """score a run against qrels"""
     p.add_argument("--run", required=True)
     p.add_argument("--qrels", required=True)
     p.add_argument("--out", help="write report TSV here instead of stdout")
@@ -177,8 +171,8 @@ def _cmd_evaluate(args):
             print(f"{metric}\tall\t{value:.4f}")
 
 
-def _add_perturb_text(sub):
-    p = sub.add_parser("perturb-text", help="tokenize, perturb, and decode text")
+def _add_perturb_text(p):
+    """tokenize, perturb, and decode text"""
     p.add_argument("--vocab", required=True)
     p.add_argument("--mode", default="sort", help="natural | sort | shuffle:<seed>")
     p.add_argument("--key", default="", help="example key for seeded shuffling")
@@ -199,8 +193,8 @@ def _cmd_perturb_text(args):
         print("passage:", " ".join(p_tokens))
 
 
-def _add_cka(sub):
-    p = sub.add_parser("cka", help="CKA similarity between two (model, perturb) conditions")
+def _add_cka(p):
+    """CKA similarity between two (model, perturb) conditions"""
     p.add_argument("--checkpoint-a", required=True)
     p.add_argument("--checkpoint-b", required=True)
     p.add_argument("--vocab", required=True)
@@ -239,8 +233,8 @@ def _cmd_cka(args):
         print(f"layer {layer}\t{value:.6f}")
 
 
-def _add_experiment(sub):
-    p = sub.add_parser("experiment", help="run the full condition matrix")
+def _add_experiment(p):
+    """run the full condition matrix"""
     p.add_argument("--config", help="plain-text config file (key = value, per-module sections)")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, help="override the global seed")
@@ -255,25 +249,26 @@ def _cmd_experiment(args):
     print(f"experiment complete; summary at {os.path.join(args.out, 'summary.tsv')}")
 
 
+# each command's name, the adder of its flags (whose docstring is its
+# help) and its runner
 _COMMANDS = {
-    "generate": _cmd_generate,
-    "index": _cmd_index,
-    "retrieve": _cmd_retrieve,
-    "train": _cmd_train,
-    "rerank": _cmd_rerank,
-    "evaluate": _cmd_evaluate,
-    "perturb-text": _cmd_perturb_text,
-    "cka": _cmd_cka,
-    "experiment": _cmd_experiment,
+    "generate": (_add_generate, _cmd_generate),
+    "index": (_add_index, _cmd_index),
+    "retrieve": (_add_retrieve, _cmd_retrieve),
+    "train": (_add_train, _cmd_train),
+    "rerank": (_add_rerank, _cmd_rerank),
+    "evaluate": (_add_evaluate, _cmd_evaluate),
+    "perturb-text": (_add_perturb_text, _cmd_perturb_text),
+    "cka": (_add_cka, _cmd_cka),
+    "experiment": (_add_experiment, _cmd_experiment),
 }
 
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="orderlab")
     sub = parser.add_subparsers(dest="command", required=True)
-    for add in (_add_generate, _add_index, _add_retrieve, _add_train, _add_rerank,
-                _add_evaluate, _add_perturb_text, _add_cka, _add_experiment):
-        add(sub)
+    for name, (add, _) in _COMMANDS.items():
+        add(sub.add_parser(name, help=add.__doc__))
     return parser
 
 
@@ -284,7 +279,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        _COMMANDS[args.command](args)
+        _COMMANDS[args.command][1](args)
     except T.DivergenceError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -30,26 +30,20 @@ class ValidationError(ValueError):
 
 @dataclass
 class Collection:
+    """Docs by id; a `QuerySet` holds queries the same way."""
     entries: dict[str, str] = field(default_factory=dict)
 
     def __len__(self):
         return len(self.entries)
 
 
-@dataclass
-class QuerySet:
-    entries: dict[str, str] = field(default_factory=dict)
-
-    def __len__(self):
-        return len(self.entries)
+class QuerySet(Collection):
+    """Queries by id."""
 
 
 @dataclass
 class Qrels:
     grades: dict[tuple[str, str], int] = field(default_factory=dict)
-
-    def grade(self, qid: str, doc_id: str) -> int:
-        return self.grades.get((qid, doc_id), 0)
 
     def by_query(self) -> dict[str, dict[str, int]]:
         out: dict[str, dict[str, int]] = {}
@@ -126,42 +120,34 @@ def _lines(path):
         return f.read().splitlines()
 
 
-def load_collection(path) -> Collection:
-    coll = Collection()
+def _load_texts(path, kind: str) -> dict[str, str]:
+    """{id: text} of an `id<TAB>text` file; `kind` names the ids in errors."""
+    entries = {}
     for ln, line in enumerate(_lines(path), start=1):
         if "\t" not in line:
             raise ParseError(f"{path}:{ln}: expected `id<TAB>text`")
-        doc_id, text = line.split("\t", 1)
-        if not doc_id or not text:
+        key, text = line.split("\t", 1)
+        if not key or not text:
             raise ParseError(f"{path}:{ln}: empty id or text")
-        if doc_id in coll.entries:
-            raise ParseError(f"{path}:{ln}: duplicate doc id {doc_id}")
-        coll.entries[doc_id] = text
-    return coll
+        if key in entries:
+            raise ParseError(f"{path}:{ln}: duplicate {kind} id {key}")
+        entries[key] = text
+    return entries
 
 
-def write_collection(coll: Collection, path):
-    with open(path, "w", encoding="utf-8") as f:
-        for doc_id in sorted(coll.entries):
-            f.write(f"{doc_id}\t{coll.entries[doc_id]}\n")
+def load_collection(path) -> Collection:
+    return Collection(_load_texts(path, "doc"))
 
 
 def load_queries(path) -> QuerySet:
-    qs = QuerySet()
-    for ln, line in enumerate(_lines(path), start=1):
-        if "\t" not in line:
-            raise ParseError(f"{path}:{ln}: expected `id<TAB>text`")
-        qid, text = line.split("\t", 1)
-        if qid in qs.entries:
-            raise ParseError(f"{path}:{ln}: duplicate query id {qid}")
-        qs.entries[qid] = text
-    return qs
+    return QuerySet(_load_texts(path, "query"))
 
 
-def write_queries(qs: QuerySet, path):
+def write_texts(texts: Collection, path):
+    """An `id<TAB>text` file of a collection or query set, in id order."""
     with open(path, "w", encoding="utf-8") as f:
-        for qid in sorted(qs.entries):
-            f.write(f"{qid}\t{qs.entries[qid]}\n")
+        for key in sorted(texts.entries):
+            f.write(f"{key}\t{texts.entries[key]}\n")
 
 
 def load_qrels(path) -> Qrels:

@@ -5,7 +5,8 @@ runs, trains one model per distinct (position_mode, train_perturb),
 re-ranks and evaluates every condition, and emits a summary TSV plus
 CKA analysis artifacts. Completed stages are skipped on re-run based on
 the presence of their output files; those files are written whole or
-not at all (`_write_atomically`).
+not at all (`_write_atomically`). A directory whose `config.txt` another
+config wrote is refused before anything is written.
 
 Every model trains on the same triples, written to `data/triples.tsv`;
 dev and test queries contribute none. Under the overlap rule these are
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import configparser
 import os
+from pathlib import Path
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -28,10 +30,10 @@ from . import bm25, cka, metrics
 from . import model as M
 from . import perturb
 from . import train as T
-from .corpus import (Collection, QuerySet, Run, RunEntry, SyntheticSpec, Triple,
-                     ValidationError, generate_synthetic, write_collection, write_qrels,
-                     write_queries, write_run, write_triples)
-from .tokenizer import PairMemo, Vocab, save_vocab, vocab_from_counts, word_counts
+from .corpus import (Collection, Qrels, QuerySet, Run, RunEntry, SyntheticSpec, Triple,
+                     ValidationError, generate_synthetic, write_qrels, write_run, write_texts,
+                     write_triples)
+from .tokenizer import PairMemo, TokenizedPair, Vocab, build_vocab, memo_for, save_vocab
 from .tokenizer import encode_pair  # noqa: F401  (perfbench/spans.py traces it at this name)
 
 
@@ -152,11 +154,10 @@ def _unflat(obj, flat: dict[str, str]):
     return replace(obj, **changes)
 
 
-def write_resolved_config(spec: ExperimentSpec, path):
+def resolved_config(spec: ExperimentSpec) -> str:
     """Every field of `spec` that a config sets, as `spec_from_config` reads it."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in _flat(o, name).items())
-                          for name, o in _sections(spec).items()))
+    return "\n".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in _flat(o, name).items())
+                     for name, o in _sections(spec).items())
 
 
 def spec_from_config(path) -> ExperimentSpec:
@@ -220,9 +221,7 @@ def rerank_run(run: Run, mdl: M.Model, vocab: Vocab, queries: QuerySet,
     memo of this call's own. A query or doc of the run that `queries` or
     `collection` lacks is a `ValidationError`.
     """
-    if memo is None:
-        memo = PairMemo(vocab, mdl.config.max_len)
-    example = memo.check(vocab, mdl.config.max_len).perturbed
+    example = memo_for(memo, vocab, mdl.config.max_len).perturbed
     out = Run()
     for qid in sorted(run.entries):
         entries = run.entries[qid]
@@ -237,11 +236,8 @@ def rerank_run(run: Run, mdl: M.Model, vocab: Vocab, queries: QuerySet,
             if error is None:
                 raise
             raise error from None
-        scores = []
-        for start in range(0, len(pairs), SCORE_BATCH_SIZE):
-            scores.extend(M.forward(mdl, pairs[start:start + SCORE_BATCH_SIZE]).relevance_prob)
         rescored = sorted(
-            zip((e.doc_id for e in block), scores), key=lambda kv: (-kv[1], kv[0])
+            zip((e.doc_id for e in block), _scores(mdl, pairs)), key=lambda kv: (-kv[1], kv[0])
         )
         new_entries = [
             RunEntry(doc_id, float(s), rank, tag)
@@ -257,24 +253,23 @@ def rerank_run(run: Run, mdl: M.Model, vocab: Vocab, queries: QuerySet,
     return out
 
 
-def _triple_scorer(triples: list[Triple], vocab: Vocab, max_len: int,
-                   mode: perturb.PerturbMode):
-    """A function of a model giving its relevance probability of each
-    triple's positive, then its negative, triple by triple. The examples,
-    keyed `acc:{i}|pos` and `acc:{i}|neg`, are encoded and perturbed once,
-    here, and scored SCORE_BATCH_SIZE per forward."""
+def _scores(mdl: M.Model, pairs: list[TokenizedPair]) -> list[float]:
+    """The model's relevance probability of each pair, SCORE_BATCH_SIZE
+    pairs per forward."""
+    scores = []
+    for start in range(0, len(pairs), SCORE_BATCH_SIZE):
+        scores.extend(M.forward(mdl, pairs[start:start + SCORE_BATCH_SIZE]).relevance_prob)
+    return scores
+
+
+def _triple_pairs(triples: list[Triple], vocab: Vocab, max_len: int,
+                  mode: perturb.PerturbMode) -> list[TokenizedPair]:
+    """Each triple's positive, then its negative, triple by triple, keyed
+    `acc:{i}|pos` and `acc:{i}|neg`, encoded and perturbed once, here."""
     example = PairMemo(vocab, max_len).perturbed
-    pairs = [example(query, passage, mode, f"acc:{i}|{side}")
-             for i, (query, pos, neg) in enumerate(triples)
-             for side, passage in (("pos", pos), ("neg", neg))]
-
-    def probs(mdl: M.Model) -> list[float]:
-        out = []
-        for start in range(0, len(pairs), SCORE_BATCH_SIZE):
-            out.extend(M.forward(mdl, pairs[start:start + SCORE_BATCH_SIZE]).relevance_prob)
-        return out
-
-    return probs
+    return [example(query, passage, mode, f"acc:{i}|{side}")
+            for i, (query, pos, neg) in enumerate(triples)
+            for side, passage in (("pos", pos), ("neg", neg))]
 
 
 def held_out_hook(triples: list[Triple], vocab: Vocab, max_len: int,
@@ -283,10 +278,10 @@ def held_out_hook(triples: list[Triple], vocab: Vocab, max_len: int,
     the model scores above its negative, a tie counting half. It needs no
     threshold, so it ranks checkpoints whose probabilities all sit on one
     side of 0.5, as a briefly trained model's do."""
-    probs = _triple_scorer(triples, vocab, max_len, mode)
+    pairs = _triple_pairs(triples, vocab, max_len, mode)
 
     def pairwise_accuracy(mdl: M.Model) -> float:
-        p = probs(mdl)
+        p = _scores(mdl, pairs)
         wins = sum(1.0 if pos > neg else 0.5 if pos == neg else 0.0
                    for pos, neg in zip(p[0::2], p[1::2]))
         return wins / len(triples)
@@ -298,7 +293,7 @@ def held_out_accuracy(mdl: M.Model, triples: list[Triple], vocab: Vocab,
                       mode: perturb.PerturbMode = perturb.NATURAL) -> float:
     """Classification accuracy at p >= 0.5 over the two examples of each
     triple, the positive labelled 1 and the negative 0."""
-    p = _triple_scorer(triples, vocab, mdl.config.max_len, mode)(mdl)
+    p = _scores(mdl, _triple_pairs(triples, vocab, mdl.config.max_len, mode))
     labels = [1, 0] * len(triples)
     return sum(int((x >= 0.5) == bool(y)) for x, y in zip(p, labels)) / len(p)
 
@@ -308,10 +303,23 @@ def held_out_accuracy(mdl: M.Model, triples: list[Triple], vocab: Vocab,
 
 
 def _vocab_for(collection: Collection, queries: QuerySet) -> Vocab:
-    word_freq = word_counts([*collection.entries.values(), *queries.entries.values()])
-    chars = {ch for word in word_freq for ch in word}
-    # large enough that every corpus word is a whole token
-    return vocab_from_counts(word_freq, 4 + len(chars) + len(word_freq))
+    return build_vocab([*collection.entries.values(), *queries.entries.values()])
+
+
+def write_data(spec: SyntheticSpec, outdir) -> tuple[Collection, QuerySet, Qrels,
+                                                      list[Triple], Vocab]:
+    """The corpus of `spec` (`generate_synthetic`) and its vocabulary
+    (`_vocab_for`), with the collection, queries, qrels and vocabulary
+    written to `outdir`, made if need be; the triples are returned, not
+    written."""
+    collection, queries, qrels, triples = generate_synthetic(spec)
+    os.makedirs(outdir, exist_ok=True)
+    write_texts(collection, os.path.join(outdir, "collection.tsv"))
+    write_texts(queries, os.path.join(outdir, "queries.tsv"))
+    write_qrels(qrels, os.path.join(outdir, "qrels.txt"))
+    vocab = _vocab_for(collection, queries)
+    save_vocab(vocab, os.path.join(outdir, "vocab.txt"))
+    return collection, queries, qrels, triples, vocab
 
 
 def _split_queries(queries: QuerySet, n_dev: int, n_test: int):
@@ -409,21 +417,17 @@ def _write_lines(lines: list[str], path):
 def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
     """Execute the full condition matrix; returns {condition label: report}."""
     spec.validate()
-    os.makedirs(outdir, exist_ok=True)
+    config = Path(outdir, "config.txt")
+    text = resolved_config(spec)
+    if config.exists() and config.read_text(encoding="utf-8") != text:
+        raise ExperimentError(f"{config} holds another config; a run resumes only its own")
     for sub in ("data", "models", "runs", "metrics", "cka"):
         os.makedirs(os.path.join(outdir, sub), exist_ok=True)
-    write_resolved_config(spec, os.path.join(outdir, "config.txt"))
+    config.write_text(text, encoding="utf-8")
     data = os.path.join(outdir, "data")
 
     # -- data generation (deterministic, always re-emitted byte-identically)
-    collection, queries, qrels, triples = generate_synthetic(spec.synthetic)
-    write_collection(collection, os.path.join(data, "collection.tsv"))
-    write_queries(queries, os.path.join(data, "queries.tsv"))
-    write_qrels(qrels, os.path.join(data, "qrels.txt"))
-
-    vocab_path = os.path.join(data, "vocab.txt")
-    vocab = _vocab_for(collection, queries)
-    save_vocab(vocab, vocab_path)
+    collection, queries, qrels, triples, vocab = write_data(spec.synthetic, data)
 
     train_ids, dev_ids, test_ids = _split_queries(queries, spec.dev_queries, spec.test_queries)
     # every report of the run, and the mining, grade against one by-query map
@@ -533,7 +537,7 @@ def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
 
     def capture(mdl, mode):
         examples = [memo.perturbed(q, p, mode, str(i)) for i, (q, p) in enumerate(cka_texts)]
-        return cka.capture(mdl, examples, perturb.format_mode(mode), CKA_BATCH_SIZE)
+        return cka.capture(mdl, examples, CKA_BATCH_SIZE)
 
     natural = {key: capture(mdl, perturb.NATURAL) for key, mdl in trained.items()}
     # a shuffle-trained model is compared on its own permutation seed,

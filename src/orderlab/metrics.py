@@ -26,10 +26,6 @@ class MetricsReport:
     skipped: dict[str, int] = field(default_factory=dict)
 
 
-def _mean_over(values: dict[str, float]) -> float:
-    return sum(values.values()) / len(values) if values else 0.0
-
-
 def _grades(qrels_or_map):
     if isinstance(qrels_or_map, Qrels):
         return qrels_or_map.by_query()
@@ -121,7 +117,7 @@ def evaluate(run: Run, qrels: Qrels | dict[str, dict[str, int]], ndcg_k: int = 1
     for name, (per_query, skipped) in parts.items():
         report.per_query[name] = per_query
         report.skipped[name] = skipped
-        report.mean[name] = _mean_over(per_query)
+        report.mean[name] = sum(per_query.values()) / len(per_query) if per_query else 0.0
     return report
 
 

@@ -79,9 +79,6 @@ class Model:
     config: ModelConfig
     params: dict[str, np.ndarray]
 
-    def n_params(self) -> int:
-        return sum(p.size for p in self.params.values())
-
 
 @dataclass
 class ForwardOutput:
@@ -167,12 +164,6 @@ def pad_batch(pairs: list[TokenizedPair], dtype=np.float64):
 # numerics
 
 
-def _erf(x, out=None):
-    # exact (erf-based) GELU; a tanh approximation is not accurate enough
-    # for 1e-4 finite-difference gradient checks
-    return scipy_erf(x, out=out)
-
-
 # The helpers below and the hot lines of `_forward`/`_backward` write into
 # arrays they have just allocated (`out=`, `+=`, `*=`) instead of making a
 # fresh temporary per operator. Each keeps the operand order of the plain
@@ -182,8 +173,10 @@ def _erf(x, out=None):
 
 def gelu_cdf2(x):
     """1 + erf(x / sqrt 2): twice the standard normal CDF, GELU's gate."""
+    # exact (erf-based) GELU; a tanh approximation is not accurate enough
+    # for 1e-4 finite-difference gradient checks
     c = x / np.asarray(math.sqrt(2.0), dtype=x.dtype)
-    _erf(c, out=c)
+    scipy_erf(c, out=c)
     c += 1.0
     return c
 

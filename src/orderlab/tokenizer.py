@@ -1,10 +1,10 @@
 """Whole-word tokenizer and paired-input encoding.
 
 A vocabulary holds the reserved tokens, then every character of the
-corpus, then its most frequent whole words, until the target size is
-reached; the experiment sizes it so that every corpus word is a whole
-token. A word is its own token, else [UNK]. The character tier holds
-the ids after the reserved ones in every vocabulary the lab builds.
+corpus, then every word of it, each tier by frequency, so that every
+corpus word is a whole token. A word is its own token, else [UNK]. The
+character tier holds the ids after the reserved ones in every
+vocabulary the lab builds.
 `PairMemo` keeps a run's encoded pairs and their perturbed forms, each
 made once.
 """
@@ -42,9 +42,6 @@ class Vocab:
     def __len__(self):
         return len(self.tokens)
 
-    def id(self, token: str) -> int:
-        return self.token_to_id[token]
-
 
 def save_vocab(vocab: Vocab, path):
     with open(path, "w", encoding="utf-8") as f:
@@ -80,18 +77,14 @@ def word_counts(texts) -> Counter:
     return counts
 
 
-def build_vocab(texts, target_size: int) -> Vocab:
-    """`vocab_from_counts` of the words of `texts` (`word_counts`)."""
-    return vocab_from_counts(word_counts(texts), target_size)
-
-
-def vocab_from_counts(word_freq: Counter, target_size: int) -> Vocab:
-    """Greedy frequency-based vocabulary from word counts (`word_counts`):
-    every character, then whole words until `target_size` tokens.
+def build_vocab(texts) -> Vocab:
+    """The reserved tokens, every character of the words of `texts`
+    (`word_counts`), then every word, each tier by frequency.
 
     Ties broken lexicographically within each tier, so the result is
     deterministic for a given corpus.
     """
+    word_freq = word_counts(texts)
     if not word_freq:
         raise ValueError("empty corpus")
 
@@ -100,18 +93,13 @@ def vocab_from_counts(word_freq: Counter, target_size: int) -> Vocab:
         for ch in word:
             char_freq[ch] += n
 
-    if target_size < len(char_freq) + len(RESERVED):
-        raise ValueError(
-            f"target_size {target_size} below {len(char_freq)} distinct characters + {len(RESERVED)} reserved"
-        )
-
     def by_freq(counter):
         return sorted(counter, key=lambda t: (-counter[t], t))
 
     tokens = [*RESERVED, *by_freq(char_freq)]
     present = set(tokens)
     words = [w for w in by_freq(word_freq) if w not in present]
-    return Vocab(tokens + words[: target_size - len(tokens)])
+    return Vocab(tokens + words)
 
 
 def token_ids(text: str, vocab: Vocab) -> list[int]:
@@ -228,11 +216,15 @@ class PairMemo:
                 self.encode(query_text, passage_text), mode, example_key)
         return pair
 
-    def check(self, vocab: Vocab, max_len: int) -> PairMemo:
-        """The memo, once the caller's vocab and max_len are its own."""
-        if vocab is not self.vocab or max_len != self.max_len:
-            raise ValueError("pair memo was built for another vocabulary or max_len")
-        return self
+
+def memo_for(memo: PairMemo | None, vocab: Vocab, max_len: int) -> PairMemo:
+    """`memo`, once the caller's vocab and max_len are its own, or else a
+    new memo for them."""
+    if memo is None:
+        return PairMemo(vocab, max_len)
+    if vocab is not memo.vocab or max_len != memo.max_len:
+        raise ValueError("pair memo was built for another vocabulary or max_len")
+    return memo
 
 
 def decode_ids(ids: list[int], vocab: Vocab) -> list[str]:

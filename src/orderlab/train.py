@@ -17,7 +17,7 @@ import numpy as np
 from . import model as M
 from . import perturb
 from .corpus import Triple
-from .tokenizer import PairMemo, Vocab
+from .tokenizer import PairMemo, Vocab, memo_for
 from .tokenizer import encode_pair  # noqa: F401  (perfbench/spans.py traces it at this name)
 
 
@@ -121,9 +121,7 @@ def train(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab,
     max_len = mdl.config.max_len
     # natural encodings, made on a pair's first draw; perturbed per use
     # by perturb.apply, not kept by the memo: epoch:idx keys never repeat
-    if memo is None:
-        memo = PairMemo(vocab, max_len)
-    encode = memo.check(vocab, max_len).encode
+    encode = memo_for(memo, vocab, max_len).encode
 
     order_rng = np.random.default_rng(cfg.seed)
 

@@ -112,12 +112,16 @@ class TestCompare:
                           selector="all_tokens")
         assert all(v == pytest.approx(1.0, abs=1e-9) for v in rep.per_layer)
 
-    def test_conditions_recorded(self):
-        mdl = small_model(5)
+    def test_conditions_applied(self):
+        # each side's perturbation, keyed by the example's index, is
+        # applied to that side's inputs only
+        mdl, other = small_model(5), small_model(6)
         data = pairs_of(8, np.random.default_rng(4))
-        rep = cka.compare(mdl, perturb.NATURAL, mdl, perturb.SORT_DESC, data)
-        assert rep.condition_a == "natural"
-        assert rep.condition_b == "sort"
+        rep = cka.compare(mdl, perturb.NATURAL, other, perturb.SORT_DESC, data)
+        sorted_data = [perturb.apply(p, perturb.SORT_DESC, str(i)) for i, p in enumerate(data)]
+        want = cka.score(cka.capture(mdl, data), cka.capture(other, sorted_data), "cls_only")
+        np.testing.assert_array_equal(rep.per_layer, want.per_layer)
+        assert rep.per_layer[-1] < 1.0 - 1e-6
 
     def test_bad_selector_and_empty_dataset(self):
         mdl = small_model(0)
@@ -133,21 +137,21 @@ class TestCompare:
         rng = np.random.default_rng(7)
         pairs = pairs_of(6, rng)
 
-        def capture_of(name):
+        def capture_of():
             batches = []
             for start in (0, 3):
                 const = np.broadcast_to(rng.normal(size=(1, 5, 4)), (3, 5, 4)).astype(np.float32)
                 batches.append((start, pairs[start:start + 3],
                                 [const, rng.normal(size=(3, 5, 4)), rng.normal(size=(3, 5, 6))]))
-            return cka.Capture(name, batches)
+            return batches
 
-        a, b = capture_of("a"), capture_of("b")
+        a, b = capture_of(), capture_of()
         rep = cka.score(a, b, "cls_only")
         assert rep.n_batches == 2 and len(rep.per_batch) == 2
         assert np.isnan(rep.per_layer[0]) and all(np.isnan(v[0]) for v in rep.per_batch)
         for layer in (1, 2):
             want = [cka.cka_linear(xa[layer][:, 0, :], xb[layer][:, 0, :])
-                    for (_, _, xa), (_, _, xb) in zip(a.batches, b.batches)]
+                    for (_, _, xa), (_, _, xb) in zip(a, b)]
             assert [v[layer] for v in rep.per_batch] == want
             assert rep.per_layer[layer] == sum(want) / 2
 

@@ -485,7 +485,7 @@ def _moved(value):
 class TestConfigSchema:
     def test_default_spec_round_trips(self, tmp_path):
         spec = experiment.ExperimentSpec()
-        experiment.write_resolved_config(spec, tmp_path / "config.txt")
+        (tmp_path / "config.txt").write_text(experiment.resolved_config(spec))
         assert experiment.spec_from_config(tmp_path / "config.txt") == spec
 
     def test_every_written_field_round_trips(self, tmp_path):
@@ -499,7 +499,7 @@ class TestConfigSchema:
                                    ("train", default.train))}
         spec = replace(default, **parts, **{f.name: _moved(getattr(default, f.name))
                                             for f in fields(default) if f.name not in parts})
-        experiment.write_resolved_config(spec, tmp_path / "config.txt")
+        (tmp_path / "config.txt").write_text(experiment.resolved_config(spec))
         text = (tmp_path / "config.txt").read_text()
         model_section = text[text.index("[model]"):text.index("[train]")]
         for constant in ("init_scale", "n_segments", "dropout_rate"):
@@ -575,6 +575,33 @@ class TestExperimentCommand:
                       for p in (out / "models").glob("*.ckpt")) == ckpts
         assert (out / "metrics" / f"{target}.tsv").exists()
         assert (out / "summary.tsv").read_bytes() == baseline
+
+    def test_other_config_refused_and_same_config_resumes(self, exp, tmp_path, capsys):
+        # a run directory holds one config's models and conditions: a run
+        # under another config would reuse them as its own
+        cfg, clean = exp
+        out = tmp_path / "out"
+        shutil.copytree(clean, out)
+
+        def state():
+            return {p.relative_to(out): (p.read_bytes(), p.stat().st_mtime_ns)
+                    for p in out.rglob("*") if p.is_file()}
+
+        before = state()
+        other = tmp_path / "other.ini"
+        other.write_text(CONFIG.replace("total_steps = 40", "total_steps = 60\nlr_peak = 0.001"))
+        capsys.readouterr()
+        assert run_cli("experiment", "--config", str(other), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "config" in err
+        assert state() == before
+        # the same config resumes: every model and condition is reused
+        assert run_cli("experiment", "--config", str(cfg), "--out", str(out)) == 0
+        logged = capsys.readouterr().out
+        assert "loading cached model" in logged and "training model" not in logged
+        after = state()
+        assert {p: v[0] for p, v in after.items()} == {p: v[0] for p, v in before.items()}
+        assert all(after[p][1] == before[p][1] for p in after if p.suffix == ".ckpt")
 
     def test_resolved_config_written(self, exp):
         _, out = exp
@@ -976,9 +1003,9 @@ class TestMinedTriples:
         for query, pos, neg in triples:
             qid = qid_of[query]
             top_k = [d for d, _ in bm25.retrieve(index, query, spec.rerank_k)]
-            assert any(coll.entries[d] == neg and qrels.grade(qid, d) == 0 for d in top_k)
-            assert all(qrels.grade(qid, d) == 0 for d in doc_ids[neg])
-            assert all(qrels.grade(qid, d) >= 2 for d in doc_ids[pos])
+            assert any(coll.entries[d] == neg and qrels.grades.get((qid, d), 0) == 0 for d in top_k)
+            assert all(qrels.grades.get((qid, d), 0) == 0 for d in doc_ids[neg])
+            assert all(qrels.grades.get((qid, d), 0) >= 2 for d in doc_ids[pos])
 
     def test_only_training_queries_contribute(self, exp):
         cfg, out = exp
@@ -1005,9 +1032,9 @@ class TestMinedTriples:
         starved, short = train_ids[0], train_ids[1]
         # one query keeps only judged-relevant candidates, another keeps a
         # single grade-0 candidate, fewer than its triples need
-        ranked[starved] = [d for d in ranked[starved] if qrels.grade(starved, d) > 0]
+        ranked[starved] = [d for d in ranked[starved] if qrels.grades.get((starved, d), 0) > 0]
         assert ranked[starved]
-        zero = [d for d in ranked[short] if qrels.grade(short, d) == 0]
+        zero = [d for d in ranked[short] if qrels.grades.get((short, d), 0) == 0]
         ranked[short] = zero[:1]
         mined = experiment.mine_triples(triples, queries, coll, qrels.by_query(), ranked,
                                         spec.seed)
@@ -1018,7 +1045,7 @@ class TestMinedTriples:
         assert set(by_query[queries.entries[short]]) == {coll.entries[zero[0]]}
         qid_of, doc_ids = _qid_of(queries), _doc_ids(coll)
         for q, _, neg in mined:
-            assert all(qrels.grade(qid_of[q], d) == 0 for d in doc_ids[neg])
+            assert all(qrels.grades.get((qid_of[q], d), 0) == 0 for d in doc_ids[neg])
 
     def test_no_grade_zero_candidates_anywhere_is_a_data_error(self, tmp_path):
         # at depth 1 every training query's only candidate is relevant

@@ -38,14 +38,33 @@ class TestCollectionIO:
     def test_round_trip(self, tmp_path):
         coll = Collection({"d2": "foo bar", "d1": "hello"})
         p = tmp_path / "c.tsv"
-        corpus.write_collection(coll, p)
+        corpus.write_texts(coll, p)
         assert corpus.load_collection(p).entries == coll.entries
+
+
+class TestQueriesIO:
+    def test_round_trip(self, tmp_path):
+        qs = corpus.QuerySet({"q2": "foo bar", "q1": "hello"})
+        p = tmp_path / "q.tsv"
+        corpus.write_texts(qs, p)
+        assert p.read_text() == "q1\thello\nq2\tfoo bar\n"
+        assert corpus.load_queries(p) == qs
+
+    @pytest.mark.parametrize("text", ["q1\ta\n\tb\n", "q1\ta\nq2\t\n"], ids=["id", "text"])
+    def test_empty_id_or_text(self, tmp_path, text):
+        # the queries file has the collection's format and its checks
+        with pytest.raises(ParseError, match=r":2: empty id or text"):
+            corpus.load_queries(write(tmp_path, "q.tsv", text))
+
+    def test_duplicate_query_id(self, tmp_path):
+        with pytest.raises(ParseError, match=":2: duplicate query id q1"):
+            corpus.load_queries(write(tmp_path, "q.tsv", "q1\ta\nq1\tb\n"))
 
 
 class TestQrelsIO:
     def test_parse_line(self, tmp_path):
         qrels = corpus.load_qrels(write(tmp_path, "q.txt", "q1 0 d7 2\n"))
-        assert qrels.grade("q1", "d7") == 2
+        assert qrels.grades == {("q1", "d7"): 2}
 
     def test_non_integer_rel(self, tmp_path):
         p = write(tmp_path, "q.txt", "q1 0 d7 high\n")
@@ -129,8 +148,8 @@ class TestSyntheticGeneration:
             coll, qs, qrels, triples = generate_synthetic(spec)
             d = tmp_path / f"run{i}"
             d.mkdir()
-            corpus.write_collection(coll, d / "c.tsv")
-            corpus.write_queries(qs, d / "q.tsv")
+            corpus.write_texts(coll, d / "c.tsv")
+            corpus.write_texts(qs, d / "q.tsv")
             corpus.write_qrels(qrels, d / "qr.txt")
             corpus.write_triples(triples, d / "t.tsv")
             blobs.append(b"".join(p.read_bytes() for p in sorted(d.iterdir())))
@@ -271,8 +290,8 @@ class TestSameDraws:
 def _file_digests(spec, tmp_path):
     coll, qs, qrels, triples = generate_synthetic(spec)
     vocab = experiment._vocab_for(coll, qs)
-    for name, write, obj in (("collection.tsv", corpus.write_collection, coll),
-                             ("queries.tsv", corpus.write_queries, qs),
+    for name, write, obj in (("collection.tsv", corpus.write_texts, coll),
+                             ("queries.tsv", corpus.write_texts, qs),
                              ("qrels.txt", corpus.write_qrels, qrels),
                              ("triples.tsv", corpus.write_triples, triples),
                              ("vocab.txt", tokenizer.save_vocab, vocab)):

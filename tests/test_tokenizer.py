@@ -17,46 +17,49 @@ def make_vocab(extra):
 class TestBuildVocab:
     def test_tiny_corpus_tiers(self):
         # chars by frequency (a appears 5x, b 2x), then whole words by
-        # frequency; target 8 leaves room for exactly two post-char entries
-        vocab = build_vocab(["aa", "aa", "ab"], target_size=8)
+        # frequency
+        vocab = build_vocab(["aa", "aa", "ab"])
         assert vocab.tokens[:4] == tok.RESERVED
         assert vocab.tokens[4:6] == ["a", "b"]
         assert vocab.tokens[6] == "aa"   # freq 2 beats ab freq 1
         assert vocab.tokens[7] == "ab"
 
     def test_stops_after_whole_words(self):
-        # a target past every char and word adds nothing more
-        vocab = build_vocab(["aa", "aa", "ab"], target_size=10)
+        # every char and every word, once each, and nothing more: a
+        # one-char word is its char's token
+        vocab = build_vocab(["aa", "aa", "ab", "b"])
         assert vocab.tokens == [*tok.RESERVED, "a", "b", "aa", "ab"]
 
     def test_deterministic(self):
         texts = ["the cat sat", "the dog ran", "cats and dogs"]
-        assert build_vocab(texts, 30).tokens == build_vocab(texts, 30).tokens
-
-    def test_target_below_char_count(self):
-        with pytest.raises(ValueError):
-            build_vocab(["abcdefgh"], target_size=6)
+        assert build_vocab(texts).tokens == build_vocab(texts).tokens
 
     def test_empty_corpus(self):
         with pytest.raises(ValueError):
-            build_vocab([], target_size=10)
+            build_vocab([])
 
     def test_save_load_round_trip(self, tmp_path):
-        vocab = build_vocab(["hello world", "hello there"], 20)
+        vocab = build_vocab(["hello world", "hello there"])
         p = tmp_path / "vocab.txt"
         tok.save_vocab(vocab, p)
         assert tok.load_vocab(p).tokens == vocab.tokens
 
 
-def per_text_vocab(texts, target_size=None):
-    """The vocab with words counted by pretokenizing each text on its own,
-    sized as `experiment._vocab_for` sizes it when no target is given."""
+def per_text_vocab(texts):
+    """The vocab built here tier by tier, with words counted by
+    pretokenizing each text on its own: the reserved tokens, every
+    character, then every word not already a token, each tier by
+    descending count and then lexicographically."""
     word_freq = Counter()
     for text in texts:
         word_freq.update(tok._pretokenize(text))
-    if target_size is None:
-        target_size = 4 + len({ch for w in word_freq for ch in w}) + len(word_freq)
-    return tok.vocab_from_counts(word_freq, target_size)
+    char_freq = Counter()
+    for word, n in word_freq.items():
+        char_freq.update({ch: n * word.count(ch) for ch in set(word)})
+    chars = sorted(char_freq, key=lambda c: (-char_freq[c], c))
+    words = sorted((w for w in word_freq if w not in chars),
+                   key=lambda w: (-word_freq[w], w))
+    return Vocab([*tok.RESERVED, *chars, *words])
 
 
 class TestOnePassCount:
@@ -72,13 +75,11 @@ class TestOnePassCount:
              "unbelievable believable unbelief", "Ends with punctuation.", "...",
              "ΟΔΟΣ ΣΟΦΟΣ", "Σ", "ΑΣ", "x\ty\nz", "", "  spaced   out  "]
 
-    @pytest.mark.parametrize("target_size", [None, 40, 60, 90, 200])
-    def test_mixed_texts(self, target_size):
-        # small targets stop in the word tier, large ones hold every word
-        got = build_vocab(self.TEXTS, target_size) if target_size else \
-            experiment._vocab_for(Collection({f"d{i}": t for i, t in enumerate(self.TEXTS[:-4])}),
-                                  QuerySet({f"q{i}": t for i, t in enumerate(self.TEXTS[-4:])}))
-        assert got.tokens == per_text_vocab(self.TEXTS, target_size).tokens
+    def test_mixed_texts(self):
+        got = experiment._vocab_for(
+            Collection({f"d{i}": t for i, t in enumerate(self.TEXTS[:-4])}),
+            QuerySet({f"q{i}": t for i, t in enumerate(self.TEXTS[-4:])}))
+        assert got.tokens == per_text_vocab(self.TEXTS).tokens
 
     def test_every_word_is_a_token(self):
         # the experiment's sizing leaves no corpus word to [UNK]
@@ -91,7 +92,7 @@ class TestOnePassCount:
 class TestTokenize:
     def test_whole_word(self):
         vocab = make_vocab(["white"])
-        assert tok.token_ids("White", vocab) == [vocab.id("white")]
+        assert tok.token_ids("White", vocab) == [vocab.token_to_id["white"]]
 
     def test_unknown_word(self):
         # every letter is a token, the word is not: one [UNK], no pieces
@@ -100,7 +101,7 @@ class TestTokenize:
 
     def test_punctuation_split(self):
         vocab = make_vocab(["white", ",", "clothes", "."])
-        assert tok.token_ids("white, clothes.", vocab) == [vocab.id(t) for t in
+        assert tok.token_ids("white, clothes.", vocab) == [vocab.token_to_id[t] for t in
                                                             ["white", ",", "clothes", "."]]
 
     TOKENS = {"white bleach": ["white", UNK], "Bleach, xyz white.": [UNK, ",", UNK, "white", "."],
@@ -112,7 +113,7 @@ class TestTokenize:
         # whole words and [UNK], one id per word in order, whatever
         # characters or prefixes of a word the vocab holds
         vocab = make_vocab(["white", "b", "l", "bleac", ",", "."])
-        assert tok.token_ids(text, vocab) == [vocab.id(t) for t in self.TOKENS[text]]
+        assert tok.token_ids(text, vocab) == [vocab.token_to_id[t] for t in self.TOKENS[text]]
 
     def test_detokenize_inverse(self):
         vocab = make_vocab(["bleach", "white"])
@@ -122,6 +123,7 @@ class TestTokenize:
 
 class TestEncodePair:
     vocab = make_vocab([f"t{i}" for i in range(30)])
+    tid = vocab.token_to_id
 
     def test_layout(self):
         pair = encode_pair("t0", "t1 t2", self.vocab, 16)
@@ -135,8 +137,8 @@ class TestEncodePair:
 
     def test_span_ids(self):
         pair = encode_pair("t0", "t1 t2", self.vocab, 16)
-        assert pair.span_ids(pair.query_span) == [self.vocab.id("t0")]
-        assert pair.span_ids(pair.passage_span) == [self.vocab.id("t1"), self.vocab.id("t2")]
+        assert pair.span_ids(pair.query_span) == [self.tid["t0"]]
+        assert pair.span_ids(pair.passage_span) == [self.tid["t1"], self.tid["t2"]]
 
     def test_truncation_passage_tail_first(self):
         q = "t0 t1"
@@ -144,14 +146,14 @@ class TestEncodePair:
         pair = encode_pair(q, p, self.vocab, 10)
         assert pair.n_total == 10
         # full query survives, passage keeps its head
-        assert pair.span_ids(pair.query_span) == [self.vocab.id("t0"), self.vocab.id("t1")]
-        assert pair.span_ids(pair.passage_span) == [self.vocab.id(f"t{i}") for i in range(2, 7)]
+        assert pair.span_ids(pair.query_span) == [self.tid["t0"], self.tid["t1"]]
+        assert pair.span_ids(pair.passage_span) == [self.tid[f"t{i}"] for i in range(2, 7)]
 
     def test_very_long_query_leaves_one_passage_token(self):
         q = " ".join(f"t{i}" for i in range(20))
         pair = encode_pair(q, "t25 t26", self.vocab, 12)
         assert pair.n_total == 12
-        assert pair.span_ids(pair.passage_span) == [self.vocab.id("t25")]
+        assert pair.span_ids(pair.passage_span) == [self.tid["t25"]]
 
     def test_empty_query_rejected(self):
         with pytest.raises(ValueError):
@@ -165,7 +167,7 @@ class TestEncodePair:
         spec = SyntheticSpec(vocab_size=200, n_docs=120, n_queries=12, seed=2)
         coll, qs, qrels, _ = generate_synthetic(spec)
         texts = list(coll.entries.values()) + list(qs.entries.values())
-        vocab = build_vocab(texts, 4 + 10 + 200)
+        vocab = build_vocab(texts)
         rng = np.random.default_rng(0)
         qids = sorted(qs.entries)
         doc_ids = sorted(coll.entries)
@@ -182,8 +184,8 @@ class TestEncodePair:
 
     def test_multiset_of_ids_matches_token_stream(self):
         pair = encode_pair("t3 t1", "t2 t2 t9", self.vocab, 32)
-        want = sorted([CLS_ID, SEP_ID, SEP_ID, self.vocab.id("t3"), self.vocab.id("t1"),
-                       self.vocab.id("t2"), self.vocab.id("t2"), self.vocab.id("t9")])
+        want = sorted([CLS_ID, SEP_ID, SEP_ID, self.tid["t3"], self.tid["t1"],
+                       self.tid["t2"], self.tid["t2"], self.tid["t9"]])
         assert sorted(pair.ids) == want
 
 
