@@ -10,7 +10,8 @@ of either argument. `capture` runs one model over perturbed examples
 batch-wise and keeps every layer's hidden states; `score` computes CKA
 per layer between two captures and averages over batches; a layer with
 no variance in a batch scores NaN there. `compare` perturbs a dataset
-and does both for two (model, perturbation) conditions.
+and does both for two (model, perturbation) conditions: the tests'
+reference for the runner's and `orderlab cka`'s `experiment.cka_capture`.
 """
 
 from __future__ import annotations

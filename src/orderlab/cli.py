@@ -215,18 +215,13 @@ def _cmd_cka(args):
     vocab = tokenizer.load_vocab(args.vocab)
     queries = corpus.load_queries(args.queries)
     coll = corpus.load_collection(args.collection)
-    run = corpus.load_run(args.run)
-    pairs = []
-    for qid in sorted(run.entries):
-        block = run.entries[qid][: args.depth]
-        error = experiment.missing_id_error(qid, block, queries, coll)
-        if error is not None:
-            raise error
-        pairs.extend(tokenizer.encode_pair(queries.entries[qid], coll.entries[e.doc_id],
-                                           vocab, model_a.config.max_len) for e in block)
-    report = cka.compare(model_a, perturb.parse_mode(args.mode_a),
-                         model_b, perturb.parse_mode(args.mode_b),
-                         pairs, selector=args.selector, batch_size=experiment.CKA_BATCH_SIZE)
+    texts = experiment.cka_pairs(corpus.load_run(args.run), queries, coll, args.depth)
+    if model_a.config.max_len != model_b.config.max_len:
+        raise ValueError("models disagree on max_len")
+    memo = tokenizer.PairMemo(vocab, model_a.config.max_len)
+    a = experiment.cka_capture(model_a, memo, texts, perturb.parse_mode(args.mode_a))
+    b = experiment.cka_capture(model_b, memo, texts, perturb.parse_mode(args.mode_b))
+    report = cka.score(a, b, args.selector)
     if args.out:
         cka.write_report_csv(report, args.out)
     for layer, value in enumerate(report.per_layer):
@@ -283,7 +278,7 @@ def main(argv=None) -> int:
     except T.DivergenceError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (corpus.ParseError, corpus.ValidationError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ParseError and ValidationError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

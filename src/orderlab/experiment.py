@@ -52,10 +52,10 @@ class Condition:
         return self.text().replace(":", "").replace("/", "_")
 
 
-def default_conditions(shuffle_seed: int = 13) -> list[Condition]:
+def default_conditions() -> list[Condition]:
     """The 8-row condition matrix: natural baseline, sort and shuffle
-    blocks, and the no-position model."""
-    sh = perturb.shuffle_mode(shuffle_seed)
+    blocks (on `shuffle:13`), and the no-position model."""
+    sh = perturb.shuffle_mode(13)
     nat, srt = perturb.NATURAL, perturb.SORT_DESC
     return [
         Condition("learned", nat, nat),
@@ -192,7 +192,7 @@ def spec_from_config(path) -> ExperimentSpec:
 
 
 # ---------------------------------------------------------------------------
-# re-ranking
+# re-ranking, held-out scoring and CKA captures
 
 
 def missing_id_error(qid: str, block: list[RunEntry], queries: QuerySet,
@@ -227,15 +227,12 @@ def rerank_run(run: Run, mdl: M.Model, vocab: Vocab, queries: QuerySet,
         entries = run.entries[qid]
         block = entries[:k]
         tail = entries[k:]
-        try:
-            query = queries.entries[qid]
-            pairs = [example(query, collection.entries[e.doc_id], mode, f"{qid}:{e.doc_id}")
-                     for e in block]
-        except KeyError:
-            error = missing_id_error(qid, block, queries, collection)
-            if error is None:
-                raise
-            raise error from None
+        error = missing_id_error(qid, block, queries, collection)
+        if error is not None:
+            raise error
+        query = queries.entries[qid]
+        pairs = [example(query, collection.entries[e.doc_id], mode, f"{qid}:{e.doc_id}")
+                 for e in block]
         rescored = sorted(
             zip((e.doc_id for e in block), _scores(mdl, pairs)), key=lambda kv: (-kv[1], kv[0])
         )
@@ -296,6 +293,30 @@ def held_out_accuracy(mdl: M.Model, triples: list[Triple], vocab: Vocab,
     p = _scores(mdl, _triple_pairs(triples, vocab, mdl.config.max_len, mode))
     labels = [1, 0] * len(triples)
     return sum(int((x >= 0.5) == bool(y)) for x, y in zip(p, labels)) / len(p)
+
+
+def cka_pairs(run: Run, queries: QuerySet, collection: Collection,
+              depth: int) -> list[tuple[str, str]]:
+    """The (query text, doc text) of each query's top `depth` docs in
+    `run`, in query-id order. A query or doc of those blocks that
+    `queries` or `collection` lacks is the `missing_id_error`."""
+    texts = []
+    for qid in sorted(run.entries):
+        block = run.entries[qid][:depth]
+        error = missing_id_error(qid, block, queries, collection)
+        if error is not None:
+            raise error
+        texts.extend((queries.entries[qid], collection.entries[e.doc_id]) for e in block)
+    return texts
+
+
+def cka_capture(mdl: M.Model, memo: PairMemo, texts: list[tuple[str, str]],
+                mode: perturb.PerturbMode) -> cka.Capture:
+    """`cka.capture` of `mdl` over `texts` under `mode`, CKA_BATCH_SIZE
+    examples per forward, example `i` perturbed under key `str(i)` through
+    `memo`: once per mode, however many models see it."""
+    examples = [memo.perturbed(q, p, mode, str(i)) for i, (q, p) in enumerate(texts)]
+    return cka.capture(mdl, examples, CKA_BATCH_SIZE)
 
 
 # ---------------------------------------------------------------------------
@@ -527,19 +548,12 @@ def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
                            for m in ("ndcg@10", "map", "recall@100", "mrr@10"))
             f.write("\t".join(row) + "\n")
 
-    # -- CKA artifacts over test pairs. Each example, keyed by its index,
-    # is perturbed once per mode through the run's memo, and each (model,
-    # perturbation) is captured once: a model's natural capture serves
-    # both its [CLS] comparisons and the layerwise reports
-    cka_texts = [(queries.entries[qid], collection.entries[e.doc_id])
-                 for qid in test_ids
-                 for e in test_run.entries.get(qid, [])[:CKA_DOCS_PER_QUERY]]
-
-    def capture(mdl, mode):
-        examples = [memo.perturbed(q, p, mode, str(i)) for i, (q, p) in enumerate(cka_texts)]
-        return cka.capture(mdl, examples, CKA_BATCH_SIZE)
-
-    natural = {key: capture(mdl, perturb.NATURAL) for key, mdl in trained.items()}
+    # -- CKA artifacts over test pairs, perturbed through the run's memo.
+    # Each (model, perturbation) is captured once: a model's natural
+    # capture serves both its [CLS] comparisons and the layerwise reports
+    cka_texts = cka_pairs(test_run, queries, collection, CKA_DOCS_PER_QUERY)
+    natural = {key: cka_capture(mdl, memo, cka_texts, perturb.NATURAL)
+               for key, mdl in trained.items()}
     # a shuffle-trained model is compared on its own permutation seed,
     # any other model on the first shuffle stream the conditions use
     sh = next((m for c in spec.conditions for m in (c.train_perturb, c.eval_perturb)
@@ -549,7 +563,8 @@ def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
         own = perturb.parse_mode(tp)
         shuffle = own if own.kind == "shuffle" else sh
         for comp_name, comp_mode in (("shuffle", shuffle), ("sort", perturb.SORT_DESC)):
-            rep = cka.score(natural[pos_mode, tp], capture(mdl, comp_mode), "cls_only")
+            rep = cka.score(natural[pos_mode, tp], cka_capture(mdl, memo, cka_texts, comp_mode),
+                            "cls_only")
             rows.append(f"{pos_mode}\t{tp}\t{comp_name}\t{rep.per_layer[-1]:.6f}\n")
     _write_atomically(_write_lines, rows, os.path.join(outdir, "cka", "cls_similarity.tsv"))
 

@@ -9,8 +9,9 @@ invariant to within-span reordering. There is no dropout: training and
 scoring run the same pass. Two segments (query and passage) and the
 initial weights' scale are module constants, not config fields.
 
-Forward and backward passes are hand-written in numpy; `train.grad_check`
-verifies the analytic gradients against central finite differences.
+Forward and backward passes are hand-written in numpy. `forward` scores
+a batch and `loss_and_grads` gives its loss and gradients; `train.grad_check`
+checks the gradients against central finite differences of that loss.
 
 Scoring reads the final [CLS] state alone. So unless a pass captures
 the hidden states, the last layer computes keys and values for every
@@ -454,19 +455,6 @@ def forward(model: Model, pairs: list[TokenizedPair], capture=False) -> ForwardO
                          activations=acts)
 
 
-def _cross_entropy(logits, labels):
-    """Mean cross-entropy of `labels` under softmax(logits), and its
-    gradient with respect to the logits."""
-    B = logits.shape[0]
-    probs = softmax(logits, axis=-1)
-    y = np.asarray(labels, dtype=np.int64)
-    loss = -np.log(np.clip(probs[np.arange(B), y], 1e-300, None)).mean()
-    dlogits = probs.copy()
-    dlogits[np.arange(B), y] -= 1.0
-    dlogits /= B
-    return float(loss), dlogits
-
-
 def loss_and_grads(model: Model, pairs: list[TokenizedPair], labels, grads=None):
     """Mean cross-entropy over the batch and gradients for every parameter.
 
@@ -475,21 +463,15 @@ def loss_and_grads(model: Model, pairs: list[TokenizedPair], labels, grads=None)
     """
     ids, segs, mask = pad_batch(pairs, dtype=model.config.dtype)
     logits, _, tape = _forward(model, ids, segs, mask)
-    loss, dlogits = _cross_entropy(logits, labels)
+    B = logits.shape[0]
+    probs = softmax(logits, axis=-1)
+    y = np.asarray(labels, dtype=np.int64)
+    loss = float(-np.log(np.clip(probs[np.arange(B), y], 1e-300, None)).mean())
+    dlogits = probs.copy()
+    dlogits[np.arange(B), y] -= 1.0
+    dlogits /= B
     grads = _backward(model, tape, dlogits.astype(model.config.dtype), grads)
     return loss, grads
-
-
-def batch_loss(model: Model, pairs, labels) -> float:
-    """Loss only; used by the finite-difference gradient check."""
-    ids, segs, mask = pad_batch(pairs, dtype=model.config.dtype)
-    logits, _, _ = _forward(model, ids, segs, mask)
-    return _cross_entropy(logits, labels)[0]
-
-
-def score(model: Model, pair: TokenizedPair) -> float:
-    """Relevance probability in [0, 1] for a single encoded pair."""
-    return float(forward(model, [pair]).relevance_prob[0])
 
 
 # ---------------------------------------------------------------------------

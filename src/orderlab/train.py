@@ -242,9 +242,9 @@ def grad_check(mdl: M.Model, example, eps: float = 1e-5, n_coords: int = 200,
         for c in coords:
             orig = flat[c]
             flat[c] = orig + eps
-            lp = M.batch_loss(mdl, pairs, labels)
+            lp = M.loss_and_grads(mdl, pairs, labels)[0]
             flat[c] = orig - eps
-            lm = M.batch_loss(mdl, pairs, labels)
+            lm = M.loss_and_grads(mdl, pairs, labels)[0]
             flat[c] = orig
             numeric = (lp - lm) / (2 * eps)
             analytic = grads[name].reshape(-1)[c]

@@ -220,9 +220,9 @@ def test_criterion_5_bow_invariance():
     for m in range(20):
         mdl = small_model(100 + m, position_mode="none")
         pair = random_pair(rng)
-        base = M.score(mdl, pair)
+        base = float(M.forward(mdl, [pair]).relevance_prob[0])
         for _ in range(50):
-            s = M.score(mdl, permute_within_spans(pair, rng))
+            s = float(M.forward(mdl, [permute_within_spans(pair, rng)]).relevance_prob[0])
             worst = max(worst, abs(s - base))
     elapsed = time.monotonic() - t0
     report(5, "bag-of-words invariance", worst <= 1e-6 and elapsed < 60,

@@ -343,8 +343,13 @@ class TestExitCodes:
                        "--vocab", str(data_dir / "vocab.txt"),
                        "--out", str(tmp_path / "m.ckpt"), "--preset", "paper") == 1
 
-    def test_data_error_missing_file(self, tmp_path):
+    def test_data_error_missing_file(self, tmp_path, capsys):
         assert run_cli("index", "--collection", str(tmp_path / "nope.tsv")) == 2
+        # a directory where a file belongs is a data error in one line too
+        capsys.readouterr()
+        assert run_cli("evaluate", "--run", str(tmp_path), "--qrels", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
     def test_data_error_malformed_run(self, data_dir, tmp_path):
         bad = tmp_path / "bad.run"
@@ -634,6 +639,19 @@ class TestExperimentCommand:
         assert [r[3] for r in rows if r[:3] == ["learned", "natural", "shuffle"]] == [last[1]]
         # the batch size is the run's, not an option
         assert run_cli(*argv, "--batch-size", "8") == 1
+
+    def test_cka_command_writes_the_run_layer_file(self, exp, tmp_path, monkeypatch, capsys):
+        # `orderlab cka --selector all_tokens` on the run's natural and
+        # no-position models writes the bytes of the run's layers_nopos.csv
+        _, out = exp
+        monkeypatch.chdir(out)
+        assert run_cli("cka", "--checkpoint-a", "models/learned_natural.ckpt",
+                       "--checkpoint-b", "models/none_natural.ckpt",
+                       "--vocab", "data/vocab.txt", "--queries", "data/queries.tsv",
+                       "--collection", "data/collection.tsv", "--run", "runs/bm25_test.run",
+                       "--selector", "all_tokens", "--out", str(tmp_path / "layers.csv")) == 0
+        assert ((tmp_path / "layers.csv").read_bytes()
+                == (out / "cka" / "layers_nopos.csv").read_bytes())
 
     def test_cls_similarity_uses_the_trained_shuffle_stream(self, tmp_path):
         # with an experiment seed other than the shuffle seed, the
