@@ -139,7 +139,7 @@ def _worker(tree: str) -> dict:
     def mean_padded_len(size):
         warmup, calls = KERNEL_CALLS["warmup_calls"], KERNEL_CALLS["calls_per_round"]
         timed_batches = itertools.islice(batches(size), warmup, warmup + calls)
-        return statistics.mean(max(p.n_total for p in b) for b, _ in timed_batches)
+        return statistics.mean(max(len(p.ids) for p in b) for b, _ in timed_batches)
 
     def fresh_dirs(root):
         # made and removed between calls, outside the timed part

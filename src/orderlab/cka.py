@@ -65,7 +65,7 @@ def _rows(acts, pairs, selector):
         return [a[:, 0, :] for a in acts]
     rows_per_layer = []
     for a in acts:
-        rows = [a[i, :p.n_total, :] for i, p in enumerate(pairs)]
+        rows = [a[i, :len(p.ids), :] for i, p in enumerate(pairs)]
         rows_per_layer.append(np.concatenate(rows, axis=0))
     return rows_per_layer
 

@@ -92,6 +92,9 @@ class ExperimentSpec:
     def validate(self):
         if not self.conditions:
             raise ValueError("conditions must be non-empty")
+        for key in ("rerank_k", "dev_queries", "test_queries"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
         self.synthetic.validate()
         self.model.validate()
         self.train.validate()
@@ -219,8 +222,10 @@ def rerank_run(run: Run, mdl: M.Model, vocab: Vocab, queries: QuerySet,
     `qid:doc_id`, comes from a `PairMemo`: `memo`, if given, so that the
     calls of one run encode and perturb each example once, or else a
     memo of this call's own. A query or doc of the run that `queries` or
-    `collection` lacks is a `ValidationError`.
+    `collection` lacks is a `ValidationError`, and k below 1 a ValueError.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     example = memo_for(memo, vocab, mdl.config.max_len).perturbed
     out = Run()
     for qid in sorted(run.entries):
@@ -262,7 +267,10 @@ def _scores(mdl: M.Model, pairs: list[TokenizedPair]) -> list[float]:
 def _triple_pairs(triples: list[Triple], vocab: Vocab, max_len: int,
                   mode: perturb.PerturbMode) -> list[TokenizedPair]:
     """Each triple's positive, then its negative, triple by triple, keyed
-    `acc:{i}|pos` and `acc:{i}|neg`, encoded and perturbed once, here."""
+    `acc:{i}|pos` and `acc:{i}|neg`, encoded and perturbed once, here.
+    No triples is a ValueError: there is no accuracy to report."""
+    if not triples:
+        raise ValueError("no held-out triples to score")
     example = PairMemo(vocab, max_len).perturbed
     return [example(query, passage, mode, f"acc:{i}|{side}")
             for i, (query, pos, neg) in enumerate(triples)
@@ -299,7 +307,10 @@ def cka_pairs(run: Run, queries: QuerySet, collection: Collection,
               depth: int) -> list[tuple[str, str]]:
     """The (query text, doc text) of each query's top `depth` docs in
     `run`, in query-id order. A query or doc of those blocks that
-    `queries` or `collection` lacks is the `missing_id_error`."""
+    `queries` or `collection` lacks is the `missing_id_error`, and depth
+    below 1 a ValueError."""
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     texts = []
     for qid in sorted(run.entries):
         block = run.entries[qid][:depth]

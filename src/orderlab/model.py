@@ -33,7 +33,7 @@ from itertools import chain
 import numpy as np
 from scipy.special import erf as scipy_erf
 
-from .tokenizer import TokenizedPair, PAD_ID
+from .tokenizer import TokenizedPair, PAD_ID, SEP_ID
 
 LN_EPS = 1e-12
 N_SEGMENTS = 2  # query and passage
@@ -144,20 +144,22 @@ def init(cfg: ModelConfig, seed: int) -> Model:
 def pad_batch(pairs: list[TokenizedPair], dtype=np.float64):
     """Stack pairs into ids/segments/mask arrays padded with [PAD].
 
-    Row i holds pair i's ids and segments in its first `n_total`
-    columns, then [PAD] and segment 0; the mask is 1.0 over those
-    columns and 0.0 after them. One masked assignment per array fills
-    every row: a boolean mask visits its cells row by row, the order in
-    which the pairs' ids are chained.
+    Row i holds pair i's ids in its first `len(ids)` columns, then
+    [PAD]; the mask is 1.0 over those columns and 0.0 after them. One
+    masked assignment fills every row: a boolean mask visits its cells
+    row by row, the order in which the pairs' ids are chained. Segments
+    follow the BERT convention: columns up to and including a row's
+    first [SEP] get segment 0, the rest of the pair segment 1, and
+    padding segment 0.
     """
-    lengths = np.fromiter((p.n_total for p in pairs), dtype=np.int64, count=len(pairs))
-    real = np.arange(lengths.max()) < lengths[:, None]
-    n = int(lengths.sum())
+    lengths = np.fromiter((len(p.ids) for p in pairs), dtype=np.int64, count=len(pairs))
+    cols = np.arange(lengths.max())
+    real = cols < lengths[:, None]
     ids = np.full(real.shape, PAD_ID, dtype=np.int64)
-    segs = np.zeros(real.shape, dtype=np.int64)
-    ids[real] = np.fromiter(chain.from_iterable(p.ids for p in pairs), dtype=np.int64, count=n)
-    segs[real] = np.fromiter(chain.from_iterable(p.segments for p in pairs),
-                             dtype=np.int64, count=n)
+    ids[real] = np.fromiter(chain.from_iterable(p.ids for p in pairs), dtype=np.int64,
+                            count=int(lengths.sum()))
+    first_sep = (ids == SEP_ID).argmax(axis=1)
+    segs = ((cols > first_sep[:, None]) & real).astype(np.int64)
     return ids, segs, real.astype(dtype)
 
 

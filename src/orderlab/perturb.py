@@ -1,9 +1,9 @@
 """Order-destroying input manipulations.
 
 Perturbations operate on token ids after encoding, only within the
-query and passage spans; [CLS]/[SEP] positions, segments, and spans are
-left untouched. Shuffling is a seeded Fisher-Yates keyed per example so
-runs are reproducible across machines and epochs.
+query and passage spans, so the [CLS] and [SEP] ids, and the spans and
+segments read from them, stay put. Shuffling is a seeded Fisher-Yates
+keyed per example so runs are reproducible across machines and epochs.
 """
 
 from __future__ import annotations
@@ -37,14 +37,15 @@ def shuffle_mode(seed: int) -> PerturbMode:
 
 
 def parse_mode(text: str) -> PerturbMode:
-    """Parse the CLI grammar `natural | sort | shuffle:<seed>`."""
+    """Parse the CLI grammar `natural | sort | shuffle | shuffle:<seed>`."""
     if text == "natural":
         return NATURAL
     if text == "sort":
         return SORT_DESC
-    if text.startswith("shuffle"):
-        _, _, seed = text.partition(":")
-        return shuffle_mode(int(seed) if seed else 0)
+    if text == "shuffle":
+        return shuffle_mode(0)
+    if text.startswith("shuffle:"):
+        return shuffle_mode(int(text[len("shuffle:"):]))
     raise ValueError(f"unknown perturbation mode {text!r}")
 
 
@@ -92,8 +93,8 @@ def _perturb_span(ids: list[int], span: tuple[int, int], mode: PerturbMode,
 def apply(pair: TokenizedPair, mode: PerturbMode, example_key: str = "") -> TokenizedPair:
     """Perturb query and passage spans independently; pure function.
 
-    The result has its own `ids` and shares every other field with
-    `pair`: pairs are read-only once made.
+    The result is a new pair with its own `ids`: pairs are read-only
+    once made.
     """
     if mode.kind == "natural":
         return pair

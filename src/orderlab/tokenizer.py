@@ -110,40 +110,35 @@ def token_ids(text: str, vocab: Vocab) -> list[int]:
 
 @dataclass
 class TokenizedPair:
-    """Encoded [CLS] query [SEP] passage [SEP] input.
+    """Encoded [CLS] query [SEP] passage [SEP] input: its ids alone.
 
-    Spans are inclusive (start, end) index pairs over `ids`, excluding
-    the special-token positions; an empty side has span (start, start-1).
+    The layout is read from the ids. No word maps to [SEP], since the
+    pretokenizer splits "[SEP]" into "[", "sep" and "]", so the first
+    [SEP] closes the query and the last id is the second [SEP]. Spans
+    are inclusive (start, end) index pairs over `ids`, excluding the
+    special-token positions; an empty side has span (start, start-1).
     """
 
     ids: list[int]
-    segments: list[int]
-    query_span: tuple[int, int]
-    passage_span: tuple[int, int]
-    sep_positions: tuple[int, int]
 
     @property
-    def n_total(self) -> int:
-        return len(self.ids)
+    def sep_positions(self) -> tuple[int, int]:
+        return self.ids.index(SEP_ID), len(self.ids) - 1
+
+    @property
+    def query_span(self) -> tuple[int, int]:
+        return 1, self.ids.index(SEP_ID) - 1
+
+    @property
+    def passage_span(self) -> tuple[int, int]:
+        return self.ids.index(SEP_ID) + 1, len(self.ids) - 2
 
     def span_ids(self, span: tuple[int, int]) -> list[int]:
         return self.ids[span[0]:span[1] + 1]
 
-    def validate(self):
-        if self.ids[0] != CLS_ID:
-            raise ValueError("first token must be [CLS]")
-        if [i for i, t in enumerate(self.ids) if t == SEP_ID] != list(self.sep_positions):
-            raise ValueError("sep_positions inconsistent with ids")
-        if len(self.segments) != len(self.ids):
-            raise ValueError("segments length mismatch")
-
 
 def encode_pair(query_text: str, passage_text: str, vocab: Vocab, max_len: int) -> TokenizedPair:
-    """Encode a query/passage pair, truncating the passage tail first.
-
-    Segments follow the BERT convention: positions up to and including
-    the first [SEP] get segment 0, the rest segment 1.
-    """
+    """Encode a query/passage pair, truncating the passage tail first."""
     if max_len < 8:
         raise ValueError("max_len must be >= 8")
     q_ids = token_ids(query_text, vocab)
@@ -156,20 +151,7 @@ def encode_pair(query_text: str, passage_text: str, vocab: Vocab, max_len: int) 
         keep_p = max(min(1, len(p_ids)), budget - len(q_ids))
         p_ids = p_ids[:keep_p]
         q_ids = q_ids[:budget - len(p_ids)]
-
-    ids = [CLS_ID, *q_ids, SEP_ID, *p_ids, SEP_ID]
-    first_sep = 1 + len(q_ids)
-    second_sep = len(ids) - 1
-    segments = [0] * (first_sep + 1) + [1] * (len(ids) - first_sep - 1)
-    pair = TokenizedPair(
-        ids=ids,
-        segments=segments,
-        query_span=(1, first_sep - 1),
-        passage_span=(first_sep + 1, second_sep - 1),
-        sep_positions=(first_sep, second_sep),
-    )
-    pair.validate()
-    return pair
+    return TokenizedPair([CLS_ID, *q_ids, SEP_ID, *p_ids, SEP_ID])
 
 
 class PairMemo:

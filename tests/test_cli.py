@@ -102,12 +102,12 @@ def checkpoint(data_dir, tmp_path_factory):
     return ckpt
 
 
-def rerank_cli(data_dir, checkpoint, run_path, out):
+def rerank_cli(data_dir, checkpoint, run_path, out, k="3"):
     return run_cli("rerank", "--run", str(run_path), "--checkpoint", str(checkpoint),
                    "--vocab", str(data_dir / "vocab.txt"),
                    "--queries", str(data_dir / "queries.tsv"),
                    "--collection", str(data_dir / "collection.tsv"),
-                   "--out", str(out), "--k", "3")
+                   "--out", str(out), "--k", k)
 
 
 class TestRerankData:
@@ -124,6 +124,16 @@ class TestRerankData:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and missing in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("k", ["-1", "0"])
+    def test_k_below_one_is_a_data_error(self, data_dir, checkpoint, tmp_path, capsys, k):
+        # a negative k would slice from the end of each query's list
+        run_path = tmp_path / "one.run"
+        run_path.write_text("q0000 Q0 d000001 1 1.000000 bm25\n")
+        out = tmp_path / "out.run"
+        assert rerank_cli(data_dir, checkpoint, run_path, out, k=k) == 2
+        assert capsys.readouterr().err == f"error: k must be >= 1, got {k}\n"
+        assert not out.exists()
 
     def test_truncated_checkpoint_is_a_data_error(self, data_dir, checkpoint, tmp_path, capsys):
         cut = tmp_path / "cut.ckpt"
@@ -211,12 +221,12 @@ class TestRerankData:
                                   corpus.Collection(), 10, memo=memo)
 
 
-def cka_cli(data_dir, checkpoint, run_path):
+def cka_cli(data_dir, checkpoint, run_path, *extra):
     return run_cli("cka", "--checkpoint-a", str(checkpoint), "--checkpoint-b", str(checkpoint),
                    "--vocab", str(data_dir / "vocab.txt"),
                    "--queries", str(data_dir / "queries.tsv"),
                    "--collection", str(data_dir / "collection.tsv"),
-                   "--run", str(run_path))
+                   "--run", str(run_path), *extra)
 
 
 class TestCkaData:
@@ -246,6 +256,14 @@ class TestCkaData:
         assert "Traceback" not in err
         assert rerank_cli(data_dir, checkpoint, run_path, tmp_path / "out.run") == 2
         assert capsys.readouterr().err == err
+
+    def test_depth_below_one_is_a_data_error(self, data_dir, checkpoint, tmp_path, capsys):
+        # a negative depth would slice from the end of each query's list
+        run_path = tmp_path / "one.run"
+        run_path.write_text("q0000 Q0 d000001 1 1.000000 bm25\n")
+        assert cka_cli(data_dir, checkpoint, run_path, "--depth", "-1") == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: depth must be >= 1, got -1\n" and captured.out == ""
 
 
 class TestTrainDevHook:
@@ -305,6 +323,22 @@ class TestTrainDevHook:
         monkeypatch.setattr(M, "forward", lambda mdl, batch: M.ForwardOutput(
             logits=None, relevance_prob=[float(tuple(p.ids) in positives) for p in batch]))
         assert hook(trained) == 1.0
+
+    def test_empty_dev_triples_is_a_data_error(self, data_dir, tmp_path, capsys):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        ckpt = tmp_path / "m.ckpt"
+        assert run_cli("train", "--triples", str(data_dir / "triples.tsv"),
+                       "--dev-triples", str(empty), "--vocab", str(data_dir / "vocab.txt"),
+                       "--out", str(ckpt), "--steps", "20", "--warmup", "2",
+                       "--epoch-size", "10") == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: no held-out triples to score\n" and captured.out == ""
+        assert not ckpt.exists()
+        vocab = tokenizer.load_vocab(data_dir / "vocab.txt")
+        with pytest.raises(ValueError, match="no held-out triples"):
+            experiment.held_out_accuracy(M.init(M.ModelConfig(vocab_size=len(vocab)), 0), [],
+                                         vocab)
 
     def test_hook_ranks_below_the_threshold(self, data_dir, monkeypatch):
         # every positive at 0.3 and every negative at 0.2: each triple is
@@ -375,6 +409,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: epoch_size must be >= 1\n"
 
+    @pytest.mark.parametrize("key, line", [
+        ("dev_queries", "dev_queries = 4"),
+        ("test_queries", "test_queries = 6"),
+        ("rerank_k", "rerank_k = 20"),
+    ])
+    @pytest.mark.parametrize("value", ["-3", "0"])
+    def test_experiment_split_or_depth_below_one_is_a_data_error(self, tmp_path, capsys,
+                                                                 key, line, value):
+        # a negative split size would put test queries in the training split
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(CONFIG.replace(line, f"{key} = {value}"))
+        assert run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"error: {key} must be >= 1\n"
+        assert not (tmp_path / "out").exists()
+
     def test_experiment_odd_batch_size_is_a_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "config.ini"
         cfg.write_text(CONFIG.replace("batch_size = 8", "batch_size = 17"))
@@ -397,8 +446,11 @@ class TestExitCodes:
          + text[text.index("[experiment]"):], "unknown key shuffle_fixed in [train]"),
         (lambda text: text.replace("[train]\n", OLD_MODEL_SECTION + "[train]\n"),
          "unknown key n_segments in [model]"),
+        (lambda text: text.replace("learned/natural/sort", "learned/shuffled/natural"),
+         "unknown perturbation mode 'shuffled'"),
     ], ids=["no_section_header", "duplicate_key", "stray_percent", "misspelt_key",
-            "misspelt_section", "derived_key", "old_config_txt", "old_model_section"])
+            "misspelt_section", "derived_key", "old_config_txt", "old_model_section",
+            "misspelt_mode"])
     def test_malformed_config_is_a_data_error(self, tmp_path, capsys, break_config, message):
         cfg = tmp_path / "config.ini"
         cfg.write_text(break_config(CONFIG))

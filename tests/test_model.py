@@ -115,7 +115,7 @@ class TestForward:
         assert out.logits.shape == (3, 2)
         assert out.relevance_prob.shape == (3,)
         assert len(out.activations) == mdl.config.n_layers + 1
-        T = max(p.n_total for p in pairs)
+        T = max(len(p.ids) for p in pairs)
         assert out.activations[0].shape == (3, T, mdl.config.hidden)
 
     def test_probability_range(self):
@@ -133,9 +133,7 @@ class TestForward:
 
     def test_out_of_range_ids_rejected(self):
         mdl = init(small_cfg(vocab_size=10), 0)
-        bad = TokenizedPair(ids=[2, 40, 3, 5, 3], segments=[0, 0, 0, 1, 1],
-                            query_span=(1, 1), passage_span=(3, 3),
-                            sep_positions=(2, 4))
+        bad = TokenizedPair([2, 40, 3, 5, 3])
         with pytest.raises((ValueError, IndexError)):
             forward(mdl, [bad])
 
@@ -300,14 +298,15 @@ def ref_softmax(x, axis=-1):
 
 
 def ref_pad_batch(pairs, dtype):
-    T = max(p.n_total for p in pairs)
+    T = max(len(p.ids) for p in pairs)
     ids = np.full((len(pairs), T), 0, dtype=np.int64)
     segs = np.zeros((len(pairs), T), dtype=np.int64)
     mask = np.zeros((len(pairs), T), dtype=dtype)
     for i, p in enumerate(pairs):
-        ids[i, :p.n_total] = p.ids
-        segs[i, :p.n_total] = p.segments
-        mask[i, :p.n_total] = 1.0
+        n, first_sep = len(p.ids), p.ids.index(SEP_ID)
+        ids[i, :n] = p.ids
+        segs[i, :n] = [0] * (first_sep + 1) + [1] * (n - first_sep - 1)
+        mask[i, :n] = 1.0
     return ids, segs, mask
 
 
@@ -403,16 +402,12 @@ class TestKernelBytes:
         assert np.abs(got32 - want32).max() <= 1e-5 * max(1.0, np.abs(want32).max())
 
 
-def _random_pair(rng, n_total):
-    """A pair of exactly n_total ids (n_total >= 4) over VOCAB's word ids."""
-    nq = int(rng.integers(1, min(8, n_total - 3) + 1))
-    np_ = n_total - 3 - nq
-    ids = ([CLS_ID] + rng.integers(len(RESERVED), 50, nq).tolist()
-           + [SEP_ID] + rng.integers(len(RESERVED), 50, np_).tolist() + [SEP_ID])
-    sep = 1 + nq
-    return TokenizedPair(ids=ids, segments=[0] * (sep + 1) + [1] * (np_ + 1),
-                         query_span=(1, sep - 1), passage_span=(sep + 1, len(ids) - 2),
-                         sep_positions=(sep, len(ids) - 1))
+def _random_pair(rng, n):
+    """A pair of exactly n ids (n >= 4) over VOCAB's word ids."""
+    nq = int(rng.integers(1, min(8, n - 3) + 1))
+    np_ = n - 3 - nq
+    return TokenizedPair([CLS_ID] + rng.integers(len(RESERVED), 50, nq).tolist()
+                         + [SEP_ID] + rng.integers(len(RESERVED), 50, np_).tolist() + [SEP_ID])
 
 
 SWEEP_MODELS = [

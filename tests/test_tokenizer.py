@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from orderlab import experiment
+from orderlab import model as M
 from orderlab import tokenizer as tok
 from orderlab.corpus import Collection, QuerySet, SyntheticSpec, generate_synthetic
 from orderlab.tokenizer import (CLS_ID, PAD_ID, SEP_ID, UNK, UNK_ID, Vocab,
@@ -127,13 +128,11 @@ class TestEncodePair:
 
     def test_layout(self):
         pair = encode_pair("t0", "t1 t2", self.vocab, 16)
-        assert pair.ids[0] == CLS_ID
-        assert pair.ids[pair.sep_positions[0]] == SEP_ID
-        assert pair.ids[-1] == SEP_ID
+        assert pair.ids == [CLS_ID, self.tid["t0"], SEP_ID, self.tid["t1"], self.tid["t2"], SEP_ID]
+        assert pair.sep_positions == (2, 5)
         assert pair.query_span == (1, 1)
         assert pair.passage_span == (3, 4)
-        assert pair.segments == [0, 0, 0, 1, 1, 1]
-        assert pair.n_total == 6
+        assert M.pad_batch([pair])[1].tolist() == [[0, 0, 0, 1, 1, 1]]
 
     def test_span_ids(self):
         pair = encode_pair("t0", "t1 t2", self.vocab, 16)
@@ -144,7 +143,7 @@ class TestEncodePair:
         q = "t0 t1"
         p = " ".join(f"t{i}" for i in range(2, 22))
         pair = encode_pair(q, p, self.vocab, 10)
-        assert pair.n_total == 10
+        assert len(pair.ids) == 10
         # full query survives, passage keeps its head
         assert pair.span_ids(pair.query_span) == [self.tid["t0"], self.tid["t1"]]
         assert pair.span_ids(pair.passage_span) == [self.tid[f"t{i}"] for i in range(2, 7)]
@@ -152,7 +151,7 @@ class TestEncodePair:
     def test_very_long_query_leaves_one_passage_token(self):
         q = " ".join(f"t{i}" for i in range(20))
         pair = encode_pair(q, "t25 t26", self.vocab, 12)
-        assert pair.n_total == 12
+        assert len(pair.ids) == 12
         assert pair.span_ids(pair.passage_span) == [self.tid["t25"]]
 
     def test_empty_query_rejected(self):
@@ -175,8 +174,9 @@ class TestEncodePair:
             qid = qids[rng.integers(len(qids))]
             doc_id = doc_ids[rng.integers(len(doc_ids))]
             pair = encode_pair(qs.entries[qid], coll.entries[doc_id], vocab, 128)
-            assert pair.n_total <= 128
-            pair.validate()
+            assert len(pair.ids) <= 128
+            assert pair.ids[0] == CLS_ID
+            assert [i for i, t in enumerate(pair.ids) if t == SEP_ID] == list(pair.sep_positions)
             decoded = tok.decode_ids(pair.span_ids(pair.passage_span), vocab)
             assert " ".join(decoded) == coll.entries[doc_id].lower()
             decoded_q = tok.decode_ids(pair.span_ids(pair.query_span), vocab)
