@@ -34,8 +34,9 @@ out. The output keeps each round's factors, one per block. `--parent TREE` is an
 checkout, such as the parent commit; rounds alternate between that tree
 and this one, first one then the other, so that drift in the machine's
 speed falls on both alike. The output holds, for each tree, its commit,
-the median and quartiles of every timed call and the median of each
-round, and the machine. This checkout's entry is `change`, the other
+the precision its default model runs in (`numeric_precision`, 32 or
+64), and the median and quartiles of every timed call and the median of
+each round; and the machine. This checkout's entry is `change`, the other
 tree's `parent`.
 """
 
@@ -167,6 +168,7 @@ def _worker(tree: str) -> dict:
     with tempfile.TemporaryDirectory(prefix="bench-step-") as root:
         result["data_stage_ms"] = timed("data_stage_ms", data_stage, fresh_dirs(root))
     result["kernel_factors"] = kernel_factors
+    result["numeric_precision"] = cfg.numeric_precision
     result["mean_padded_len"] = {"loss_and_grads": mean_padded_len(STEP_BATCH),
                                  "forward": mean_padded_len(SCORE_BATCH)}
     return result
@@ -190,7 +192,7 @@ def _summary(times: list[float]) -> dict:
 
 
 def _entry(tree: str, rounds: list[dict]) -> dict:
-    entry = {"commit": _commit(tree)}
+    entry = {"commit": _commit(tree), "numeric_precision": rounds[0]["numeric_precision"]}
     for key in TIMED:
         every = [t for r in rounds for t in r[key]]
         entry[key] = dict(_summary(every), **TIMED[key],

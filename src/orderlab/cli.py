@@ -100,7 +100,7 @@ def _add_train(p):
     _add_fields(p, M.ModelConfig(), {
         "--position-mode": "position_mode", "--layers": "n_layers", "--heads": "n_heads",
         "--hidden": "hidden", "--ff-dim": "ff_dim", "--max-len": "max_len",
-    }, position_mode=("learned", "none"))
+    }, position_mode=M.POSITION_MODES)
     _add_fields(p, T.TrainConfig(), {
         "--batch-size": "batch_size", "--lr": "lr_peak", "--warmup": "warmup_steps",
         "--steps": "total_steps", "--epoch-size": "epoch_size",

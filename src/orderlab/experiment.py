@@ -103,10 +103,14 @@ class ExperimentSpec:
 
 
 def parse_condition(text: str) -> Condition:
-    """`position_mode/train_perturb/eval_perturb`, perturbs in CLI grammar."""
+    """`position_mode/train_perturb/eval_perturb`, perturbs in CLI grammar.
+    A position mode outside `model.POSITION_MODES` is a ValueError here,
+    so a config naming one is refused before the run writes anything."""
     parts = text.split("/")
     if len(parts) != 3:
         raise ValueError(f"bad condition {text!r}; expected pos/train/eval")
+    if parts[0] not in M.POSITION_MODES:
+        raise ValueError(f"unknown position_mode {parts[0]!r}")
     return Condition(parts[0], perturb.parse_mode(parts[1]), perturb.parse_mode(parts[2]))
 
 

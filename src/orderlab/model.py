@@ -19,6 +19,9 @@ token and the rest of the layer only for rows 0 and 1, and the backward
 pass runs that layer on those two rows as well. The logits and the loss
 are byte-identical to the full pass. The gradients agree with it to
 rounding: on two rows some products go to other BLAS kernels.
+
+Models run in float32 unless a config sets `numeric_precision = 64`;
+`train.grad_check` checks a float64 copy of the weights.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ N_SEGMENTS = 2  # query and passage
 INIT_SCALE = 0.02  # sd of the initial weights; no config sets it
 _MAGIC = b"ORDERLAB-CKPT\n"
 _VERSION = 2
+POSITION_MODES = ("learned", "none")
 
 
 @dataclass
@@ -50,8 +54,8 @@ class ModelConfig:
     ff_dim: int = 64
     vocab_size: int = 1000
     max_len: int = 64
-    position_mode: str = "learned"  # learned | none
-    numeric_precision: int = 64  # 32 | 64
+    position_mode: str = "learned"  # one of POSITION_MODES
+    numeric_precision: int = 32  # 32 | 64
 
     def validate(self):
         # sizes first: a checkpoint header may hold any JSON value
@@ -61,7 +65,7 @@ class ModelConfig:
                 raise ValueError(f"{name} must be a positive integer")
         if self.hidden % self.n_heads != 0:
             raise ValueError("hidden must be divisible by n_heads")
-        if self.position_mode not in ("learned", "none"):
+        if self.position_mode not in POSITION_MODES:
             raise ValueError(f"unknown position_mode {self.position_mode!r}")
         if self.numeric_precision not in (32, 64):
             raise ValueError("numeric_precision must be 32 or 64")
@@ -468,7 +472,9 @@ def loss_and_grads(model: Model, pairs: list[TokenizedPair], labels, grads=None)
     B = logits.shape[0]
     probs = softmax(logits, axis=-1)
     y = np.asarray(labels, dtype=np.int64)
-    loss = float(-np.log(np.clip(probs[np.arange(B), y], 1e-300, None)).mean())
+    # floored at the dtype's smallest normal, so an underflow gives a finite loss
+    tiny = np.finfo(probs.dtype).tiny
+    loss = float(-np.log(np.clip(probs[np.arange(B), y], tiny, None)).mean())
     dlogits = probs.copy()
     dlogits[np.arange(B), y] -= 1.0
     dlogits /= B

@@ -10,7 +10,7 @@ reproducible but re-drawn every epoch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -224,14 +224,16 @@ def grad_check(mdl: M.Model, example, eps: float = 1e-5, n_coords: int = 200,
     """Max relative error between analytic and central-difference gradients.
 
     Samples roughly n_coords coordinates spread over every named
-    parameter. Requires 64-bit precision. The relative
+    parameter. The check runs on a float64 copy of the model, whatever
+    its precision, and leaves `mdl` untouched: a float32 model's weights
+    are checked in float64 arithmetic. The relative
     denominator is floored at 1e-6: below that the central difference is
     dominated by round-off (~1e-11 absolute at eps=1e-5), so tiny
     gradients are compared absolutely.
     """
     pairs, labels = example
-    if mdl.config.dtype != np.float64:
-        raise ValueError("gradient check requires 64-bit precision")
+    mdl = M.Model(replace(mdl.config, numeric_precision=64),
+                  {name: p.astype(np.float64) for name, p in mdl.params.items()})
     _, grads = M.loss_and_grads(mdl, pairs, labels)
     rng = np.random.default_rng(seed)
     per_param = max(1, -(-n_coords // len(mdl.params)))

@@ -81,7 +81,9 @@ class TestCkaLinear:
 
 class TestCompare:
     def test_same_model_same_condition_all_layers_one(self):
-        mdl = small_model(1)
+        # float64: in float32 the [CLS] embedding layer has no variance
+        # and scores NaN (tests/test_cli.py, the float32 experiment)
+        mdl = small_model(1, numeric_precision=64)
         data = pairs_of(24, np.random.default_rng(0))
         rep = cka.compare(mdl, perturb.NATURAL, mdl, perturb.NATURAL, data,
                           selector="cls_only", batch_size=12)
@@ -166,7 +168,7 @@ class TestCompare:
 
 class TestReportCsv:
     def test_layout(self, tmp_path):
-        mdl = small_model(6)
+        mdl = small_model(6, numeric_precision=64)  # layer 0 is NaN in float32
         data = pairs_of(8, np.random.default_rng(5))
         rep = cka.compare(mdl, perturb.NATURAL, mdl, perturb.NATURAL, data)
         p = tmp_path / "cka.csv"

@@ -459,6 +459,20 @@ class TestExitCodes:
         assert err.startswith("error: config ") and err.count("\n") == 1 and message in err
         assert not (tmp_path / "out").exists()
 
+    def test_misspelt_position_mode_refused_before_anything_is_written(self, tmp_path, capsys):
+        # refused while the config is read, so no config.txt blocks the corrected rerun
+        cfg, out = tmp_path / "config.ini", tmp_path / "out"
+        cfg.write_text(CONFIG.replace("none/natural/natural", "nnone/natural/natural"))
+        assert run_cli("experiment", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config ") and err.count("\n") == 1
+        assert "unknown position_mode 'nnone'" in err
+        assert not (out / "config.txt").exists()
+        cfg.write_text(CONFIG)
+        assert run_cli("experiment", "--config", str(cfg), "--out", str(out)) == 0
+        assert (out / "config.txt").read_text() == experiment.resolved_config(
+            experiment.spec_from_config(cfg))
+
     def test_numeric_failure_divergence(self, data_dir, tmp_path, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -611,6 +625,20 @@ class TestExperimentCommand:
         assert lines[0] == "position_mode\ttrain_perturb\teval_perturb\tndcg@10\tmap\trecall@100\tmrr@10"
         assert len(lines) == 4
         assert lines[1].startswith("learned\tnatural\tnatural\t")
+
+    def test_default_precision_is_float32(self, exp, tmp_path):
+        # CONFIG sets no precision: config.txt records 32, and each
+        # checkpoint holds f4 arrays, since loading one as float32 and
+        # saving it again gives the same bytes
+        _, out = exp
+        assert "numeric_precision = 32\n" in (out / "config.txt").read_text()
+        ckpts = sorted((out / "models").glob("*.ckpt"))
+        assert len(ckpts) == 2
+        for ckpt in ckpts:
+            mdl = M.load(ckpt)
+            assert {p.dtype for p in mdl.params.values()} == {np.dtype(np.float32)}
+            M.save(mdl, tmp_path / "again.ckpt")
+            assert (tmp_path / "again.ckpt").read_bytes() == ckpt.read_bytes()
 
     def test_rerun_same_seed_byte_identical(self, exp, tmp_path):
         cfg, out = exp

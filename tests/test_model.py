@@ -41,8 +41,9 @@ class TestConfig:
             small_cfg(n_layers=0).validate()
 
     def test_dtype(self):
-        assert small_cfg().dtype is np.float64
-        assert small_cfg(numeric_precision=32).dtype is np.float32
+        assert ModelConfig().numeric_precision == 32
+        assert small_cfg().dtype is np.float32
+        assert small_cfg(numeric_precision=64).dtype is np.float64
 
 
 def n_params(mdl):
@@ -142,6 +143,18 @@ class TestForward:
         pair = pair_of("t0 t1 t2", " ".join(f"t{i}" for i in range(3, 12)), max_len=32)
         with pytest.raises(ValueError):
             forward(mdl, [pair])
+
+
+class TestLoss:
+    @pytest.mark.parametrize("precision, margin", [(32, 300.0), (64, 800.0)])
+    def test_underflowed_true_class_gives_finite_loss(self, precision, margin):
+        # the true class's probability underflows to 0; the loss is that of
+        # the dtype's smallest normal probability, not inf
+        mdl = init(small_cfg(numeric_precision=precision), 0)
+        mdl.params["cls_b"][:] = [0.0, margin]
+        loss, grads = M.loss_and_grads(mdl, [pair_of("t0 t1", "t2 t3")], [0])
+        assert loss == pytest.approx(-math.log(np.finfo(mdl.config.dtype).tiny), rel=1e-6)
+        assert all(np.isfinite(g).all() for g in grads.values())
 
 
 class TestOrderSensitivity:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,10 +207,16 @@ class TestGradCheck:
         mdl = small_model(7)
         assert T.grad_check(mdl, examples("t0 t1", "t0 t1 t2", "t30 t31"), n_coords=150) < 1e-4
 
-    def test_requires_float64(self):
+    def test_float32_model_checked_on_its_float64_copy(self):
         mdl = small_model(0, numeric_precision=32)
-        with pytest.raises(ValueError):
-            T.grad_check(mdl, examples("t0", "t1", "t2"))
+        before = {name: p.copy() for name, p in mdl.params.items()}
+        copy = M.Model(replace(mdl.config, numeric_precision=64),
+                       {name: p.astype(np.float64) for name, p in mdl.params.items()})
+        example = examples("t0 t1", "t0 t1 t2", "t30 t31")
+        assert T.grad_check(mdl, example, n_coords=60) == T.grad_check(copy, example, n_coords=60)
+        for name, p in mdl.params.items():
+            assert p.dtype == np.float32
+            assert p.tobytes() == before[name].tobytes()
 
     def test_error_shrinks_with_eps(self):
         # central differences are O(eps^2): a much larger eps gives a
