@@ -44,6 +44,10 @@ def cka_linear(x: np.ndarray, y: np.ndarray) -> float:
         raise ValueError("need at least 2 samples")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("inputs must be finite")
+    # tested before centring: identical rows can centre to rounding
+    # residue of their mean, and the CKA of that residue is noise
+    if (x == x[0]).all() or (y == y[0]).all():
+        raise DegenerateInputError("every row is the same")
     xc = x - x.mean(axis=0)
     yc = y - y.mean(axis=0)
     denom = np.linalg.norm(xc.T @ xc) * np.linalg.norm(yc.T @ yc)
@@ -96,8 +100,7 @@ def score(a: Capture, b: Capture, selector: str = "cls_only") -> CkaReport:
     A layer whose rows have zero variance in a batch, on either side,
     scores NaN for that batch, and so its average is NaN; the batch's
     other layers count as usual. Under `cls_only` layer 0 is the [CLS]
-    embedding, the same for every example: in float32 its centred rows
-    are exactly 0, in float64 rounding noise.
+    embedding, the same for every example, so it scores NaN.
     """
     if selector not in ("cls_only", "all_tokens"):
         raise ValueError(f"unknown selector {selector!r}")

@@ -9,16 +9,13 @@ invariant to within-span reordering. There is no dropout: training and
 scoring run the same pass. Two segments (query and passage) and the
 initial weights' scale are module constants, not config fields.
 
-Forward and backward passes are hand-written in numpy. `forward` scores
-a batch and `loss_and_grads` gives its loss and gradients; `train.grad_check`
-checks the gradients against central finite differences of that loss.
-
-Scoring reads the final [CLS] state alone. So unless a pass captures
-the hidden states, the last layer computes keys and values for every
-token and the rest of the layer only for rows 0 and 1, and the backward
-pass runs that layer on those two rows as well. The logits and the loss
-are byte-identical to the full pass. The gradients agree with it to
-rounding: on two rows some products go to other BLAS kernels.
+Four passes, hand-written in numpy: `_encode` and `_encode_backward` for
+the encoder, `_forward` and `_backward` for the [CLS] classifier on top.
+Unless hidden states are captured, the encoder's last layer keeps rows 0
+and 1 (see `_forward`). The logits and loss are the full pass's bytes;
+the gradients agree to rounding, as some two-row products go to other
+BLAS kernels. `train.grad_check` checks `loss_and_grads` against central
+finite differences.
 
 Models run in float32 unless a config sets `numeric_precision = 64`;
 `train.grad_check` checks a float64 copy of the weights.
@@ -125,9 +122,9 @@ def init(cfg: ModelConfig, seed: int) -> Model:
     rng = np.random.default_rng(seed)
     params = {}
     for name, shape in _param_shapes(cfg).items():
-        if name.endswith(("_g",)):
+        if name.endswith("_g"):
             arr = np.ones(shape)
-        elif name.endswith(("_b", "bq", "bk", "bv", "bo", "b1", "b2")) or name == "cls_b":
+        elif len(shape) == 1:
             arr = np.zeros(shape)
         elif name == "pos_emb":
             # position embeddings start an order of magnitude smaller than
@@ -171,9 +168,9 @@ def pad_batch(pairs: list[TokenizedPair], dtype=np.float64):
 # numerics
 
 
-# The helpers below and the hot lines of `_forward`/`_backward` write into
-# arrays they have just allocated (`out=`, `+=`, `*=`) instead of making a
-# fresh temporary per operator. Each keeps the operand order of the plain
+# The helpers below and the hot lines of `_encode`/`_encode_backward` write
+# into arrays they have just allocated (`out=`, `+=`, `*=`) instead of making
+# a fresh temporary per operator. Each keeps the operand order of the plain
 # one-line expression (tests/test_model.py holds those as references), so
 # every result is the same bytes; none writes to an array it was given.
 
@@ -280,43 +277,33 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(B, T, H * dh)
 
 
-def _forward(model: Model, ids, segs, mask, capture=False):
-    """Run the encoder; returns (logits, activations, tape for backward).
-
-    The same pass serves training, scoring and CKA. Without `capture`
-    the last layer computes keys and values for every token and
-    everything after them for rows 0 and 1 only, and the tape holds
-    those two rows; the logits are the full pass's bytes.
-    """
+def _encode(model: Model, ids, segs, mask, rows=None):
+    """Run the encoder; returns its tape of each layer's cache (`h_in` is
+    its input) and the output `h_final`. The last layer keeps the first
+    `rows` rows past its keys and values, or every row if `rows` is None."""
     cfg = model.config
     P = model.params
-    B, T = ids.shape
+    T = ids.shape[1]
     if T > cfg.max_len:
         raise ValueError(f"sequence length {T} exceeds max_len {cfg.max_len}")
     if ids.max() >= cfg.vocab_size or ids.min() < 0:
         raise ValueError("token id out of range")
 
-    tape: dict = {"ids": ids, "segs": segs, "mask": mask, "layers": []}
+    tape: dict = {"ids": ids, "segs": segs, "layers": []}
 
     emb = np.take(P["tok_emb"], ids, axis=0)
     emb += np.take(P["seg_emb"], segs, axis=0)
     if cfg.position_mode == "learned":
         emb += P["pos_emb"][:T]
-    h, ln_cache = layer_norm_fwd(emb, P["emb_ln_g"], P["emb_ln_b"])
-    tape["emb_ln"] = ln_cache
+    h, tape["emb_ln"] = layer_norm_fwd(emb, P["emb_ln_g"], P["emb_ln_b"])
 
-    acts = [h] if capture else None
     # additive key mask: 0 where attendable, -inf where padded
     neg = np.where(mask[:, None, None, :] > 0, 0.0, -np.inf).astype(cfg.dtype)
     scale = 1.0 / math.sqrt(cfg.head_dim)
 
     for l in range(cfg.n_layers):
         p = f"layer{l}."
-        # rows the layer's output keeps: all, or [CLS] and the next row
-        # on the last layer of a pass that captures nothing. Two rows,
-        # not one: numpy sends a one-row product to gemv, which rounds
-        # differently from the gemm the full pass runs
-        hq = h if capture or l < cfg.n_layers - 1 else h[:, :2].copy()
+        hq = h if rows is None or l < cfg.n_layers - 1 else h[:, :rows].copy()
         q = hq @ P[p + "Wq"]
         q += P[p + "bq"]
         k = h @ P[p + "Wk"]
@@ -347,36 +334,18 @@ def _forward(model: Model, ids, segs, mask, capture=False):
             h_in=h, hq=hq, qh=qh, kh=kh, vh=vh, A=A, ctx=ctx, ln1=ln1_cache, h1=h1, z=z,
             cdf2=cdf2, a=a, ln2=ln2_cache))
         h = h2
-        if capture:
-            acts.append(h)
 
     tape["h_final"] = h
-    logits = h[:, 0, :] @ P["cls_W"] + P["cls_b"]
-    return logits, acts, tape
+    return tape
 
 
-def _backward(model: Model, tape, dlogits, grads=None):
-    """Backpropagate dloss/dlogits through the tape; returns grad dict.
-
-    The gradients accumulate into `grads` (zeroed first) when given, else
-    into fresh arrays.
-    """
+def _encode_backward(model: Model, tape, dh, grads):
+    """Backpropagate `dh`, dloss/d`h_final`, through the encoder's tape;
+    adds each encoder parameter's gradient into `grads` and returns it."""
     cfg = model.config
     P = model.params
-    if grads is None:
-        grads = {name: np.zeros_like(p) for name, p in model.params.items()}
-    else:
-        for g in grads.values():
-            g.fill(0.0)
     ids, segs = tape["ids"], tape["segs"]
-    B, T = ids.shape
     scale = 1.0 / math.sqrt(cfg.head_dim)
-
-    h = tape["h_final"]
-    grads["cls_W"] += h[:, 0, :].T @ dlogits
-    grads["cls_b"] += dlogits.sum(axis=0)
-    dh = np.zeros_like(h)
-    dh[:, 0, :] = dlogits @ P["cls_W"].T
 
     for l in range(cfg.n_layers - 1, -1, -1):
         p = f"layer{l}."
@@ -445,8 +414,38 @@ def _backward(model: Model, tape, dlogits, grads=None):
     grads["tok_emb"] += scatter_rows(ids, demb, cfg.vocab_size)
     grads["seg_emb"] += scatter_rows(segs, demb, N_SEGMENTS)
     if cfg.position_mode == "learned":
-        grads["pos_emb"][:T] += demb.sum(axis=0)
+        grads["pos_emb"][:ids.shape[1]] += demb.sum(axis=0)
     return grads
+
+
+def _forward(model: Model, ids, segs, mask, capture=False):
+    """The [CLS] classifier on the encoder: (logits, activations, tape).
+
+    With `capture` the encoder keeps every row and the activations are
+    each layer's input, then the last output; else they are None and the
+    last layer keeps rows 0 and 1. Not row 0 alone: numpy sends a one-row
+    product to gemv, which rounds differently from the full pass's gemm."""
+    tape = _encode(model, ids, segs, mask, rows=None if capture else 2)
+    h = tape["h_final"]
+    logits = h[:, 0, :] @ model.params["cls_W"] + model.params["cls_b"]
+    acts = [lt["h_in"] for lt in tape["layers"]] + [h] if capture else None
+    return logits, acts, tape
+
+
+def _backward(model: Model, tape, dlogits, grads=None):
+    """Backpropagate dloss/dlogits through the classifier and the encoder;
+    returns the gradients, in `grads` (zeroed first) if given."""
+    if grads is None:
+        grads = {name: np.zeros_like(p) for name, p in model.params.items()}
+    else:
+        for g in grads.values():
+            g.fill(0.0)
+    h = tape["h_final"]
+    grads["cls_W"] += h[:, 0, :].T @ dlogits
+    grads["cls_b"] += dlogits.sum(axis=0)
+    dh = np.zeros_like(h)
+    dh[:, 0, :] = dlogits @ model.params["cls_W"].T
+    return _encode_backward(model, tape, dh, grads)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +477,7 @@ def loss_and_grads(model: Model, pairs: list[TokenizedPair], labels, grads=None)
     dlogits = probs.copy()
     dlogits[np.arange(B), y] -= 1.0
     dlogits /= B
-    grads = _backward(model, tape, dlogits.astype(model.config.dtype), grads)
+    grads = _backward(model, tape, dlogits, grads)
     return loss, grads
 
 

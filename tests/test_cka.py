@@ -78,24 +78,35 @@ class TestCkaLinear:
         with pytest.raises(cka.DegenerateInputError):
             cka.cka_linear(x, y)
 
+    def test_identical_rows_degenerate_despite_centring_residue(self):
+        # five copies of one float64 row centre to rounding residue of
+        # their mean, not to 0; the CKA of that residue would be noise
+        x = np.tile(np.random.default_rng(1).normal(size=4), (5, 1))
+        assert np.abs(x - x.mean(axis=0)).max() > 0
+        y = np.random.default_rng(0).normal(size=(5, 3))
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(cka.DegenerateInputError):
+                cka.cka_linear(a, b)
+
 
 class TestCompare:
     def test_same_model_same_condition_all_layers_one(self):
-        # float64: in float32 the [CLS] embedding layer has no variance
-        # and scores NaN (tests/test_cli.py, the float32 experiment)
-        mdl = small_model(1, numeric_precision=64)
+        # layer 0 is the [CLS] embedding, the same row for every example:
+        # NaN in either precision
         data = pairs_of(24, np.random.default_rng(0))
-        rep = cka.compare(mdl, perturb.NATURAL, mdl, perturb.NATURAL, data,
-                          selector="cls_only", batch_size=12)
-        assert len(rep.per_layer) == mdl.config.n_layers + 1
-        assert rep.n_batches == 2
-        for v in rep.per_layer:
-            assert v == pytest.approx(1.0, abs=1e-9)
+        for precision in (32, 64):
+            mdl = small_model(1, numeric_precision=precision)
+            rep = cka.compare(mdl, perturb.NATURAL, mdl, perturb.NATURAL, data,
+                              selector="cls_only", batch_size=12)
+            assert len(rep.per_layer) == mdl.config.n_layers + 1
+            assert rep.n_batches == 2
+            assert np.isnan(rep.per_layer[0])
+            for v in rep.per_layer[1:]:
+                assert v == pytest.approx(1.0, abs=1e-9)
 
     def test_different_inits_below_one(self):
         # layer 0 is skipped: the CLS state before any attention is the
-        # same embedding sum for every example, so its centered rows are
-        # pure rounding noise
+        # same embedding sum for every example, so it scores NaN
         data = pairs_of(32, np.random.default_rng(1))
         rep = cka.compare(small_model(1), perturb.NATURAL,
                           small_model(2), perturb.NATURAL, data)
@@ -168,7 +179,7 @@ class TestCompare:
 
 class TestReportCsv:
     def test_layout(self, tmp_path):
-        mdl = small_model(6, numeric_precision=64)  # layer 0 is NaN in float32
+        mdl = small_model(6)
         data = pairs_of(8, np.random.default_rng(5))
         rep = cka.compare(mdl, perturb.NATURAL, mdl, perturb.NATURAL, data)
         p = tmp_path / "cka.csv"
@@ -176,6 +187,7 @@ class TestReportCsv:
         lines = p.read_text().splitlines()
         assert lines[0] == "layer,cka_mean,n_batches"
         assert len(lines) == 1 + mdl.config.n_layers + 1
-        layer, value, n = lines[1].split(",")
-        assert layer == "0" and n == "1"
-        assert float(value) == pytest.approx(1.0, abs=1e-6)
+        rows = [line.split(",") for line in lines[1:]]
+        assert [(layer, n) for layer, _, n in rows] == [("0", "1"), ("1", "1"), ("2", "1")]
+        assert rows[0][1] == "nan"
+        assert all(float(value) == pytest.approx(1.0, abs=1e-6) for _, value, _ in rows[1:])

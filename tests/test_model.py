@@ -502,3 +502,42 @@ class TestClsOnlyPass:
         assert tape["h_final"].shape == (B, 2, d)
         _, _, full = M._forward(mdl, ids, segs, mask, capture=True)
         assert full["layers"][-1]["hq"].shape == full["h_final"].shape == (B, T, d)
+
+
+class TestEncodeBackward:
+    """The encoder's backward on a tape that keeps every row, with a
+    gradient on every row of `h_final`, as a token-level head seeds it."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("position_mode", ["learned", "none"])
+    def test_every_row_matches_finite_differences(self, n_layers, position_mode):
+        mdl = init(small_cfg(n_layers=n_layers, position_mode=position_mode,
+                             numeric_precision=64), 11)
+        rng = np.random.default_rng(n_layers)
+        # the first pair sets the padded length; the others have padding
+        ids, segs, mask = M.pad_batch([_random_pair(rng, n) for n in (12, 7, 9)])
+        B, T = ids.shape
+        R = rng.normal(size=(B, T, mdl.config.hidden)) / (B * T)
+
+        def objective():
+            return float((M._encode(mdl, ids, segs, mask)["h_final"] * R).sum())
+
+        grads = {name: np.zeros_like(p) for name, p in mdl.params.items()}
+        assert M._encode_backward(mdl, M._encode(mdl, ids, segs, mask), R, grads) is grads
+        assert not grads["cls_W"].any() and not grads["cls_b"].any()
+        eps, worst = 1e-5, 0.0
+        for name, p in mdl.params.items():
+            flat = p.reshape(-1)
+            for c in rng.choice(flat.size, size=min(8, flat.size), replace=False):
+                orig = flat[c]
+                flat[c] = orig + eps
+                up = objective()
+                flat[c] = orig - eps
+                down = objective()
+                flat[c] = orig
+                numeric = (up - down) / (2 * eps)
+                analytic = grads[name].reshape(-1)[c]
+                # criterion 4's bound and its 1e-6 floor on the denominator
+                denom = max(abs(analytic), abs(numeric), 1e-6)
+                worst = max(worst, abs(analytic - numeric) / denom)
+        assert worst <= 1e-4
