@@ -13,21 +13,28 @@ encoder's hot entry points on pairs of the benchmark's `matrix` corpus
   2 dev queries x their BM25 top 50 under `shuffle:13`, through a run
   memo (`tokenizer.PairMemo`) that earlier calls have filled, as the
   second and later dev evals of a training run find it;
+- the encoder's kernels alone, each at a training step's batch (16)
+  and a scoring batch's (64), on inputs of the model's precision at
+  the batches' padded length of 23 (`KERNEL_T`), with the keys of each
+  row past its pair's length masked: `gelu_cdf2` on the FFN
+  pre-activation `(B, T, ff_dim)`, `layer_norm_fwd` then
+  `layer_norm_bwd` on a hidden state `(B, T, hidden)`, and `softmax` on
+  attention scores `(B, n_heads, T, T)`;
 - `data_stage`: what a run does before any model, on the same spec:
   `experiment.run_experiment` in a fresh directory, from its start to
   its first `[experiment] training model` log, the segment the
   benchmark's `matrix` `setup_s` times. It runs whatever the tree's
   runner does there, so both trees are timed on their own code.
 
-Each round times 200 calls of each of the first three, and 10 of the
+Each round times 200 calls of each entry but the data stage, and 10 of the
 data stage (one takes about 0.2 s), after a few untimed ones, in a
 fresh process per source tree, with one BLAS thread and glibc's
 allocator pinned as `perfbench/run.py` does. Every call's time is
 scaled, as the benchmark's are, by the calibration kernel
 (`perfbench/calibrate.py`, median of 3 runs). The kernel is timed
 after the untimed calls and then after every `mark_every` timed calls
-of the entry (`TIMED`): every 50 calls of the first three, every call
-of the data stage. Each block of calls is scaled by the marks around
+of the entry (`TIMED`): every 50 calls, and every call of the data
+stage. Each block of calls is scaled by the marks around
 it: `time * REF_S / mean of the two kernel times`, so that the
 machine's drift within a round, as well as between rounds, is divided
 out. The output keeps each round's factors, one per block. `--parent TREE` is another
@@ -59,6 +66,7 @@ import tempfile  # noqa: E402
 import time  # noqa: E402
 
 STEP_BATCH, SCORE_BATCH = 16, 64
+KERNEL_T = 23  # padded length of the kernels' inputs: a matrix batch's mean is 22.5-23.0
 SEED, EVAL_SEED = 1, 13  # matrix corpus seed; the dev evals' shuffle:13
 # timed calls a round, untimed ones before them, and timed calls between two kernel marks
 KERNEL_CALLS = {"calls_per_round": 200, "warmup_calls": 10, "mark_every": 50}
@@ -67,6 +75,9 @@ TIMED = {"loss_and_grads_ms": {"batch": STEP_BATCH, **KERNEL_CALLS},
          "forward_ms": {"batch": SCORE_BATCH, **KERNEL_CALLS},
          "rerank_eval_ms": {"queries": 2, "top_k": 50, "mode": f"shuffle:{EVAL_SEED}",
                             **KERNEL_CALLS},
+         **{f"{kernel}_b{batch}_ms": {"batch": batch, "padded_len": KERNEL_T, **KERNEL_CALLS}
+            for kernel in ("gelu_cdf2", "layer_norm", "softmax")
+            for batch in (STEP_BATCH, SCORE_BATCH)},
          "data_stage_ms": {"spec": "matrix_spec(1)", "until": "first model's training",
                            "calls_per_round": 10, "warmup_calls": 1, "mark_every": 1}}
 
@@ -156,6 +167,21 @@ def _worker(tree: str) -> dict:
             return
         raise RuntimeError("the data stage trained no model")
 
+    def kernel_calls(batch):
+        """Each kernel's call on random inputs of the model's dtype at `batch`;
+        score row i masks the keys past the length of pair i."""
+        rng = np.random.default_rng(batch)
+        dtype, T, d = cfg.dtype, KERNEL_T, cfg.hidden
+        z = rng.normal(0.0, 1.0, (batch, T, cfg.ff_dim)).astype(dtype)
+        x, dy = (rng.normal(0.0, 1.0, (batch, T, d)).astype(dtype) for _ in range(2))
+        g, b = np.ones(d, dtype), np.zeros(d, dtype)
+        scores = rng.normal(0.0, 1.0, (batch, cfg.n_heads, T, T)).astype(dtype)
+        for row, pair in enumerate(pairs[:batch]):
+            scores[row, ..., len(pair.ids):] = -np.inf
+        return {"gelu_cdf2": lambda: M.gelu_cdf2(z),
+                "layer_norm": lambda: M.layer_norm_bwd(dy, M.layer_norm_fwd(x, g, b)[1]),
+                "softmax": lambda: M.softmax(scores)}
+
     mode = perturb.shuffle_mode(EVAL_SEED)
     result = {"env": perfbench_run.environment(malloc),
               "loss_and_grads_ms": timed("loss_and_grads_ms", lambda b, y: M.loss_and_grads(
@@ -165,6 +191,10 @@ def _worker(tree: str) -> dict:
               "rerank_eval_ms": timed("rerank_eval_ms", lambda: experiment.rerank_run(
                   dev_run, mdl, vocab, queries, collection, dev_k, mode,
                   tag="dev", memo=memo))}
+    for batch in (STEP_BATCH, SCORE_BATCH):
+        for kernel, call in kernel_calls(batch).items():
+            key = f"{kernel}_b{batch}_ms"
+            result[key] = timed(key, call)
     with tempfile.TemporaryDirectory(prefix="bench-step-") as root:
         result["data_stage_ms"] = timed("data_stage_ms", data_stage, fresh_dirs(root))
     result["kernel_factors"] = kernel_factors
@@ -251,6 +281,8 @@ def main(argv=None) -> int:
               f"({entry['forward_us_per_pair']} us/pair), "
               f"rerank_eval {entry['rerank_eval_ms']['median']} ms, "
               f"data_stage {entry['data_stage_ms']['median']} ms")
+    print("change/parent: " + ", ".join(f"{key[:-3]} {ratio}"
+                                        for key, ratio in result["change_over_parent"].items()))
     return 0
 
 

@@ -18,7 +18,11 @@ BLAS kernels. `train.grad_check` checks `loss_and_grads` against central
 finite differences.
 
 Models run in float32 unless a config sets `numeric_precision = 64`;
-`train.grad_check` checks a float64 copy of the weights.
+`train.grad_check` checks a float64 copy of the weights. The kernels are
+float32-native: in float32 GELU's erf is a rational approximation within
+1e-6 of erf, while float64 keeps scipy's erf, exact for the gradient
+check; row sums are one einsum and the softmax row max is exact (see the
+numerics section).
 """
 
 from __future__ import annotations
@@ -170,9 +174,35 @@ def pad_batch(pairs: list[TokenizedPair], dtype=np.float64):
 
 # The helpers below and the hot lines of `_encode`/`_encode_backward` write
 # into arrays they have just allocated (`out=`, `+=`, `*=`) instead of making
-# a fresh temporary per operator. Each keeps the operand order of the plain
+# a fresh temporary per operator. Each keeps the operand order of a plain
 # one-line expression (tests/test_model.py holds those as references), so
-# every result is the same bytes; none writes to an array it was given.
+# every result is that expression's bytes; none writes to an array it was
+# given. The kernels are cheap in float32 too:
+# - `gelu_cdf2` evaluates erf as a float32 rational in float32 (within 1e-6
+#   of 1 + erf in float64) and keeps scipy's erf in float64, where the
+#   gradient check needs it exact;
+# - every sum along the last axis is `_rowsum`, one einsum whose SIMD sum
+#   groups a row's elements the same way at any address, so runs repeat;
+# - softmax takes its row max from a key-major copy; a max is exact in any
+#   order, so that moves no byte.
+
+# float32 erf(c) = c * P(c^2) / Q(c^2) on [-4, 4], outside which erf rounds
+# to +-1: Eigen's and XLA's coefficients, highest power first
+_ERF_P = np.array([-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+                   -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+                   -1.60960333262415e-02], dtype=np.float32)
+_ERF_Q = np.array([-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+                   -7.37332916720468e-03, -1.42647390514189e-02], dtype=np.float32)
+
+
+def _horner(coeffs, x2):
+    """coeffs[0] * x2^n + ... + coeffs[n], in its own array."""
+    y = np.multiply(x2, coeffs[0])
+    for a in coeffs[1:-1]:
+        y += a
+        y *= x2
+    y += coeffs[-1]
+    return y
 
 
 def gelu_cdf2(x):
@@ -180,9 +210,17 @@ def gelu_cdf2(x):
     # exact (erf-based) GELU; a tanh approximation is not accurate enough
     # for 1e-4 finite-difference gradient checks
     c = x / np.asarray(math.sqrt(2.0), dtype=x.dtype)
-    scipy_erf(c, out=c)
-    c += 1.0
-    return c
+    if x.dtype != np.float32:
+        scipy_erf(c, out=c)
+        c += 1.0
+        return c
+    np.clip(c, -4.0, 4.0, out=c)
+    x2 = c * c
+    y = _horner(_ERF_P, x2)
+    y *= c
+    y /= _horner(_ERF_Q, x2)
+    y += 1.0
+    return y
 
 
 def gelu(x, cdf2=None):
@@ -207,12 +245,20 @@ def gelu_grad(x, cdf2=None):
     return phi
 
 
+def _rowsum(x):
+    """The sum of each row along the last axis, keeping that axis (size 1)."""
+    return np.einsum("...j->...", x)[..., None]
+
+
 def layer_norm_fwd(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
+    d = x.shape[-1]
+    mu = _rowsum(x)
+    mu /= d
     xc = x - mu
     sq = xc * xc
-    var = sq.mean(axis=-1, keepdims=True)
-    # inv = 1 / sqrt(var + eps); xhat = xc * inv; y = g * xhat + b
+    var = _rowsum(sq)
+    # var = sum / d; inv = 1 / sqrt(var + eps); xhat = xc * inv; y = g * xhat + b
+    var /= d
     var += LN_EPS
     inv = np.sqrt(var, out=var)
     np.divide(1.0, inv, out=inv)
@@ -225,14 +271,17 @@ def layer_norm_fwd(x, g, b):
 
 def layer_norm_bwd(dy, cache):
     xhat, inv, g = cache
+    d = dy.shape[-1]
     axes = tuple(range(dy.ndim - 1))
     t = dy * xhat
     dg = t.sum(axis=axes)
     db = dy.sum(axis=axes)
     dxhat = dy * g
-    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m1 = _rowsum(dxhat)
+    m1 /= d
     np.multiply(dxhat, xhat, out=t)
-    m2 = t.mean(axis=-1, keepdims=True)
+    m2 = _rowsum(t)
+    m2 /= d
     # dx = inv * (dxhat - m1 - xhat * m2)
     np.multiply(xhat, m2, out=t)
     dx = dxhat
@@ -242,10 +291,14 @@ def layer_norm_bwd(dy, cache):
     return dx, dg, db
 
 
-def softmax(x, axis=-1):
-    e = x - x.max(axis=axis, keepdims=True)
+def softmax(x):
+    """Softmax along the last axis."""
+    # the row max of a key-major copy: one elementwise max per key
+    # instead of one short reduction per row
+    m = np.ascontiguousarray(np.moveaxis(x, -1, 0)).max(axis=0)
+    e = x - m[..., None]
     np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
+    e /= _rowsum(e)
     return e
 
 
@@ -388,7 +441,7 @@ def _encode_backward(model: Model, tape, dh, grads):
         dvh = A.transpose(0, 1, 3, 2) @ dctx
         # dscores = A * (dA - (dA * A).sum(-1)), in dA's own array
         dscores = dA
-        dscores -= (dA * A).sum(axis=-1, keepdims=True)
+        dscores -= _rowsum(dA * A)
         dscores *= A
         dqh = dscores @ lt["kh"]
         dqh *= scale
@@ -456,7 +509,7 @@ def forward(model: Model, pairs: list[TokenizedPair], capture=False) -> ForwardO
     """Score a batch; `capture=True` records all per-layer hidden states."""
     ids, segs, mask = pad_batch(pairs, dtype=model.config.dtype)
     logits, acts, _ = _forward(model, ids, segs, mask, capture=capture)
-    return ForwardOutput(logits=logits, relevance_prob=softmax(logits, axis=-1)[:, 1],
+    return ForwardOutput(logits=logits, relevance_prob=softmax(logits)[:, 1],
                          activations=acts)
 
 
@@ -469,7 +522,7 @@ def loss_and_grads(model: Model, pairs: list[TokenizedPair], labels, grads=None)
     ids, segs, mask = pad_batch(pairs, dtype=model.config.dtype)
     logits, _, tape = _forward(model, ids, segs, mask)
     B = logits.shape[0]
-    probs = softmax(logits, axis=-1)
+    probs = softmax(logits)
     y = np.asarray(labels, dtype=np.int64)
     # floored at the dtype's smallest normal, so an underflow gives a finite loss
     tiny = np.finfo(probs.dtype).tiny

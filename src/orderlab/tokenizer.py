@@ -137,14 +137,23 @@ class TokenizedPair:
         return self.ids[span[0]:span[1] + 1]
 
 
-def encode_pair(query_text: str, passage_text: str, vocab: Vocab, max_len: int) -> TokenizedPair:
-    """Encode a query/passage pair, truncating the passage tail first."""
+def encode_pair(query_text: str, passage_text: str, vocab: Vocab, max_len: int,
+                text_ids: dict[str, list[int]] | None = None) -> TokenizedPair:
+    """Encode a query/passage pair, truncating the passage tail first.
+
+    `text_ids`, if given, maps texts to their `token_ids` under `vocab`:
+    a text found there is not tokenized again, and a new one is added.
+    """
     if max_len < 8:
         raise ValueError("max_len must be >= 8")
-    q_ids = token_ids(query_text, vocab)
+    if text_ids is None:
+        text_ids = {}
+    for text in (query_text, passage_text):
+        if text not in text_ids:
+            text_ids[text] = token_ids(text, vocab)
+    q_ids, p_ids = text_ids[query_text], text_ids[passage_text]
     if not q_ids:
         raise ValueError("query is empty after tokenization")
-    p_ids = token_ids(passage_text, vocab)
 
     budget = max_len - 3
     if len(q_ids) + len(p_ids) > budget:
@@ -159,7 +168,8 @@ class PairMemo:
     vocabulary and max_len.
 
     `encode` encodes a (query, passage) pair on first use and keeps it
-    for the memo's lifetime. `perturbed` does the same for each
+    for the memo's lifetime; each text is tokenized once, however many
+    pairs it is in. `perturbed` does the same for each
     (pair, mode, example key): it calls `perturb.apply` once per key, so
     dev evals, conditions and any other caller that asks for the same
     perturbed example again get the pair made the first time. A natural
@@ -171,6 +181,7 @@ class PairMemo:
         self.vocab = vocab
         self.max_len = max_len
         self._pairs: dict[tuple[str, str], TokenizedPair] = {}
+        self._text_ids: dict[str, list[int]] = {}
         self._perturbed: dict[tuple, TokenizedPair] = {}
 
     def __len__(self):
@@ -181,8 +192,8 @@ class PairMemo:
         key = (query_text, passage_text)
         pair = self._pairs.get(key)
         if pair is None:
-            pair = self._pairs[key] = encode_pair(query_text, passage_text,
-                                                  self.vocab, self.max_len)
+            pair = self._pairs[key] = encode_pair(query_text, passage_text, self.vocab,
+                                                  self.max_len, self._text_ids)
         return pair
 
     def perturbed(self, query_text: str, passage_text: str, mode: perturb.PerturbMode,

@@ -267,13 +267,21 @@ class TestGelu:
         assert M.gelu_grad(x, cdf2).tobytes() == M.gelu_grad(x).tobytes()
 
 
-# The kernel helpers' plain one-line expressions, as written before the
-# helpers moved to writing into their own temporaries: the references
-# that the helpers must match byte for byte.
+# The kernel helpers' plain one-line expressions: the references that the
+# helpers must match byte for byte in float32 and float64. Row sums are
+# einsum's, and float32 erf is the rational of `M._ERF_P`/`M._ERF_Q`.
+
+
+def _horner(coeffs, x2):
+    return coeffs[0] if len(coeffs) == 1 else coeffs[-1] + x2 * _horner(coeffs[:-1], x2)
 
 
 def ref_gelu_cdf2(x):
-    return 1.0 + erf(x / np.asarray(math.sqrt(2.0), dtype=x.dtype))
+    c = x / np.asarray(math.sqrt(2.0), dtype=x.dtype)
+    if x.dtype == np.float64:
+        return 1.0 + erf(c)
+    c = np.clip(c, -4.0, 4.0)
+    return 1.0 + c * _horner(M._ERF_P, c * c) / _horner(M._ERF_Q, c * c)
 
 
 def ref_gelu(x, cdf2):
@@ -285,11 +293,13 @@ def ref_gelu_grad(x, cdf2):
     return 0.5 * cdf2 + x * phi
 
 
+def ref_mean(x):
+    return np.einsum("...j->...", x)[..., None] / x.shape[-1]
+
+
 def ref_layer_norm_fwd(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + M.LN_EPS)
+    xc = x - ref_mean(x)
+    inv = 1.0 / np.sqrt(ref_mean(xc * xc) + M.LN_EPS)
     xhat = xc * inv
     return g * xhat + b, (xhat, inv, g)
 
@@ -299,15 +309,45 @@ def ref_layer_norm_bwd(dy, cache):
     dg = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
     db = dy.sum(axis=tuple(range(dy.ndim - 1)))
     dxhat = dy * g
+    return inv * (dxhat - ref_mean(dxhat) - xhat * ref_mean(dxhat * xhat)), dg, db
+
+
+def ref_softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / np.einsum("...j->...", e)[..., None]
+
+
+# The same expressions as numpy's reductions and scipy's erf write them:
+# the float64 references of the float32 kernels' accuracy tests.
+
+
+def scipy_gelu_cdf2(x):
+    return 1.0 + erf(x / np.asarray(math.sqrt(2.0), dtype=x.dtype))
+
+
+def numpy_layer_norm_fwd(x, g, b):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + M.LN_EPS)
+    xhat = xc * inv
+    return g * xhat + b, (xhat, inv, g)
+
+
+def numpy_layer_norm_bwd(dy, cache):
+    xhat, inv, g = cache
+    dg = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
+    db = dy.sum(axis=tuple(range(dy.ndim - 1)))
+    dxhat = dy * g
     m1 = dxhat.mean(axis=-1, keepdims=True)
     m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
     return inv * (dxhat - m1 - xhat * m2), dg, db
 
 
-def ref_softmax(x, axis=-1):
-    x = x - x.max(axis=axis, keepdims=True)
+def numpy_softmax(x):
+    x = x - x.max(axis=-1, keepdims=True)
     e = np.exp(x)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def ref_pad_batch(pairs, dtype):
@@ -330,6 +370,23 @@ def _frozen(*arrays):
 # hidden-state, FFN and pruned-layer shapes of a B=16, T=23 training step
 # and a B=64 scoring batch
 KERNEL_SHAPES = [(16, 23, 32), (16, 23, 64), (16, 2, 32), (64, 23, 32)]
+# attention scores of the same batches, full and pruned, and (5, 2) logits
+SOFTMAX_SHAPES = [(16, 2, 23, 23), (16, 2, 2, 23), (64, 2, 23, 23), (5, 2)]
+
+
+def _softmax_input(shape, dtype):
+    x = np.random.default_rng(shape[0]).normal(0.0, 3.0, shape).astype(dtype)
+    # masked keys, as the attention scores carry them
+    x[..., shape[-1] // 2 + 1:] = -np.inf
+    return x
+
+
+def _layer_norm_inputs(shape, dtype):
+    rng = np.random.default_rng(shape[0] + shape[1])
+    d = shape[-1]
+    x, dy = (rng.normal(0.5, 2.0, shape).astype(dtype) for _ in range(2))
+    g, b = rng.normal(1.0, 0.1, d).astype(dtype), rng.normal(0.0, 0.1, d).astype(dtype)
+    return x, dy, g, b
 
 
 class TestKernelBytes:
@@ -354,10 +411,7 @@ class TestKernelBytes:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", KERNEL_SHAPES)
     def test_layer_norm(self, dtype, shape):
-        rng = np.random.default_rng(shape[0] + shape[1])
-        d = shape[-1]
-        x, dy = (rng.normal(0.5, 2.0, shape).astype(dtype) for _ in range(2))
-        g, b = rng.normal(1.0, 0.1, d).astype(dtype), rng.normal(0.0, 0.1, d).astype(dtype)
+        x, dy, g, b = _layer_norm_inputs(shape, dtype)
         before = _frozen(x, dy, g, b)
         y, cache = M.layer_norm_fwd(x, g, b)
         y_ref, cache_ref = ref_layer_norm_fwd(x, g, b)
@@ -370,12 +424,9 @@ class TestKernelBytes:
         assert _frozen(*cache) == cache_bytes
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape", [(16, 2, 23, 23), (16, 2, 2, 23), (64, 2, 23, 23), (5, 2)])
+    @pytest.mark.parametrize("shape", SOFTMAX_SHAPES)
     def test_softmax(self, dtype, shape):
-        rng = np.random.default_rng(shape[0])
-        x = rng.normal(0.0, 3.0, shape).astype(dtype)
-        # masked keys, as the attention scores carry them; (5, 2) are logits
-        x[..., shape[-1] // 2 + 1:] = -np.inf
+        x = _softmax_input(shape, dtype)
         before = _frozen(x)
         got, ref = M.softmax(x), ref_softmax(x)
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
@@ -413,6 +464,57 @@ class TestKernelBytes:
         np.add.at(want32, ids, v32)
         assert got32.dtype == np.float32
         assert np.abs(got32 - want32).max() <= 1e-5 * max(1.0, np.abs(want32).max())
+
+
+class TestKernelAccuracy:
+    """The float32 kernels against numpy's and scipy's expressions in
+    float64, and the float64 erf against scipy's."""
+
+    def test_float32_gelu_cdf2_within_1e6_of_erf(self):
+        x = np.linspace(-12.0, 12.0, 2_000_001, dtype=np.float32)
+        got = M.gelu_cdf2(x)
+        assert got.dtype == np.float32
+        assert np.abs(got - scipy_gelu_cdf2(x.astype(np.float64))).max() <= 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_cdf2_at_infinities_and_nan(self, dtype):
+        # a diverged pre-activation stays NaN, which train's DivergenceError reads
+        got = M.gelu_cdf2(np.array([np.inf, -np.inf, np.nan], dtype=dtype))
+        assert got[0] == 2.0 and got[1] == 0.0 and np.isnan(got[2])
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_float64_gelu_cdf2_is_scipy_erf(self, shape):
+        x = np.random.default_rng(shape[-1]).normal(0.0, 2.0, shape)
+        assert M.gelu_cdf2(x).tobytes() == scipy_gelu_cdf2(x).tobytes()
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_float32_layer_norm(self, shape):
+        x, dy, g, b = _layer_norm_inputs(shape, np.float32)
+        y, cache = M.layer_norm_fwd(x, g, b)
+        y64, cache64 = numpy_layer_norm_fwd(*(a.astype(np.float64) for a in (x, g, b)))
+        _assert_close(y, y64)
+        dy64 = dy.astype(np.float64)
+        dx, dg, db = M.layer_norm_bwd(dy, cache)
+        dx64, dg64, db64 = numpy_layer_norm_bwd(dy64, cache64)
+        _assert_close(dx, dx64)
+        # dg and db are numpy's float32 sums over all B*T rows, one row at a
+        # time; at B=64 dg is 1.1e-6 off its largest entry. They are held to
+        # 1e-6 of the largest sum of their terms' magnitudes instead.
+        axes = tuple(range(len(shape) - 1))
+        for got, ref, terms in ((dg, dg64, dy64 * cache64[0]), (db, db64, dy64)):
+            assert got.dtype == np.float32
+            assert np.abs(got - ref).max() <= 1e-6 * np.abs(terms).sum(axis=axes).max()
+
+    @pytest.mark.parametrize("shape", SOFTMAX_SHAPES)
+    def test_float32_softmax(self, shape):
+        x = _softmax_input(shape, np.float32)
+        _assert_close(M.softmax(x), numpy_softmax(x.astype(np.float64)))
+
+
+def _assert_close(got, ref):
+    """Within 1e-6 of ref's largest entry."""
+    assert got.dtype == np.float32 and got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-6 * np.abs(ref).max()
 
 
 def _random_pair(rng, n):
@@ -473,7 +575,7 @@ class TestClsOnlyPass:
                 loss, grads = M.loss_and_grads(mdl, pairs, labels)
                 ids, segs, mask = M.pad_batch(pairs, dtype=mdl.config.dtype)
                 logits, _, tape = M._forward(mdl, ids, segs, mask, capture=True)
-                probs = M.softmax(logits, axis=-1)
+                probs = M.softmax(logits)
                 full_loss = -np.log(np.clip(probs[np.arange(B), labels], 1e-300, None)).mean()
                 assert loss == float(full_loss), (B, T)
                 dlogits = probs.copy()

@@ -189,6 +189,33 @@ class TestEncodePair:
         assert sorted(pair.ids) == want
 
 
+class TestPairMemo:
+    vocab = make_vocab([f"t{i}" for i in range(30)])
+
+    @pytest.mark.parametrize("max_len", [10, 32])
+    def test_each_text_tokenized_once(self, monkeypatch, max_len):
+        # N passages under one query: N + 1 texts, where encoding each
+        # pair alone tokenizes 2N; at max_len 10 the long ones truncate
+        query = "t0 t1 t2"
+        passages = [" ".join(f"t{j}" for j in range(3, 3 + n)) for n in range(1, 13)]
+        calls = []
+        token_ids = tok.token_ids
+
+        def counted(text, vocab):
+            calls.append(text)
+            return token_ids(text, vocab)
+
+        monkeypatch.setattr(tok, "token_ids", counted)
+        memo = tok.PairMemo(self.vocab, max_len)
+        got = [memo.encode(query, p).ids for p in passages]
+        # a second query over the same passages: only the query is new
+        got2 = [memo.encode("t4", p).ids for p in passages]
+        assert sorted(calls) == sorted([query, "t4", *passages])
+        monkeypatch.undo()
+        assert got == [encode_pair(query, p, self.vocab, max_len).ids for p in passages]
+        assert got2 == [encode_pair("t4", p, self.vocab, max_len).ids for p in passages]
+
+
 class TestVocabClass:
     def test_reserved_ids_pinned(self):
         assert (PAD_ID, UNK_ID, CLS_ID, SEP_ID) == (0, 1, 2, 3)
