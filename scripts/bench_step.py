@@ -1,4 +1,4 @@
-"""Time one training step, one scoring batch, one dev eval and the data stage of orderlab.
+"""Time one training step, one scoring batch, one dev eval, one re-ranked query and the data stage of orderlab.
 
     python3 scripts/bench_step.py --parent TREE [--rounds 6] [--out BENCH_step.json]
 
@@ -13,6 +13,11 @@ encoder's hot entry points on pairs of the benchmark's `matrix` corpus
   2 dev queries x their BM25 top 50 under `shuffle:13`, through a run
   memo (`tokenizer.PairMemo`) that earlier calls have filled, as the
   second and later dev evals of a training run find it;
+- `rerank_query_natural` and `rerank_query_shuffle13`: the unit of the
+  benchmark's `rerank` workload, one `experiment.rerank_run` of one
+  query's BM25 top 100 with no memo, under `natural` and under
+  `shuffle:13`, on the workload's own set-up (`workloads.rerank_setup`,
+  seed 1); each call takes the next query;
 - the encoder's kernels alone, each at a training step's batch (16)
   and a scoring batch's (64), on inputs of the model's precision at
   the batches' padded length of 23 (`KERNEL_T`), with the keys of each
@@ -75,6 +80,10 @@ TIMED = {"loss_and_grads_ms": {"batch": STEP_BATCH, **KERNEL_CALLS},
          "forward_ms": {"batch": SCORE_BATCH, **KERNEL_CALLS},
          "rerank_eval_ms": {"queries": 2, "top_k": 50, "mode": f"shuffle:{EVAL_SEED}",
                             **KERNEL_CALLS},
+         **{f"rerank_query_{mode.replace(':', '')}_ms": {"queries": 1, "top_k": 100,
+                                                         "mode": mode, "memo": "none",
+                                                         **KERNEL_CALLS}
+            for mode in ("natural", f"shuffle:{EVAL_SEED}")},
          **{f"{kernel}_b{batch}_ms": {"batch": batch, "padded_len": KERNEL_T, **KERNEL_CALLS}
             for kernel in ("gelu_cdf2", "layer_norm", "softmax")
             for batch in (STEP_BATCH, SCORE_BATCH)},
@@ -117,6 +126,16 @@ def _worker(tree: str) -> dict:
                                 experiment._subset(queries, dev_ids), dev_k)
     memo = tokenizer.PairMemo(vocab, cfg.max_len)
     speed = calibrate.Speed(probes=3)
+    rerank_state, _, _ = workloads.rerank_setup(SEED, speed)
+
+    def query_runs():
+        for qid in itertools.cycle(sorted(rerank_state.queries.entries)):
+            yield (corpus.Run({qid: rerank_state.first_stage.entries[qid]}),)
+
+    def rerank_query(mode):
+        s = rerank_state
+        return lambda run: experiment.rerank_run(run, s.model, s.vocab, s.queries, s.collection,
+                                                 workloads.RERANK_K, mode)
 
     def batches(size):
         start = 0
@@ -191,6 +210,9 @@ def _worker(tree: str) -> dict:
               "rerank_eval_ms": timed("rerank_eval_ms", lambda: experiment.rerank_run(
                   dev_run, mdl, vocab, queries, collection, dev_k, mode,
                   tag="dev", memo=memo))}
+    for query_mode in (perturb.NATURAL, mode):
+        key = f"rerank_query_{perturb.format_mode(query_mode).replace(':', '')}_ms"
+        result[key] = timed(key, rerank_query(query_mode), query_runs())
     for batch in (STEP_BATCH, SCORE_BATCH):
         for kernel, call in kernel_calls(batch).items():
             key = f"{kernel}_b{batch}_ms"
@@ -280,6 +302,8 @@ def main(argv=None) -> int:
               f"forward {entry['forward_ms']['median']} ms "
               f"({entry['forward_us_per_pair']} us/pair), "
               f"rerank_eval {entry['rerank_eval_ms']['median']} ms, "
+              f"rerank_query natural {entry['rerank_query_natural_ms']['median']} ms, "
+              f"shuffle:{EVAL_SEED} {entry['rerank_query_shuffle13_ms']['median']} ms, "
               f"data_stage {entry['data_stage_ms']['median']} ms")
     print("change/parent: " + ", ".join(f"{key[:-3]} {ratio}"
                                         for key, ratio in result["change_over_parent"].items()))

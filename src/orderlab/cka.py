@@ -133,8 +133,8 @@ def compare(model_a: M.Model, perturb_a: perturb.PerturbMode,
     """
     if model_a.config.max_len != model_b.config.max_len:
         raise ValueError("models disagree on max_len")
-    a, b = ([perturb.apply(p, mode, str(i)) for i, p in enumerate(dataset)]
-            for mode in (perturb_a, perturb_b))
+    keys = [str(i) for i in range(len(dataset))]
+    a, b = (perturb.apply_many(dataset, mode, keys) for mode in (perturb_a, perturb_b))
     return score(capture(model_a, a, batch_size), capture(model_b, b, batch_size), selector)
 
 

@@ -223,10 +223,11 @@ def rerank_run(run: Run, mdl: M.Model, vocab: Vocab, queries: QuerySet,
     The block is re-ordered by model score (ties by doc_id); entries
     below rank k keep their order, with scores remapped below the block
     minimum so the run stays rank-consistent. Each example, keyed
-    `qid:doc_id`, comes from a `PairMemo`: `memo`, if given, so that the
-    calls of one run encode and perturb each example once, or else a
-    memo of this call's own. A query or doc of the run that `queries` or
-    `collection` lacks is a `ValidationError`, and k below 1 a ValueError.
+    `qid:doc_id`, comes from a `PairMemo`, one batch per query block:
+    `memo`, if given, so that the calls of one run encode and perturb
+    each example once, or else a memo of this call's own. A query or doc
+    of the run that `queries` or `collection` lacks is a
+    `ValidationError`, and k below 1 a ValueError.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -240,8 +241,8 @@ def rerank_run(run: Run, mdl: M.Model, vocab: Vocab, queries: QuerySet,
         if error is not None:
             raise error
         query = queries.entries[qid]
-        pairs = [example(query, collection.entries[e.doc_id], mode, f"{qid}:{e.doc_id}")
-                 for e in block]
+        pairs = example([(query, collection.entries[e.doc_id]) for e in block], mode,
+                        [f"{qid}:{e.doc_id}" for e in block])
         rescored = sorted(
             zip((e.doc_id for e in block), _scores(mdl, pairs)), key=lambda kv: (-kv[1], kv[0])
         )
@@ -275,10 +276,9 @@ def _triple_pairs(triples: list[Triple], vocab: Vocab, max_len: int,
     No triples is a ValueError: there is no accuracy to report."""
     if not triples:
         raise ValueError("no held-out triples to score")
-    example = PairMemo(vocab, max_len).perturbed
-    return [example(query, passage, mode, f"acc:{i}|{side}")
-            for i, (query, pos, neg) in enumerate(triples)
-            for side, passage in (("pos", pos), ("neg", neg))]
+    texts = [(query, passage) for query, pos, neg in triples for passage in (pos, neg)]
+    keys = [f"acc:{i}|{side}" for i in range(len(triples)) for side in ("pos", "neg")]
+    return PairMemo(vocab, max_len).perturbed(texts, mode, keys)
 
 
 def held_out_hook(triples: list[Triple], vocab: Vocab, max_len: int,
@@ -330,7 +330,7 @@ def cka_capture(mdl: M.Model, memo: PairMemo, texts: list[tuple[str, str]],
     """`cka.capture` of `mdl` over `texts` under `mode`, CKA_BATCH_SIZE
     examples per forward, example `i` perturbed under key `str(i)` through
     `memo`: once per mode, however many models see it."""
-    examples = [memo.perturbed(q, p, mode, str(i)) for i, (q, p) in enumerate(texts)]
+    examples = memo.perturbed(texts, mode, [str(i) for i in range(len(texts))])
     return cka.capture(mdl, examples, CKA_BATCH_SIZE)
 
 

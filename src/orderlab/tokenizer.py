@@ -170,9 +170,9 @@ class PairMemo:
     `encode` encodes a (query, passage) pair on first use and keeps it
     for the memo's lifetime; each text is tokenized once, however many
     pairs it is in. `perturbed` does the same for each
-    (pair, mode, example key): it calls `perturb.apply` once per key, so
-    dev evals, conditions and any other caller that asks for the same
-    perturbed example again get the pair made the first time. A natural
+    (pair, mode, example key), a batch of them per `perturb.apply_many`
+    call, so dev evals, conditions and any other caller that asks for the
+    same perturbed example again get the pair made the first time. A natural
     example is the encoded pair itself. The returned pairs are shared:
     treat them as read-only.
     """
@@ -196,18 +196,21 @@ class PairMemo:
                                                   self.max_len, self._text_ids)
         return pair
 
-    def perturbed(self, query_text: str, passage_text: str, mode: perturb.PerturbMode,
-                  example_key: str) -> TokenizedPair:
-        """`perturb.apply(self.encode(query_text, passage_text), mode, example_key)`,
-        made once per (query, passage, mode, example key)."""
+    def perturbed(self, texts: list[tuple[str, str]], mode: perturb.PerturbMode,
+                  example_keys: list[str]) -> list[TokenizedPair]:
+        """`perturb.apply_many` of the encoded (query, passage) `texts`
+        under their example keys, each (query, passage, mode, key) made
+        once: the ones this memo lacks are perturbed in one call, and a
+        key that repeats within `texts` is perturbed once."""
+        pairs = [self.encode(query, passage) for query, passage in texts]
         if mode.kind == "natural":
-            return self.encode(query_text, passage_text)
-        key = (query_text, passage_text, mode, example_key)
-        pair = self._perturbed.get(key)
-        if pair is None:
-            pair = self._perturbed[key] = perturb.apply(
-                self.encode(query_text, passage_text), mode, example_key)
-        return pair
+            return pairs
+        keys = [(query, passage, mode, key)
+                for (query, passage), key in zip(texts, example_keys, strict=True)]
+        new = {key: pair for key, pair in zip(keys, pairs) if key not in self._perturbed}
+        made = perturb.apply_many(list(new.values()), mode, [key[3] for key in new])
+        self._perturbed.update(zip(new, made))
+        return [self._perturbed[key] for key in keys]
 
 
 def memo_for(memo: PairMemo | None, vocab: Vocab, max_len: int) -> PairMemo:

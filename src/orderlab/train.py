@@ -119,8 +119,8 @@ def train(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab,
     if not triples:
         raise ValueError("empty triple stream")
     max_len = mdl.config.max_len
-    # natural encodings, made on a pair's first draw; perturbed per use
-    # by perturb.apply, not kept by the memo: epoch:idx keys never repeat
+    # natural encodings, made on a pair's first draw; perturbed per step
+    # by perturb.apply_many, not kept by the memo: epoch:idx keys never repeat
     encode = memo_for(memo, vocab, max_len).encode
 
     order_rng = np.random.default_rng(cfg.seed)
@@ -156,7 +156,7 @@ def train(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab,
     per_step = cfg.batch_size // 2
 
     for step in range(cfg.total_steps):
-        batch_pairs, batch_labels = [], []
+        batch_pairs, batch_labels, keys = [], [], []
         for _ in range(per_step):
             if cursor >= len(order):
                 epoch += 1
@@ -166,9 +166,10 @@ def train(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab,
             cursor += 1
             q, pos, neg = triples[idx]
             for side, pair, label in (("pos", encode(q, pos), 1), ("neg", encode(q, neg), 0)):
-                p = perturb.apply(pair, cfg.train_perturb, f"{epoch}:{idx}|{side}")
-                batch_pairs.append(p)
+                batch_pairs.append(pair)
                 batch_labels.append(label)
+                keys.append(f"{epoch}:{idx}|{side}")
+        batch_pairs = perturb.apply_many(batch_pairs, cfg.train_perturb, keys)
 
         # a diverging run overflows here first; the DivergenceError below
         # reports it in one line instead of numpy warning per operation

@@ -816,16 +816,18 @@ class TestEvalExamplesPerturbedOnce:
         spec = experiment.spec_from_config(cfg)
         assert len(spec.conditions) == 8
         calls = {}
-        apply = perturb.apply
+        apply_many = perturb.apply_many
 
-        def counted(pair, mode, example_key=""):
-            # re-rank keys are qid:doc_id; training's carry "|", CKA's are indexes
-            if ":" in example_key and "|" not in example_key:
-                key = (tuple(pair.ids), mode, example_key)
-                calls[key] = calls.get(key, 0) + 1
-            return apply(pair, mode, example_key)
+        def counted(pairs, mode, example_keys):
+            # each (pair, mode, key) of a batch counts; re-rank keys are
+            # qid:doc_id, training's carry "|", CKA's are indexes
+            for pair, example_key in zip(pairs, example_keys):
+                if ":" in example_key and "|" not in example_key:
+                    key = (tuple(pair.ids), mode, example_key)
+                    calls[key] = calls.get(key, 0) + 1
+            return apply_many(pairs, mode, example_keys)
 
-        monkeypatch.setattr(perturb, "apply", counted)
+        monkeypatch.setattr(perturb, "apply_many", counted)
         out = tmp_path / "out"
         experiment.run_experiment(spec, out, log=lambda *a: None)
         monkeypatch.undo()
@@ -861,20 +863,21 @@ class TestExperimentCka:
         captured = []
         forward = M.forward
         cka_perturbs = []
-        apply = perturb.apply
+        apply_many = perturb.apply_many
 
         def counting_forward(mdl, pairs, capture=False, **kw):
             if capture:
                 captured.append(len(pairs))
             return forward(mdl, pairs, capture=capture, **kw)
 
-        def counting_apply(pair, mode, example_key=""):
-            if example_key.isdigit():  # CKA keys are indexes
-                cka_perturbs.append((perturb.format_mode(mode), example_key))
-            return apply(pair, mode, example_key)
+        def counting_apply_many(pairs, mode, example_keys):
+            # each (mode, key) of a batch counts; CKA keys are indexes
+            cka_perturbs.extend((perturb.format_mode(mode), key)
+                                for key in example_keys if key.isdigit())
+            return apply_many(pairs, mode, example_keys)
 
         monkeypatch.setattr(M, "forward", counting_forward)
-        monkeypatch.setattr(perturb, "apply", counting_apply)
+        monkeypatch.setattr(perturb, "apply_many", counting_apply_many)
         out = tmp_path / "out"
         experiment.run_experiment(spec, out, log=lambda *a: None)
         monkeypatch.undo()

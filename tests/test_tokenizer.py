@@ -5,6 +5,7 @@ import pytest
 
 from orderlab import experiment
 from orderlab import model as M
+from orderlab import perturb
 from orderlab import tokenizer as tok
 from orderlab.corpus import Collection, QuerySet, SyntheticSpec, generate_synthetic
 from orderlab.tokenizer import (CLS_ID, PAD_ID, SEP_ID, UNK, UNK_ID, Vocab,
@@ -214,6 +215,32 @@ class TestPairMemo:
         monkeypatch.undo()
         assert got == [encode_pair(query, p, self.vocab, max_len).ids for p in passages]
         assert got2 == [encode_pair("t4", p, self.vocab, max_len).ids for p in passages]
+
+    def test_perturbed_makes_each_new_key_once(self, monkeypatch):
+        # a batch with a repeated key and a key made by an earlier call:
+        # one apply_many call, over the two new keys, each once
+        texts = [("t0 t1 t2", f"t{j} t{j + 1} t{j + 2} t{j + 3}") for j in range(3, 6)]
+        mode = perturb.shuffle_mode(7)
+        memo = tok.PairMemo(self.vocab, 32)
+        (cached,) = memo.perturbed(texts[:1], mode, ["a"])
+        batches = []
+        apply_many = perturb.apply_many
+
+        def counted(pairs, mode, example_keys):
+            batches.append(list(example_keys))
+            return apply_many(pairs, mode, example_keys)
+
+        monkeypatch.setattr(perturb, "apply_many", counted)
+        got = memo.perturbed([texts[0], texts[1], texts[2], texts[1]], mode,
+                             ["a", "b", "c", "b"])
+        monkeypatch.undo()
+        assert batches == [["b", "c"]]
+        assert got[0] is cached and got[3] is got[1]
+        assert [p.ids for p in got] == [
+            perturb.apply(encode_pair(q, d, self.vocab, 32), mode, key).ids
+            for (q, d), key in zip([texts[0], texts[1], texts[2], texts[1]], "abcb")]
+        # natural examples are the encoded pairs themselves
+        assert memo.perturbed(texts[:1], perturb.NATURAL, ["a"])[0] is memo.encode(*texts[0])
 
 
 class TestVocabClass:
