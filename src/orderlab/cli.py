@@ -43,7 +43,7 @@ def _add_generate(p):
         "--vocab-size": "vocab_size", "--n-docs": "n_docs", "--n-queries": "n_queries",
         "--doc-len": "doc_len_range", "--query-len": "query_len_range",
         "--rule": "relevance_rule", "--zipf": "zipf_exponent", "--seed": "seed",
-    }, relevance_rule=("overlap", "bigram_order"))
+    }, relevance_rule=corpus.RELEVANCE_RULES)
 
 
 def _cmd_generate(args):

@@ -83,6 +83,8 @@ class Run:
 
 Triple = tuple[str, str, str]  # (query_text, positive_text, negative_text)
 
+RELEVANCE_RULES = ("overlap", "bigram_order")
+
 
 @dataclass
 class SyntheticSpec:
@@ -91,7 +93,7 @@ class SyntheticSpec:
     n_queries: int = 800
     doc_len_range: tuple[int, int] = (8, 16)
     query_len_range: tuple[int, int] = (4, 4)
-    relevance_rule: str = "overlap"  # overlap | bigram_order
+    relevance_rule: str = "overlap"  # one of RELEVANCE_RULES
     zipf_exponent: float = 1.1
     seed: int = 0
 
@@ -103,8 +105,15 @@ class SyntheticSpec:
                 raise ValueError("length ranges must be valid positive intervals")
         if 2 * self.query_len_range[1] > self.vocab_size - self.vocab_size // 2:
             raise ValueError("the rarer half of the vocabulary needs two words per query-term class")
-        if self.relevance_rule not in ("overlap", "bigram_order"):
+        # a NaN or overflowing exponent would make every filler word the first
+        with np.errstate(over="ignore", invalid="ignore"):
+            probs = _zipf_probs(max(1, self.vocab_size // 2), self.zipf_exponent)
+        if not (math.isfinite(self.zipf_exponent) and np.isfinite(probs).all()):
+            raise ValueError(f"zipf_exponent {self.zipf_exponent} gives no finite Zipf distribution")
+        if self.relevance_rule not in RELEVANCE_RULES:
             raise ValueError(f"unknown relevance rule {self.relevance_rule!r}")
+        if self.relevance_rule == "bigram_order" and self.query_len_range[0] < 2:
+            raise ValueError("bigram_order rule needs queries of >= 2 terms for the marker bigram")
         if self.relevance_rule == "bigram_order" and self.doc_len_range[0] < 8:
             raise ValueError("bigram_order rule needs doc_len_range lower bound >= 8")
         if self.relevance_rule == "overlap" and self.query_len_range[0] < 4:
@@ -271,9 +280,9 @@ def _draw(rng: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarray:
     return cdf.searchsorted(rng.random(n), side="right")
 
 
-def _pick(rng: np.random.Generator, seq) -> int:
-    """`rng.choice(seq)` for a non-empty sequence of ints: the same single draw."""
-    return int(seq[rng.integers(len(seq))])
+def _pick(rng: np.random.Generator, seq):
+    """`rng.choice(seq)` for a non-empty sequence: the same single draw."""
+    return seq[rng.integers(len(seq))]
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Collection, QuerySet, Qrels, list[Triple]]:
@@ -290,22 +299,18 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Collection, QuerySet, Qrels
     Under the overlap rule that order is regular but tells nothing about
     relevance beyond the bag of words.
 
-    The returned triples pair planted positives with the generator's own
-    grade-0 docs. Under the overlap rule these are the zero-overlap doc,
-    a decoy, another query's doc and a background doc; most share no
-    query term, so they are easy negatives, and `experiment.run_experiment`
-    keeps the positives but trains on negatives mined from BM25 instead.
-    Under the bigram_order rule each negative matches its positive's
-    marker count, and the runner trains on these triples as they are.
+    Each rule is defined once: its plant function (`plant_overlap`,
+    `plant_bigram`) says which docs it plants and which of them the
+    qrels judge at grade 0, and the one branch on the rule after them
+    says what a query's units are, how a text holds them and what grade
+    a held count earns (`overlap_grade_from_count`,
+    `bigram_grade_from_count`). Planting, grading and the triples read
+    the same recorded doc ids under both rules. The triples pair planted
+    positives with grade-0 docs of the same query; `experiment.py` says
+    which of them each rule trains on.
 
-    Every draw comes from one `np.random.default_rng(spec.seed)` stream.
-    Filler words are drawn from the Zipf CDF of the commoner half,
-    computed once (`_zipf_cdf`), as `cdf.searchsorted(rng.random(n),
-    side="right")` (`_draw`); a lead word is `seq[rng.integers(len(seq))]`
-    of its class's words (`_pick`). These are the computations
-    `rng.choice(m, size=n, p=probs)` and `rng.choice(seq)` run after
-    their per-call checks, so they give the same words and leave the
-    stream at the same place.
+    Every draw comes from one `np.random.default_rng(spec.seed)` stream,
+    filler words through `_draw` and lead words through `_pick`.
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
@@ -332,10 +337,9 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Collection, QuerySet, Qrels
     # text always lists rare words in class order, one per class, the way
     # syntax gives each word class its place in a sentence. A rare word
     # therefore sits at the same lead slot in every doc that carries it
-    rare_lo = spec.vocab_size // 2
     n_classes = spec.query_len_range[1]
-    class_members = [list(range(rare_lo + c, spec.vocab_size, n_classes)) for c in range(n_classes)]
-    word_class = {words[i]: (i - rare_lo) % n_classes for i in range(rare_lo, spec.vocab_size)}
+    class_members = [words[spec.vocab_size // 2 + c::n_classes] for c in range(n_classes)]
+    word_class = {w: c for c, members in enumerate(class_members) for w in members}
 
     # queries: distinct terms from distinct classes, in class order, drawn
     # from the rarer half of the vocabulary so background (common-half)
@@ -343,53 +347,49 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Collection, QuerySet, Qrels
     # sharing the fewest 2+-term overlaps with earlier queries, so one
     # query's relevant docs rarely look relevant to another query
     queries = QuerySet()
-    query_terms: dict[str, list[str]] = {}
-    query_idxs: dict[str, list[int]] = {}
-    term_users: dict[int, list[int]] = {}
+    query_terms: list[list[str]] = []
+    term_users: dict[str, list[int]] = {}
     for qi in range(spec.n_queries):
         qlen = int(rng.integers(spec.query_len_range[0], spec.query_len_range[1] + 1))
-        best_idxs, best_conflicts = None, None
+        best_terms, best_conflicts = None, None
         for _attempt in range(200):
             classes = np.sort(rng.choice(n_classes, size=qlen, replace=False))
-            idxs = [_pick(rng, class_members[c]) for c in classes]
+            terms = [_pick(rng, class_members[c]) for c in classes]
             shared: dict[int, int] = {}
-            for i in idxs:
-                for u in term_users.get(i, ()):
+            for t in terms:
+                for u in term_users.get(t, ()):
                     shared[u] = shared.get(u, 0) + 1
             conflicts = sum(1 for v in shared.values() if v > 1)
             if best_conflicts is None or conflicts < best_conflicts:
-                best_idxs, best_conflicts = idxs, conflicts
+                best_terms, best_conflicts = terms, conflicts
             if conflicts == 0:
                 break
-        for i in best_idxs:
-            term_users.setdefault(i, []).append(qi)
-        terms = [words[i] for i in best_idxs]
-        qid = f"q{qi:04d}"
-        queries.entries[qid] = " ".join(terms)
-        query_terms[qid] = terms
-        query_idxs[qid] = best_idxs
+        for t in best_terms:
+            term_users.setdefault(t, []).append(qi)
+        queries.entries[f"q{qi:04d}"] = " ".join(best_terms)
+        query_terms.append(best_terms)
 
-    # planted docs, in query order, then background docs
-    docs: list[str] = []
-
-    def plant_overlap(terms: list[str], idxs: list[int]):
+    # each plant function returns a query's planted docs and the indices
+    # of those its qrels judge at grade 0
+    def plant_overlap(terms: list[str]):
         # four fully-matching docs, one doc per partial grade, two one-term
-        # decoys (below the relevance cutoff) and one zero-overlap doc. Every
-        # planted doc leads with one rare word per class, in class order: the
-        # query's own term for each class the doc matches, another word of
-        # that class for the rest. The rare-term count and the lead layout
-        # thus separate nothing, and a matched term sits at the slot it holds
-        # in every other doc too, so word order tells nothing that the bag
-        # of words does not: only how many lead words match the query does
+        # decoys (below the relevance cutoff) and one zero-overlap doc, the
+        # one judged at grade 0. Every planted doc leads with one rare word
+        # per class, in class order: the query's own term for each class the
+        # doc matches, another word of that class for the rest. The rare-term
+        # count and the lead layout thus separate nothing, and a matched term
+        # sits at the slot it holds in every other doc too, so word order
+        # tells nothing that the bag of words does not: only how many lead
+        # words match the query does
         n_q = len(terms)
         term_of_class = {word_class[t]: t for t in terms}
         # each class's words but the query's term; the terms come from
         # distinct classes, so each is taken out of its own class only
         others = list(class_members)
-        for i in idxs:
-            c = (i - rare_lo) % n_classes
+        for t in terms:
+            c = word_class[t]
             others[c] = others[c].copy()
-            others[c].remove(i)
+            others[c].remove(t)
         k2, k1 = math.ceil(0.75 * n_q), math.ceil(0.5 * n_q)
         matched = [terms] * 4 + [terms[:k2], terms[:k1]]
         matched += [[terms[int(j)]] for j in rng.choice(n_q, size=2, replace=False)]
@@ -397,11 +397,11 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Collection, QuerySet, Qrels
         planted = []
         for kept in matched:
             lead = [term_of_class[c] if term_of_class.get(c) in kept
-                    else words[_pick(rng, others[c])] for c in range(n_classes)]
+                    else _pick(rng, others[c]) for c in range(n_classes)]
             dlen = int(rng.integers(spec.doc_len_range[0], spec.doc_len_range[1] + 1))
             dlen = max(dlen, len(lead))
             planted.append(" ".join(lead + sample_words(dlen - len(lead), exclude=terms)))
-        return planted
+        return planted, [8]
 
     def plant_bigram(terms: list[str]):
         a, b = terms[0], terms[1]
@@ -418,18 +418,37 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Collection, QuerySet, Qrels
         planted = []
         for pre in prefixes:
             planted.append(" ".join(pre + filler(max(0, dlen - len(pre)))))
-        return planted
+        return planted, [3, 4]
 
-    for qi in range(spec.n_queries):
-        qid = f"q{qi:04d}"
-        terms = query_terms[qid]
-        planted = (plant_overlap(terms, query_idxs[qid]) if spec.relevance_rule == "overlap"
-                   else plant_bigram(terms))
+    # a query's units, the units a text holds, and the grade a doc earns
+    # from how many times it holds them: under overlap the distinct query
+    # terms, each held at most once per doc; under bigram_order the one
+    # marker bigram, held as often as it occurs
+    if spec.relevance_rule == "overlap":
+        plant, query_units, text_units = plant_overlap, set, set
+        grade = overlap_grade_from_count
+    else:
+        plant, grade = plant_bigram, lambda n, n_units: bigram_grade_from_count(n)
+        query_units = lambda terms: [(terms[0], terms[1])]
+        text_units = lambda toks: zip(toks, toks[1:])
+
+    # planted docs, in query order, then background docs; `planted_ids`
+    # holds each query's planted docs in plant order, `judged_zero` those
+    # of them its qrels judge at grade 0
+    docs: list[str] = []
+    planted_ids: list[list[str]] = []
+    judged_zero: list[list[str]] = []
+    for terms in query_terms:
+        planted, zero_idx = plant(terms)
         if len(docs) + len(planted) > spec.n_docs:
             raise ValueError(
                 f"n_docs={spec.n_docs} too small to plant graded docs for {spec.n_queries} queries"
             )
+        ids = [f"d{i:06d}" for i in range(len(docs), len(docs) + len(planted))]
+        planted_ids.append(ids)
+        judged_zero.append([ids[i] for i in zero_idx])
         docs.extend(planted)
+    bg_start = len(docs)
 
     while len(docs) < spec.n_docs:
         dlen = int(rng.integers(spec.doc_len_range[0], spec.doc_len_range[1] + 1))
@@ -438,69 +457,44 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Collection, QuerySet, Qrels
     collection = Collection({f"d{i:06d}": text for i, text in enumerate(docs)})
 
     # qrels: the rule applied to every doc that holds at least half of a
-    # query's distinct terms (overlap) or holds the marker bigram
-    # (bigram_order), found through postings; no other doc can grade above
-    # 0, since an overlap grade is 0 below half the terms. Grade-0 rows are
-    # kept only for the planted zero-grade docs, so every query has a
-    # judged non-relevant doc. `query_grades` holds each query's grades
-    # above 0, for the triples below
+    # query's units, found through postings; no other doc can grade above
+    # 0, since an overlap grade is 0 below half the terms and a bigram
+    # grade is 0 without the marker. Grade-0 rows are kept only for the
+    # judged planted docs, so every query has a judged non-relevant doc.
+    # `query_grades` holds each query's grades above 0, for the triples
+    qids = list(queries.entries)
+    units = [query_units(terms) for terms in query_terms]
+    wanted = set().union(*units)
+    # postings, each in doc-id order: how many times each doc holds a unit
+    postings: dict = {}
+    for doc_id, text in sorted(collection.entries.items()):
+        for u in text_units(text.split()):
+            if u in wanted:
+                counts = postings.setdefault(u, {})
+                counts[doc_id] = counts.get(doc_id, 0) + 1
     qrels = Qrels()
-    query_grades: dict[str, dict[str, int]] = {}
-    n_planted = 9 if spec.relevance_rule == "overlap" else 5
-    doc_items = sorted(collection.entries.items())
-    # postings, each in doc-id order
-    if spec.relevance_rule == "overlap":
-        wanted = {t for terms in query_terms.values() for t in terms}
-        docs_with: dict[str, list[str]] = {}
-        for doc_id, text in doc_items:
-            for w in set(text.split()) & wanted:
-                docs_with.setdefault(w, []).append(doc_id)
-    else:
-        wanted = {(terms[0], terms[1]) for terms in query_terms.values()}
-        bigram_counts: dict[tuple[str, str], dict[str, int]] = {}
-        for doc_id, text in doc_items:
-            toks = text.split()
-            for key in zip(toks, toks[1:]):
-                if key in wanted:
-                    counts = bigram_counts.setdefault(key, {})
-                    counts[doc_id] = counts.get(doc_id, 0) + 1
-
-    for qi in range(spec.n_queries):
-        qid = f"q{qi:04d}"
-        terms = query_terms[qid]
-        if spec.relevance_rule == "overlap":
-            distinct = set(terms)
-            n_matched: dict[str, int] = {}
-            for t in distinct:
-                for doc_id in docs_with.get(t, ()):
-                    n_matched[doc_id] = n_matched.get(doc_id, 0) + 1
-            graded = [(d, overlap_grade_from_count(n_matched[d], len(distinct)))
-                      for d in sorted(d for d, n in n_matched.items() if 2 * n >= len(distinct))]
-        else:
-            graded = [(d, bigram_grade_from_count(n))
-                      for d, n in bigram_counts.get((terms[0], terms[1]), {}).items()]
-        grades = query_grades[qid] = {}
-        for doc_id, grade in graded:
-            if grade > 0:
-                qrels.grades[(qid, doc_id)] = grades[doc_id] = grade
-        # planted grade-0 docs for this query
-        base = qi * n_planted
-        zero_slots = [8] if spec.relevance_rule == "overlap" else [3, 4]
-        for slot in zero_slots:
-            doc_id = f"d{base + slot:06d}"
+    query_grades: list[dict[str, int]] = []
+    for qid, q_units, zero_ids in zip(qids, units, judged_zero):
+        held: dict[str, int] = {}
+        for u in q_units:
+            for doc_id, n in postings.get(u, {}).items():
+                held[doc_id] = held.get(doc_id, 0) + n
+        grades: dict[str, int] = {}
+        for doc_id in sorted(d for d, n in held.items() if 2 * n >= len(q_units)):
+            g = grade(held[doc_id], len(q_units))
+            if g > 0:
+                qrels.grades[(qid, doc_id)] = grades[doc_id] = g
+        query_grades.append(grades)
+        for doc_id in zero_ids:
             qrels.grades.setdefault((qid, doc_id), 0)
 
     # triples: each rule-verified grade>=2 planted doc paired with a
     # grade-0 doc of the same query
     triples: list[Triple] = []
-    n_bg_start = spec.n_queries * n_planted
-    for qi in range(spec.n_queries):
-        qid = f"q{qi:04d}"
-        base = qi * n_planted
-        grade_of = query_grades[qid].get
-        planted_ids = [f"d{base + s:06d}" for s in range(n_planted)]
-        positives = [d for d in planted_ids if grade_of(d, 0) >= 2]
-        negatives = [d for d in planted_ids if grade_of(d, 0) == 0]
+    for qi, (qid, ids) in enumerate(zip(qids, planted_ids)):
+        grade_of = query_grades[qi].get
+        positives = [d for d in ids if grade_of(d, 0) >= 2]
+        negatives = [d for d in ids if grade_of(d, 0) == 0]
         if not positives or not negatives:
             continue
         if spec.relevance_rule == "bigram_order":
@@ -515,12 +509,12 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Collection, QuerySet, Qrels
             neg_pool = [negatives[-1]]  # the zero-overlap doc
             if len(negatives) > 1:
                 neg_pool.append(negatives[qi % (len(negatives) - 1)])  # a decoy
-            other_pos = f"d{((qi + 1) % spec.n_queries) * n_planted:06d}"
+            other_pos = planted_ids[(qi + 1) % spec.n_queries][0]
             if grade_of(other_pos, 0) == 0:
                 neg_pool.append(other_pos)
             attempts = 0
-            while len(neg_pool) < 4 and n_bg_start < spec.n_docs and attempts < 100:
-                cand = f"d{int(rng.integers(n_bg_start, spec.n_docs)):06d}"
+            while len(neg_pool) < 4 and bg_start < spec.n_docs and attempts < 100:
+                cand = f"d{int(rng.integers(bg_start, spec.n_docs)):06d}"
                 attempts += 1
                 if grade_of(cand, 0) == 0 and cand not in neg_pool:
                     neg_pool.append(cand)

@@ -470,9 +470,8 @@ def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
     grades = qrels.by_query()
 
     # -- first-stage BM25 runs; under the overlap rule the training
-    # queries' own top-k supplies the negatives every model trains on.
-    # The bigram_order generator already pairs each positive with a
-    # marker-count-matched negative, the hard case for that rule
+    # queries' own top-k supplies the negatives every model trains on
+    # (the module docstring says which triples each rule trains on)
     index = bm25.build_index(collection)
     if spec.synthetic.relevance_rule == "overlap":
         # mining reads only each training query's ranked doc ids

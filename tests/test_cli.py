@@ -402,6 +402,27 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--rule", "bigram_order", "--query-len", "1", "1"), "queries of >= 2 terms"),
+        (("--rule", "bigram_order", "--query-len", "1", "2"), "queries of >= 2 terms"),
+        (("--zipf", "nan"), "zipf_exponent nan gives no finite"),
+        (("--zipf", "-1000"), "zipf_exponent -1000.0 gives no finite"),
+    ], ids=["bigram_query_len_1_1", "bigram_query_len_1_2", "zipf_nan", "zipf_overflow"])
+    def test_infeasible_generate_spec_is_a_data_error(self, tmp_path, capsys, flags, message):
+        assert run_cli(*GEN, "--out", str(tmp_path / "out"), *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_experiment_bigram_one_term_queries_is_a_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(CONFIG.replace("query_len_min = 6", "query_len_min = 1\n"
+                                      "relevance_rule = bigram_order"))
+        assert run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "queries of >= 2 terms" in err
+        assert not (tmp_path / "out").exists()
+
     def test_experiment_epoch_size_zero_is_a_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "config.ini"
         cfg.write_text(CONFIG.replace("epoch_size = 20", "epoch_size = 0"))

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -207,16 +208,29 @@ class TestSyntheticGeneration:
         for (qid, doc_id), grade in qrels.grades.items():
             assert oracle_bigram(qs.entries[qid], coll.entries[doc_id]) == grade
 
-    @pytest.mark.parametrize("rule,oracle,zero_slots,n_planted", [
-        ("overlap", oracle_overlap, [8], 9),
-        ("bigram_order", oracle_bigram, [3, 4], 5),
+    @pytest.mark.parametrize("rule,oracle,zero_slots,n_planted,spec_kw", [
+        pytest.param("overlap", oracle_overlap, [8], 9, {},
+                     id="overlap-oracle_overlap-zero_slots0-9"),
+        pytest.param("bigram_order", oracle_bigram, [3, 4], 5, {},
+                     id="bigram_order-oracle_bigram-zero_slots1-5"),
+        # planted docs only: no background doc follows them
+        pytest.param("overlap", oracle_overlap, [8], 9, {"n_docs": 270},
+                     id="overlap-no_background"),
+        pytest.param("bigram_order", oracle_bigram, [3, 4], 5, {"n_docs": 150},
+                     id="bigram_order-no_background"),
+        # 4- and 5-term queries: odd unit counts under overlap
+        pytest.param("overlap", oracle_overlap, [8], 9, {"query_len_range": (4, 5)},
+                     id="overlap-query_len_4_5"),
+        pytest.param("bigram_order", oracle_bigram, [3, 4], 5, {"query_len_range": (4, 5)},
+                     id="bigram_order-query_len_4_5"),
     ])
-    def test_qrels_equal_a_full_scan(self, rule, oracle, zero_slots, n_planted):
+    def test_qrels_equal_a_full_scan(self, rule, oracle, zero_slots, n_planted, spec_kw):
         # every query against every doc, in query then doc-id order, then
         # the planted grade-0 docs: the judgments and their order must be
         # exactly these, so no pair the postings miss can go unnoticed
         spec = SyntheticSpec(vocab_size=400, n_docs=400, n_queries=30, seed=9,
                              relevance_rule=rule)
+        spec = replace(spec, **spec_kw)
         coll, qs, qrels, _ = generate_synthetic(spec)
         expected = {}
         for qi, qid in enumerate(sorted(qs.entries)):
@@ -259,6 +273,15 @@ class TestSyntheticGeneration:
         with pytest.raises(ValueError):
             # too few docs to plant graded docs for every query
             generate_synthetic(SyntheticSpec(n_docs=20, n_queries=100))
+        for query_len in ((1, 1), (1, 2)):
+            with pytest.raises(ValueError, match="queries of >= 2 terms"):
+                # the marker bigram needs two query terms
+                generate_synthetic(SyntheticSpec(relevance_rule="bigram_order",
+                                                 query_len_range=query_len))
+        for exponent in (float("nan"), float("inf"), float("-inf"), -1000.0):
+            with pytest.raises(ValueError, match="no finite Zipf distribution"):
+                # NaN, or an overflow, would make every filler word the first
+                generate_synthetic(SyntheticSpec(zipf_exponent=exponent))
 
 
 class TestSameDraws:
