@@ -8,6 +8,16 @@ the presence of their output files; those files are written whole or
 not at all (`_write_atomically`). A directory whose `config.txt` another
 config wrote is refused before anything is written.
 
+The models train side by side, each in a child process forked for it,
+as many at a time as there are cores (`_train_models`). A child runs
+the optimization alone and writes its parameters at each eval step to a
+snapshot file in a temporary directory. Once every child has finished,
+this process scores each model's snapshots on the dev queries, in
+condition order, keeps the one `train.TrainLog.record_eval` keeps, and
+writes the model's logs and checkpoint. Every re-ranked pair of a run
+(dev evals, conditions) and the CKA captures are scored here, and the
+outputs do not depend on the number of cores.
+
 Every model trains on the same triples, written to `data/triples.tsv`;
 dev and test queries contribute none. Under the overlap rule these are
 the generator's positives for each training query, each paired with a
@@ -20,7 +30,10 @@ negatives already match their positives' marker counts.
 from __future__ import annotations
 
 import configparser
+import multiprocessing
 import os
+import signal
+import tempfile
 from pathlib import Path
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
@@ -450,6 +463,93 @@ def _write_lines(lines: list[str], path):
         f.writelines(lines)
 
 
+def _model_key(cond: Condition) -> tuple[str, str]:
+    """The model `cond` evaluates: (position_mode, train_perturb as text)."""
+    return cond.position_mode, perturb.format_mode(cond.train_perturb)
+
+
+def _model_name(key: tuple[str, str]) -> str:
+    """The file stem of a model's checkpoint and logs."""
+    return f"{key[0]}_{key[1].replace(':', '')}"
+
+
+def _train_model(job: tuple[M.Model, list[Triple], T.TrainConfig, Vocab, str]):
+    """Train one model of a run: `job` is (initial model, triples, train
+    config, vocabulary, snapshot stem). It runs `train.optimize` with no
+    dev scoring and, at each eval step, writes the flat parameter buffer
+    to `{stem}_{step}.params`. Returns the TrainLog and the (step,
+    snapshot path) of each eval step."""
+    mdl, triples, cfg, vocab, stem = job
+    log, snapshots = T.TrainLog(), []
+    for step, _, params in T.optimize(mdl, triples, cfg, vocab, log):
+        path = f"{stem}_{step}.params"
+        params.tofile(path)
+        snapshots.append((step, path))
+    return log, snapshots
+
+
+def _train_in_child(job: tuple, conn):
+    """A child process's part of `_train_models`: `_train_model(job)`, or
+    the error it raised, sent through `conn`."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
+    try:
+        outcome = _train_model(job)
+    except BaseException as exc:  # the parent raises it in job order
+        outcome = exc
+    conn.send(outcome)
+
+
+def _train_models(jobs: list[tuple]) -> tuple[list, BaseException | None]:
+    """`_train_model` of each job, each in a child process forked for it,
+    in job order and as many at a time as there are cores; in this
+    process when that is one. Returns the results of the jobs before the
+    first that failed, in job order, and its error (None when none
+    failed). That failure, or an interrupt of this process, ends the
+    other jobs: no child is left running by the return.
+
+    Plain children, not a `multiprocessing.Pool`: a pool's three helper
+    threads each take a malloc arena, which raised this process's peak
+    RSS by 3 MB over four `matrix_spec(1)` runs; a child with one pipe
+    raises it by none."""
+    n_workers = min(len(os.sched_getaffinity(0)), len(jobs))
+    ctx = multiprocessing.get_context("fork")
+    running: dict = {}  # job index: (child, the parent's end of its pipe)
+    done: list = []
+    try:
+        for index, job in enumerate(jobs):
+            if n_workers <= 1:
+                done.append(_train_model(job))
+                continue
+            for ahead in range(index, min(index + n_workers, len(jobs))):
+                if ahead not in running:
+                    receive, send = ctx.Pipe(duplex=False)
+                    child = ctx.Process(target=_train_in_child, args=(jobs[ahead], send))
+                    child.start()
+                    send.close()
+                    running[ahead] = child, receive
+            child, receive = running[index]
+            try:
+                outcome = receive.recv()
+            except EOFError:  # it died before it could send
+                child.join()
+                raise RuntimeError(f"the process training model {index + 1} of "
+                                   f"{len(jobs)} exited with code {child.exitcode}") from None
+            del running[index]
+            receive.close()
+            child.join()
+            if isinstance(outcome, BaseException):
+                raise outcome
+            done.append(outcome)
+    except BaseException as exc:  # a failure or an interrupt: the caller raises it
+        return done, exc
+    finally:
+        for child, receive in running.values():
+            child.terminate()
+            child.join()
+            receive.close()
+    return done, None
+
+
 def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
     """Execute the full condition matrix; returns {condition label: report}."""
     spec.validate()
@@ -493,45 +593,63 @@ def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
     metrics.write_report(bm25_report, os.path.join(outdir, "metrics", "bm25.tsv"))
 
     model_cfg = replace(spec.model, vocab_size=len(vocab))
-    # every training, dev eval, condition and the CKA pairs share one
-    # memo, so the run encodes each (query, doc) pair once, on first use,
-    # and the dev evals and conditions perturb each example once
+    # the dev evals, the conditions and the CKA pairs share one memo, so
+    # the run encodes each (query, doc) pair it scores once, on first use,
+    # and perturbs each example once; training encodes in its own process
     memo = PairMemo(vocab, model_cfg.max_len)
 
-    # -- train one model per distinct (position_mode, train_perturb)
-    trained: dict[tuple, M.Model] = {}
+    def dev_metric(mdl: M.Model, mode: perturb.PerturbMode) -> float:
+        reranked = rerank_run(dev_run, mdl, vocab, queries, collection,
+                              DEV_RERANK_K, mode, tag="dev", memo=memo)
+        return metrics.evaluate(reranked, grades).mean["ndcg@10"]
+
+    # -- one model per distinct (position_mode, train_perturb): a cached
+    # one is loaded, the others train in `_train_models` and are then
+    # scored and saved here, in condition order
+    trained: dict[tuple, M.Model | None] = {}
+    pending: list[Condition] = []
     for cond in spec.conditions:
-        key = (cond.position_mode, perturb.format_mode(cond.train_perturb))
+        key = _model_key(cond)
         if key in trained:
             continue
-        ckpt = os.path.join(outdir, "models", f"{key[0]}_{key[1].replace(':', '')}.ckpt")
+        ckpt = os.path.join(outdir, "models", _model_name(key) + ".ckpt")
         if os.path.exists(ckpt):
             log(f"[experiment] loading cached model {ckpt}")
             trained[key] = M.load(ckpt)
             continue
         log(f"[experiment] training model position={key[0]} perturb={key[1]}")
-        cfg = replace(model_cfg, position_mode=cond.position_mode)
-        mdl = M.init(cfg, spec.seed)
-        tcfg = replace(spec.train, seed=spec.seed, train_perturb=cond.train_perturb)
-
-        def dev_hook(m, _mode=cond.train_perturb):
-            reranked = rerank_run(dev_run, m, vocab, queries, collection,
-                                  DEV_RERANK_K, _mode, tag="dev", memo=memo)
-            return metrics.evaluate(reranked, grades).mean["ndcg@10"]
-
-        mdl, tlog = T.train(mdl, train_triples, tcfg, vocab, eval_hook=dev_hook, memo=memo)
-        # the checkpoint comes last: its presence marks a complete model
-        stem = ckpt[: -len(".ckpt")]
-        T.write_train_log(tlog, stem + "_log.tsv")
-        T.write_eval_log(tlog, stem + "_evals.tsv")
-        _write_atomically(M.save, mdl, ckpt)
-        trained[key] = mdl
+        trained[key] = None
+        pending.append(cond)
+    with tempfile.TemporaryDirectory(prefix="orderlab-snapshots-") as snapshots:
+        jobs = [(M.init(replace(model_cfg, position_mode=cond.position_mode), spec.seed),
+                 train_triples,
+                 replace(spec.train, seed=spec.seed, train_perturb=cond.train_perturb),
+                 vocab, os.path.join(snapshots, _model_name(_model_key(cond))))
+                for cond in pending]
+        done, error = _train_models(jobs)
+        for cond, (initial, *_), (tlog, saved) in zip(pending, jobs, done):
+            # the snapshot record_eval keeps, or the last if it keeps none
+            kept = None
+            for step, path in saved:
+                mdl = T.from_flat(initial, np.fromfile(path, dtype=model_cfg.dtype))
+                if tlog.record_eval(step, dev_metric(mdl, cond.train_perturb)):
+                    kept = mdl
+            mdl = mdl if kept is None else kept
+            # the checkpoint comes last: its presence marks a complete model
+            key = _model_key(cond)
+            stem = os.path.join(outdir, "models", _model_name(key))
+            T.write_train_log(tlog, stem + "_log.tsv")
+            T.write_eval_log(tlog, stem + "_evals.tsv")
+            _write_atomically(M.save, mdl, stem + ".ckpt")
+            trained[key] = mdl
+    if error is not None:
+        raise error
 
     # -- evaluate each condition (skipped when its outputs already exist)
     results: dict[str, metrics.MetricsReport | None] = {}
     for cond in spec.conditions:
         label = cond.label()
-        key = (cond.position_mode, perturb.format_mode(cond.train_perturb))
+        key = _model_key(cond)
         metrics_path = os.path.join(outdir, "metrics", f"{label}.tsv")
         run_path = os.path.join(outdir, "runs", f"{label}.run")
         if os.path.exists(metrics_path) and os.path.exists(run_path):

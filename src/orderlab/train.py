@@ -6,6 +6,12 @@ and decoupled weight decay, linear warmup then linear decay to zero,
 and global gradient-norm clipping. Input perturbation is applied per
 example with a key derived from (epoch, example index) so shuffles are
 reproducible but re-drawn every epoch.
+
+`optimize` is the one optimization loop, a generator that stops at each
+eval step. `train` scores each stop with its eval hook; the experiment
+runner writes each stop's parameters to a snapshot and scores the
+snapshots afterwards. Both keep the checkpoint `TrainLog.record_eval`
+keeps.
 """
 
 from __future__ import annotations
@@ -59,6 +65,16 @@ class TrainLog:
     best_step: int = -1
     best_metric: float = float("-inf")
 
+    def record_eval(self, step: int, metric: float) -> bool:
+        """Log the metric of the eval at `step`; True when its checkpoint
+        is the one to keep so far, the first with the highest metric."""
+        metric = float(metric)
+        self.evals.append((step, metric))
+        if metric > self.best_metric:
+            self.best_step, self.best_metric = step, metric
+            return True
+        return False
+
 
 def write_train_log(log: TrainLog, path):
     with open(path, "w", encoding="utf-8") as f:
@@ -102,18 +118,44 @@ def _views(buf: np.ndarray, layout) -> dict[str, np.ndarray]:
     return {name: buf[start:stop].reshape(shape) for name, (start, stop, shape) in layout.items()}
 
 
+def from_flat(mdl: M.Model, buf: np.ndarray) -> M.Model:
+    """A model of `mdl`'s config whose parameters are views into `buf`, a
+    flat buffer laid out as `optimize` lays out the parameters of `mdl`."""
+    layout, _ = _flat_layout(mdl.params)
+    return M.Model(mdl.config, _views(buf, layout))
+
+
 def train(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab,
           eval_hook=None, memo: PairMemo | None = None):
-    """Run the optimization loop; returns (best model, TrainLog).
+    """Run the optimization loop (`optimize`); returns (best model, TrainLog).
 
     `eval_hook(model) -> float` is called every `epoch_size` steps and at
-    the end; the checkpoint with the highest metric is returned. Without
-    a hook the final parameters are returned. A triple is encoded the
-    first time a batch draws it; `memo`, if given, supplies the encoded
-    pairs (see `PairMemo`). The model passed in is not
-    changed: training works on a copy whose parameters, gradients and
-    Adam moments each live in one flat buffer, with the per-name dicts
-    as views into it.
+    the end; the checkpoint `TrainLog.record_eval` keeps, the first with
+    the highest metric, is returned. Without a hook the final parameters
+    are returned. A triple is encoded the first time a batch draws it;
+    `memo`, if given, supplies the encoded pairs (see `PairMemo`). The
+    model passed in is not changed.
+    """
+    log = TrainLog()
+    best = None
+    for step, model, params in optimize(mdl, triples, cfg, vocab, log, memo):
+        if eval_hook is not None and log.record_eval(step, eval_hook(model)):
+            best = params.copy()
+    return (model if best is None else from_flat(model, best)), log
+
+
+def optimize(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab,
+             log: TrainLog, memo: PairMemo | None = None):
+    """The optimization loop, a generator that stops at each eval step.
+
+    Every `epoch_size` steps and after the last (or at once, for a run
+    of no steps) it yields (step, model, params): the model in training,
+    whose parameters are views into `params`, the one flat buffer that
+    holds them all (see `from_flat`). Both change when the loop resumes.
+    Each step's row is appended to `log.steps`. Training works on a copy
+    of `mdl` whose parameters, gradients and Adam moments each live in
+    one flat buffer, with the per-name dicts as views into it; a triple
+    is encoded the first time a batch draws it, through `memo` if given.
     """
     cfg.validate()
     if not triples:
@@ -136,24 +178,13 @@ def train(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab,
     adam_m, adam_v = np.zeros_like(params), np.zeros_like(params)
     update, scratch = np.empty_like(params), np.empty_like(params)
     squares = list(_views(scratch, layout).values())
-    log = TrainLog()
-    best_params = None
-
-    def run_eval(step):
-        nonlocal best_params
-        if eval_hook is None:
-            return
-        metric = float(eval_hook(mdl))
-        log.evals.append((step, metric))
-        if metric > log.best_metric:
-            log.best_metric = metric
-            log.best_step = step
-            best_params = params.copy()
 
     epoch = 0
     order = order_rng.permutation(len(triples))
     cursor = 0
     per_step = cfg.batch_size // 2
+    if cfg.total_steps == 0:
+        yield 0, mdl, params
 
     for step in range(cfg.total_steps):
         batch_pairs, batch_labels, keys = [], [], []
@@ -209,15 +240,8 @@ def train(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab,
         params -= update
 
         log.steps.append((step, loss, lr, gnorm))
-        if (step + 1) % cfg.epoch_size == 0:
-            run_eval(step + 1)
-
-    if not log.evals or log.evals[-1][0] != cfg.total_steps:
-        run_eval(cfg.total_steps)
-
-    if best_params is not None:
-        mdl = M.Model(mdl.config, _views(best_params, layout))
-    return mdl, log
+        if (step + 1) % cfg.epoch_size == 0 or step + 1 == cfg.total_steps:
+            yield step + 1, mdl, params
 
 
 def grad_check(mdl: M.Model, example, eps: float = 1e-5, n_coords: int = 200,

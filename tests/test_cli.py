@@ -1,16 +1,20 @@
 import hashlib
 import importlib.util
 import json
+import multiprocessing
+import multiprocessing.connection
 import os
 import shutil
+import signal
 import struct
+import tempfile
 import warnings
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from orderlab import bm25, cka, cli, corpus, experiment, perturb, tokenizer
+from orderlab import bm25, cka, cli, corpus, experiment, metrics, perturb, tokenizer
 from orderlab import model as M
 from orderlab import train as T
 
@@ -1038,6 +1042,159 @@ class TestInterruptedRuns:
                 in messages)
         rows = [line.split("\t") for line in (out / "summary.tsv").read_text().splitlines()]
         assert ["learned", "natural", "sort", "failed", "failed", "failed", "failed"] in rows
+
+
+class TestTrainingWorkers:
+    """Models train in forked children, as many at a time as there are
+    cores; the dev evals that pick each checkpoint run in the calling
+    process."""
+
+    @pytest.fixture
+    def snapshot_root(self, tmp_path, monkeypatch):
+        # the temporary directory of the run's snapshots is made here
+        root = tmp_path / "tmp"
+        root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(root))
+        return root
+
+    def test_worker_count_changes_no_byte(self, tmp_path, monkeypatch, snapshot_root):
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(CONFIG)
+        spec = experiment.spec_from_config(cfg)
+        fork, forks = os.fork, []
+
+        def counted_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        files = {}
+        for cores in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+            forks.clear()
+            out = tmp_path / f"cores_{len(cores)}"
+            experiment.run_experiment(spec, out, log=lambda *a: None)
+            files[len(cores)] = _files(out)
+            # CONFIG's two models: none trains in a child on one core, each on two
+            assert len(forks) == (0 if len(cores) == 1 else 2)
+            assert not multiprocessing.active_children()
+            assert not list(snapshot_root.iterdir())
+        assert len(files[1]) > 20
+        assert files[1] == files[2]
+        assert not [p for p in files[1] if p.suffix == ".params"]
+
+    def test_diverging_model_in_a_worker_is_a_numeric_failure(self, tmp_path, monkeypatch,
+                                                              capfd, snapshot_root):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(CONFIG.replace("[train]\n", "[train]\nlr_peak = 1e5\n"))
+        out = tmp_path / "out"
+        capfd.readouterr()
+        assert run_cli("experiment", "--config", str(cfg), "--out", str(out)) == 3
+        err = capfd.readouterr().err
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
+        assert not multiprocessing.active_children()
+        assert not list(snapshot_root.iterdir())
+        assert not list(out.rglob("*.ckpt")) and not list(out.rglob("*.params"))
+
+    @pytest.mark.parametrize("cores", [{0}, {0, 1}], ids=["one_core", "two_cores"])
+    def test_failed_model_keeps_the_ones_before_it(self, exp, tmp_path, monkeypatch,
+                                                   snapshot_root, cores):
+        # the second model fails: the first is saved with the bytes a clean
+        # run gives it, the second is not, and a rerun completes the run
+        cfg, clean = exp
+        spec = experiment.spec_from_config(cfg)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+        train_model = experiment._train_model
+
+        def second_diverges(job):
+            if job[-1].endswith("none_natural"):
+                raise T.DivergenceError("planted")
+            return train_model(job)
+
+        out = tmp_path / "out"
+        with monkeypatch.context() as m:
+            m.setattr(experiment, "_train_model", second_diverges)
+            with pytest.raises(T.DivergenceError, match="planted"):
+                experiment.run_experiment(spec, out, log=lambda *a: None)
+        assert [p.name for p in (out / "models").glob("*.ckpt")] == ["learned_natural.ckpt"]
+        for name in ("learned_natural.ckpt", "learned_natural_log.tsv",
+                     "learned_natural_evals.tsv"):
+            assert (out / "models" / name).read_bytes() == (clean / "models" / name).read_bytes()
+        assert not multiprocessing.active_children()
+        assert not list(snapshot_root.iterdir())
+        experiment.run_experiment(spec, out, log=lambda *a: None)
+        assert _files(out) == _files(clean)
+
+    def test_child_that_dies_is_an_error(self, exp, tmp_path, monkeypatch, snapshot_root):
+        cfg, _ = exp
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(experiment, "_train_model", lambda job: os._exit(7))
+        with pytest.raises(RuntimeError, match="model 1 of 2 exited with code 7"):
+            experiment.run_experiment(experiment.spec_from_config(cfg), tmp_path / "out",
+                                      log=lambda *a: None)
+        assert not multiprocessing.active_children()
+        assert not list(snapshot_root.iterdir())
+
+    def test_interrupt_ends_every_child(self, exp, tmp_path, monkeypatch, snapshot_root):
+        cfg, _ = exp
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        started = []
+
+        def interrupted(connection):
+            # Ctrl-C while the run waits for its first model
+            started.extend(multiprocessing.active_children())
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(multiprocessing.connection.Connection, "recv", interrupted)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            experiment.run_experiment(experiment.spec_from_config(cfg), out,
+                                      log=lambda *a: None)
+        # both were stopped mid-training, not waited for
+        assert [child.exitcode for child in started] == [-signal.SIGTERM] * 2
+        assert not multiprocessing.active_children()
+        assert not list(snapshot_root.iterdir())
+        assert not list(out.rglob("*.ckpt"))
+
+    def test_runner_keeps_the_first_of_tied_dev_evals(self, tmp_path, monkeypatch):
+        # dev evals at 20 and 30 tie on the best metric: the run keeps the
+        # earlier, the checkpoint train() keeps under the same metrics
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(CONFIG.replace("epoch_size = 20", "epoch_size = 10")
+                       .replace("learned/natural/natural, learned/natural/sort, "
+                                "none/natural/natural", "learned/natural/natural"))
+        spec = experiment.spec_from_config(cfg)
+        canned = [0.5, 0.9, 0.9, 0.1]
+        evaluate, dev_evals = metrics.evaluate, []
+
+        def canned_evaluate(run, grades, *args, **kw):
+            report = evaluate(run, grades, *args, **kw)
+            if any(e.tag == "dev" for entries in run.entries.values() for e in entries):
+                report.mean["ndcg@10"] = canned[len(dev_evals)]
+                dev_evals.append(run)
+            return report
+
+        monkeypatch.setattr(metrics, "evaluate", canned_evaluate)
+        out = tmp_path / "out"
+        experiment.run_experiment(spec, out, log=lambda *a: None)
+        assert len(dev_evals) == 4
+        rows = [line.split("\t") for line in
+                (out / "models" / "learned_natural_evals.tsv").read_text().splitlines()[1:]]
+        assert [(int(step), float(metric), kept) for step, metric, kept in rows] == [
+            (10, 0.5, "0"), (20, 0.9, "1"), (30, 0.9, "0"), (40, 0.1, "0")]
+
+        vocab = tokenizer.load_vocab(out / "data" / "vocab.txt")
+        model_cfg = replace(spec.model, vocab_size=len(vocab))
+        hook = iter(canned)
+        mdl, log = T.train(M.init(model_cfg, spec.seed),
+                           corpus.load_triples(out / "data" / "triples.tsv"),
+                           replace(spec.train, seed=spec.seed), vocab,
+                           eval_hook=lambda m: next(hook))
+        assert log.best_step == 20
+        M.save(mdl, tmp_path / "train.ckpt")
+        assert ((tmp_path / "train.ckpt").read_bytes()
+                == (out / "models" / "learned_natural.ckpt").read_bytes())
 
 
 def _files(root):

@@ -91,6 +91,21 @@ class TestTrainLoop:
         assert log.best_step == 20
         assert [s for s, _ in log.evals] == [10, 20, 30, 40]
 
+    def test_first_of_tied_best_checkpoints_kept(self):
+        # evals at 20 and 30 tie on the best metric: the earlier is kept
+        canned = iter([0.5, 0.9, 0.9, 0.1])
+        seen = []
+
+        def hook(m):
+            seen.append({name: p.copy() for name, p in m.params.items()})
+            return next(canned)
+
+        cfg = T.TrainConfig(batch_size=4, total_steps=40, warmup_steps=5, epoch_size=10)
+        mdl, log = T.train(small_model(0), toy_triples(), cfg, VOCAB, eval_hook=hook)
+        assert (log.best_step, log.best_metric) == (20, 0.9)
+        assert all(np.array_equal(mdl.params[name], seen[1][name]) for name in mdl.params)
+        assert not all(np.array_equal(seen[1][name], seen[2][name]) for name in mdl.params)
+
     def test_divergence_raises(self):
         cfg = T.TrainConfig(batch_size=4, lr_peak=1e6, warmup_steps=1,
                             total_steps=200, epoch_size=200)
