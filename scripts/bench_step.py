@@ -62,6 +62,7 @@ import run as perfbench_run  # noqa: E402  (sets one BLAS thread before numpy lo
 import calibrate  # noqa: E402
 
 import argparse  # noqa: E402
+import importlib.util  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
 import shutil  # noqa: E402
@@ -103,7 +104,7 @@ def _stop_at_first_model(message):
 def _worker(tree: str) -> dict:
     """Time each entry point's calls with orderlab from `tree`."""
     malloc = perfbench_run.pin_allocator()
-    sys.path.insert(0, os.path.join(tree, "src"))
+    _import_orderlab(tree)
     from dataclasses import replace
 
     import numpy as np
@@ -226,6 +227,24 @@ def _worker(tree: str) -> dict:
     return result
 
 
+def _import_orderlab(tree: str):
+    """Put `tree`'s src/ first on the path, so that orderlab imports from
+    it; exit with a line naming `tree` if it would come from anywhere else."""
+    src = os.path.join(tree, "src")
+    sys.path.insert(0, src)
+    spec = importlib.util.find_spec("orderlab")
+    found = os.path.dirname(spec.origin) if spec else "nowhere"
+    if os.path.realpath(found) != os.path.realpath(os.path.join(src, "orderlab")):
+        raise SystemExit(f"{tree}: orderlab would be imported from {found}, not from {src}")
+
+
+def _from_worker(script: str, tree: str, parent: str, *args: str) -> dict:
+    """The JSON object `script --worker TREE *args` prints last, in a fresh process."""
+    out = subprocess.run([sys.executable, os.path.abspath(script), "--worker", tree, *args,
+                          "--parent", parent], stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
 def _commit(tree: str) -> str:
     def git(*args):
         return subprocess.run(["git", "-C", tree, *args], capture_output=True,
@@ -274,11 +293,7 @@ def main(argv=None) -> int:
     for r in range(args.rounds):
         order = list(trees) if r % 2 == 0 else list(reversed(trees))
         for label in order:
-            out = subprocess.run(
-                [sys.executable, os.path.abspath(__file__), "--worker", trees[label],
-                 "--parent", trees["parent"]],
-                capture_output=True, text=True, check=True).stdout
-            rounds[label].append(json.loads(out.splitlines()[-1]))
+            rounds[label].append(_from_worker(__file__, trees[label], trees["parent"]))
             med = statistics.median(rounds[label][-1]["loss_and_grads_ms"])
             print(f"round {r + 1} {label}: loss_and_grads median {med:.3f} ms", flush=True)
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import model as M
 from . import perturb
 from .corpus import Triple
-from .tokenizer import PairMemo, Vocab, memo_for
+from .tokenizer import PairMemo, Vocab
 from .tokenizer import encode_pair  # noqa: F401  (perfbench/spans.py traces it at this name)
 
 
@@ -126,26 +126,25 @@ def from_flat(mdl: M.Model, buf: np.ndarray) -> M.Model:
 
 
 def train(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab,
-          eval_hook=None, memo: PairMemo | None = None):
+          eval_hook=None):
     """Run the optimization loop (`optimize`); returns (best model, TrainLog).
 
     `eval_hook(model) -> float` is called every `epoch_size` steps and at
     the end; the checkpoint `TrainLog.record_eval` keeps, the first with
     the highest metric, is returned. Without a hook the final parameters
-    are returned. A triple is encoded the first time a batch draws it;
-    `memo`, if given, supplies the encoded pairs (see `PairMemo`). The
-    model passed in is not changed.
+    are returned. A triple is encoded the first time a batch draws it.
+    The model passed in is not changed.
     """
     log = TrainLog()
     best = None
-    for step, model, params in optimize(mdl, triples, cfg, vocab, log, memo):
+    for step, model, params in optimize(mdl, triples, cfg, vocab, log):
         if eval_hook is not None and log.record_eval(step, eval_hook(model)):
             best = params.copy()
     return (model if best is None else from_flat(model, best)), log
 
 
 def optimize(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab,
-             log: TrainLog, memo: PairMemo | None = None):
+             log: TrainLog):
     """The optimization loop, a generator that stops at each eval step.
 
     Every `epoch_size` steps and after the last (or at once, for a run
@@ -155,7 +154,8 @@ def optimize(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab
     Each step's row is appended to `log.steps`. Training works on a copy
     of `mdl` whose parameters, gradients and Adam moments each live in
     one flat buffer, with the per-name dicts as views into it; a triple
-    is encoded the first time a batch draws it, through `memo` if given.
+    is encoded the first time a batch draws it, through a `PairMemo` of
+    the loop's own.
     """
     cfg.validate()
     if not triples:
@@ -163,7 +163,7 @@ def optimize(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab
     max_len = mdl.config.max_len
     # natural encodings, made on a pair's first draw; perturbed per step
     # by perturb.apply_many, not kept by the memo: epoch:idx keys never repeat
-    encode = memo_for(memo, vocab, max_len).encode
+    encode = PairMemo(vocab, max_len).encode
 
     order_rng = np.random.default_rng(cfg.seed)
 

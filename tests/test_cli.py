@@ -7,6 +7,8 @@ import os
 import shutil
 import signal
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import fields, replace
@@ -631,6 +633,21 @@ def test_benchmark_trace_sites_resolve():
     for span, (sites, _) in spans.TARGETS.items():
         for module, name in sites:
             assert callable(getattr(module, name, None)), f"{span}: {module.__name__}.{name}"
+
+
+@pytest.mark.parametrize("script, worker", [("bench_e2e.py", ["default"]),
+                                            ("bench_step.py", [])])
+def test_bench_worker_refuses_a_tree_without_orderlab(tmp_path, script, worker):
+    # with this checkout's src/ on PYTHONPATH, a tree with no src/orderlab
+    # must stop the worker, not let it time or digest this checkout
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    done = subprocess.run(
+        [sys.executable, os.path.join("scripts", script), "--parent", str(tmp_path),
+         "--worker", str(tmp_path), *worker],
+        cwd=root, env=dict(os.environ, PYTHONPATH="src"), capture_output=True, text=True,
+        timeout=60)
+    assert done.returncode != 0
+    assert str(tmp_path) in done.stderr
 
 
 @pytest.fixture(scope="module")

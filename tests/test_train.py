@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from orderlab import model as M
+from orderlab import tokenizer
 from orderlab import train as T
-from orderlab.tokenizer import RESERVED, PairMemo, Vocab, encode_pair
+from orderlab.tokenizer import RESERVED, Vocab, encode_pair
 
 VOCAB = Vocab(list(RESERVED) + [f"t{i}" for i in range(60)])
 
@@ -129,12 +130,18 @@ class TestTrainLoop:
         with pytest.raises(T.DivergenceError, match="grad norm inf at step 0"):
             T.train(small_model(0), toy_triples(), cfg, VOCAB)
 
-    def test_triples_encoded_on_first_draw(self):
-        memo = PairMemo(VOCAB, 32)
+    def test_triples_encoded_on_first_draw(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[:2])
+            return encode_pair(*args, **kwargs)
+
+        monkeypatch.setattr(tokenizer, "encode_pair", counting)
         cfg = T.TrainConfig(batch_size=4, total_steps=3, warmup_steps=1, epoch_size=3)
-        T.train(small_model(0), toy_triples(), cfg, VOCAB, memo=memo)
-        # 3 steps draw 6 of the 20 triples, two pairs each
-        assert len(memo) == 12
+        T.train(small_model(0), toy_triples(), cfg, VOCAB)
+        # 3 steps draw 6 of the 20 triples, two pairs each, each encoded once
+        assert len(calls) == 12
 
     def test_empty_triples_rejected(self):
         with pytest.raises(ValueError):
