@@ -8,22 +8,26 @@ thread (which the processes it forks to train inherit) and glibc's
 default allocator, as in a researcher's run. A timed run is
 `experiment.run_experiment` at the default `ExperimentSpec()` into a
 fresh directory, which is what `orderlab experiment` without a config
-does, timed from the call to its return. Runs alternate between the
-trees, this one first on odd runs, so that drift in the machine's speed
-falls on both alike. Then each tree makes, untimed, the run directories
-of `matrix_spec(1)` and `matrix_spec(7)` (from this checkout's
-`perfbench/workloads.py`) and the directory of `orderlab generate` with
-default flags and with `--rule bigram_order`.
+does, timed from the call to its return. Its seconds are scaled, as the
+benchmark's are, by the calibration kernel (`perfbench/calibrate.py`,
+median of 3 runs), timed in the run's process just before the clock
+starts and just after it stops: scaled = seconds * REF_S / the mean of
+the two kernel times. Runs alternate between the trees, this one first
+on odd runs, so that drift in the machine's speed falls on both alike.
+Then each tree makes, untimed, the run directories of `matrix_spec(1)`
+and `matrix_spec(7)` (from this checkout's `perfbench/workloads.py`)
+and the directory of `orderlab generate` with default flags and with
+`--rule bigram_order`.
 
 Every file of an output, checkpoints and `config.txt` included, is
 digested by sha256 before its directory is removed. The script prints
 each output's file count and how many are equal between the trees (for
 the default run, each tree's first), then each file that differs
 between the trees or from its tree's first timed run, and exits 1 if
-any does. It writes each tree's commit, run seconds and their median,
-the change/parent ratio of the medians, and the machine (CPU, cores,
-Python, numpy, scipy, BLAS). This checkout's entry is `change`, the
-other tree's `parent`.
+any does. It writes each tree's commit, each run's raw seconds and
+kernel factor, the median of the scaled seconds, the change/parent ratio
+of those medians, and the machine (CPU, cores, Python, numpy, scipy,
+BLAS). This checkout's entry is `change`, the other tree's `parent`.
 """
 
 import os
@@ -33,6 +37,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import run as perfbench_run  # noqa: E402  (sets one BLAS thread before numpy loads)
+import calibrate  # noqa: E402
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
@@ -61,12 +66,14 @@ def _digests(root: str) -> dict[str, str]:
 
 
 def _worker(tree: str, output: str) -> dict:
-    """Make `output` with orderlab from `tree`; its seconds and digests."""
+    """Make `output` with orderlab from `tree`; its seconds, the kernel
+    factor that scales them and its digests."""
     _import_orderlab(tree)
     import workloads
     from orderlab import cli, experiment
 
     with tempfile.TemporaryDirectory(prefix="bench-e2e-") as out:
+        speed = calibrate.Speed(probes=3)
         t0 = time.perf_counter()
         if output.startswith("generate"):
             if cli.main([*output.split(), "--out", out]) != 0:
@@ -76,7 +83,8 @@ def _worker(tree: str, output: str) -> dict:
                     else workloads.matrix_spec(int(output[len("matrix_spec("):-1])))
             experiment.run_experiment(spec, out, log=lambda *a: None)
         seconds = time.perf_counter() - t0
-        return {"seconds": seconds, "digests": _digests(out),
+        factor = speed.mark()
+        return {"seconds": seconds, "factor": factor, "digests": _digests(out),
                 "env": perfbench_run.environment("default")}
 
 
@@ -104,7 +112,9 @@ def main(argv=None) -> int:
     for r in range(args.runs):
         for label in (list(trees) if r % 2 == 0 else list(reversed(trees))):
             runs[label].append(_from_worker(__file__, trees[label], trees["parent"], "default"))
-            print(f"run {r + 1} {label}: {runs[label][-1]['seconds']:.1f} s", flush=True)
+            run = runs[label][-1]
+            print(f"run {r + 1} {label}: {run['seconds']:.1f} s, "
+                  f"{run['seconds'] * run['factor']:.1f} s scaled", flush=True)
     digests = {"default": {label: runs[label][0]["digests"] for label in trees}}
     for output in OUTPUTS[1:]:
         digests[output] = {label: _from_worker(__file__, trees[label], trees["parent"],
@@ -124,23 +134,26 @@ def main(argv=None) -> int:
 
     entries = {label: {"commit": _commit(trees[label]),
                        "seconds": [round(run["seconds"], 2) for run in runs[label]],
-                       "median_s": round(statistics.median(run["seconds"]
-                                                           for run in runs[label]), 2)}
+                       "factors": [round(run["factor"], 4) for run in runs[label]],
+                       "median_scaled_s": round(statistics.median(
+                           run["seconds"] * run["factor"] for run in runs[label]), 2)}
                for label in trees}
     result = {
         "harness": "scripts/bench_e2e.py",
-        "settings": {"spec": "ExperimentSpec()", "runs": args.runs, "blas_threads": 1},
+        "settings": {"spec": "ExperimentSpec()", "runs": args.runs, "blas_threads": 1,
+                     "scaled_to_kernel_s": calibrate.REF_S},
         "machine": runs["change"][0]["env"],
         "entries": entries,
-        "change_over_parent": round(entries["change"]["median_s"]
-                                    / entries["parent"]["median_s"], 4),
+        "change_over_parent": round(entries["change"]["median_scaled_s"]
+                                    / entries["parent"]["median_scaled_s"], 4),
     }
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(result, f, indent=2)
         f.write("\n")
     print("\n".join(rows + differing))
     for label, entry in entries.items():
-        print(f"{label}: median {entry['median_s']} s of {entry['seconds']}")
+        print(f"{label}: median {entry['median_scaled_s']} s scaled; raw {entry['seconds']}, "
+              f"factors {entry['factors']}")
     print(f"change/parent: {result['change_over_parent']}")
     return 1 if differing else 0
 

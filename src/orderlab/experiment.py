@@ -8,15 +8,16 @@ the presence of their output files; those files are written whole or
 not at all (`_write_atomically`). A directory whose `config.txt` another
 config wrote is refused before anything is written.
 
-The models train side by side, each in a child process forked for it,
-as many at a time as there are cores (`_train_models`). A child runs
-the optimization alone and writes its parameters at each eval step to a
-snapshot file in a temporary directory. Once every child has finished,
-this process scores each model's snapshots on the dev queries, in
-condition order, keeps the one `train.TrainLog.record_eval` keeps, and
-writes the model's logs and checkpoint. Every re-ranked pair of a run
-(dev evals, conditions) and the CKA captures are scored here, and the
-outputs do not depend on the number of cores.
+Each model trains in a child process forked for it, on any number of
+cores, with as many children at a time as there are cores
+(`_train_models`). A child runs the optimization alone and writes its
+parameters at each eval step to a snapshot file in a temporary
+directory. Once every child has finished, this process scores each
+model's snapshots on the dev queries, in condition order, keeps the one
+`train.TrainLog.record_eval` keeps, and writes the model's logs and
+checkpoint. Every re-ranked pair of a run (dev evals, conditions) and
+the CKA captures are scored here, and the outputs do not depend on the
+number of cores.
 
 Every model trains on the same triples, written to `data/triples.tsv`;
 dev and test queries contribute none. Under the overlap rule these are
@@ -473,39 +474,34 @@ def _model_name(key: tuple[str, str]) -> str:
     return f"{key[0]}_{key[1].replace(':', '')}"
 
 
-def _train_model(job: tuple[M.Model, list[Triple], T.TrainConfig, Vocab, str]):
-    """Train one model of a run: `job` is (initial model, triples, train
-    config, vocabulary, snapshot stem). It runs `train.optimize` with no
-    dev scoring and, at each eval step, writes the flat parameter buffer
-    to `{stem}_{step}.params`. Returns the TrainLog and the (step,
-    snapshot path) of each eval step."""
+def _train_in_child(job: tuple, conn):
+    """A child process's part of `_train_models`: train one model of a
+    run. `job` is (initial model, triples, train config, vocabulary,
+    snapshot stem). It runs `train.optimize` with no dev scoring and, at
+    each eval step, writes the flat parameter buffer to
+    `{stem}_{step}.params`. It sends through `conn` the TrainLog and the
+    (step, snapshot path) of each eval step, or the error it raised."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
     mdl, triples, cfg, vocab, stem = job
     log, snapshots = T.TrainLog(), []
-    for step, _, params in T.optimize(mdl, triples, cfg, vocab, log):
-        path = f"{stem}_{step}.params"
-        params.tofile(path)
-        snapshots.append((step, path))
-    return log, snapshots
-
-
-def _train_in_child(job: tuple, conn):
-    """A child process's part of `_train_models`: `_train_model(job)`, or
-    the error it raised, sent through `conn`."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
     try:
-        outcome = _train_model(job)
+        for step, _, params in T.optimize(mdl, triples, cfg, vocab, log):
+            path = f"{stem}_{step}.params"
+            params.tofile(path)
+            snapshots.append((step, path))
+        outcome = log, snapshots
     except BaseException as exc:  # the parent raises it in job order
         outcome = exc
     conn.send(outcome)
 
 
 def _train_models(jobs: list[tuple]) -> tuple[list, BaseException | None]:
-    """`_train_model` of each job, each in a child process forked for it,
-    in job order and as many at a time as there are cores; in this
-    process when that is one. Returns the results of the jobs before the
-    first that failed, in job order, and its error (None when none
-    failed). That failure, or an interrupt of this process, ends the
-    other jobs: no child is left running by the return.
+    """`_train_in_child` of each job, each in a child process forked for
+    it, started in job order and as many at a time as there are cores.
+    Returns the results of the jobs before the first that failed, in job
+    order, and its error (None when none failed). That failure, or an
+    interrupt of this process, ends the other jobs: no child is left
+    running by the return.
 
     Plain children, not a `multiprocessing.Pool`: a pool's three helper
     threads each take a malloc arena, which raised this process's peak
@@ -513,39 +509,35 @@ def _train_models(jobs: list[tuple]) -> tuple[list, BaseException | None]:
     raises it by none."""
     n_workers = min(len(os.sched_getaffinity(0)), len(jobs))
     ctx = multiprocessing.get_context("fork")
-    running: dict = {}  # job index: (child, the parent's end of its pipe)
+    children: list = []  # (child, the parent's end of its pipe), in job order
     done: list = []
     try:
-        for index, job in enumerate(jobs):
-            if n_workers <= 1:
-                done.append(_train_model(job))
-                continue
-            for ahead in range(index, min(index + n_workers, len(jobs))):
-                if ahead not in running:
-                    receive, send = ctx.Pipe(duplex=False)
-                    child = ctx.Process(target=_train_in_child, args=(jobs[ahead], send))
-                    child.start()
-                    send.close()
-                    running[ahead] = child, receive
-            child, receive = running[index]
+        for index in range(len(jobs)):
+            while len(children) < min(index + n_workers, len(jobs)):
+                receive, send = ctx.Pipe(duplex=False)
+                child = ctx.Process(target=_train_in_child, args=(jobs[len(children)], send))
+                child.start()
+                send.close()
+                children.append((child, receive))
+            child, receive = children[index]
             try:
                 outcome = receive.recv()
             except EOFError:  # it died before it could send
-                child.join()
-                raise RuntimeError(f"the process training model {index + 1} of "
-                                   f"{len(jobs)} exited with code {child.exitcode}") from None
-            del running[index]
-            receive.close()
+                outcome = None
             child.join()
+            if outcome is None:
+                raise RuntimeError(f"the process training model {index + 1} of "
+                                   f"{len(jobs)} exited with code {child.exitcode}")
             if isinstance(outcome, BaseException):
                 raise outcome
             done.append(outcome)
     except BaseException as exc:  # a failure or an interrupt: the caller raises it
         return done, exc
     finally:
-        for child, receive in running.values():
-            child.terminate()
-            child.join()
+        for child, receive in children:
+            if child.is_alive():
+                child.terminate()
+                child.join()
             receive.close()
     return done, None
 
@@ -628,13 +620,11 @@ def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
                 for cond in pending]
         done, error = _train_models(jobs)
         for cond, (initial, *_), (tlog, saved) in zip(pending, jobs, done):
-            # the snapshot record_eval keeps, or the last if it keeps none
-            kept = None
+            # the snapshot record_eval keeps, which keeps the first eval at least
             for step, path in saved:
-                mdl = T.from_flat(initial, np.fromfile(path, dtype=model_cfg.dtype))
-                if tlog.record_eval(step, dev_metric(mdl, cond.train_perturb)):
-                    kept = mdl
-            mdl = mdl if kept is None else kept
+                snapshot = T.from_flat(initial, np.fromfile(path, dtype=model_cfg.dtype))
+                if tlog.record_eval(step, dev_metric(snapshot, cond.train_perturb)):
+                    mdl = snapshot
             # the checkpoint comes last: its presence marks a complete model
             key = _model_key(cond)
             stem = os.path.join(outdir, "models", _model_name(key))

@@ -16,6 +16,7 @@ keeps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -55,6 +56,13 @@ class TrainConfig:
             raise ValueError("warmup_steps must not exceed total_steps")
         if self.batch_size < 2 or self.batch_size % 2:
             raise ValueError("batch_size must be even and >= 2 (balanced pos/neg)")
+        # a NaN passes a plain `< 0` check, and `> 0` guards would then skip decay or clipping
+        if not (math.isfinite(self.lr_peak) and self.lr_peak > 0):
+            raise ValueError(f"lr_peak must be finite and > 0, got {self.lr_peak}")
+        for key in ("weight_decay", "grad_clip_norm"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{key} must be finite and >= 0, got {value}")
 
 
 @dataclass

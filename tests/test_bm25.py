@@ -103,13 +103,14 @@ class TestScoring:
         assert s1 == pytest.approx(s2)
 
     def test_param_validation(self):
-        with pytest.raises(ValueError):
-            Bm25Params(k1=-1.0).validate()
+        for k1 in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="k1 must be finite and >= 0"):
+                Bm25Params(k1=k1).validate()
         with pytest.raises(ValueError):
             Bm25Params(b=1.5).validate()
         with pytest.raises(ValueError):
             retrieve(build_index(CATS), "cat", k=0)
-        for params in (Bm25Params(k1=-1.0), Bm25Params(b=1.5)):
+        for params in (Bm25Params(k1=-1.0), Bm25Params(k1=float("nan")), Bm25Params(b=1.5)):
             with pytest.raises(ValueError):
                 build_index(CATS, params)
 

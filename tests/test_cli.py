@@ -399,7 +399,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flags", [("--epoch-size", "0"),
                                        ("--steps", "-3", "--warmup", "-5"),
-                                       ("--warmup", "-1"), ("--batch-size", "17")])
+                                       ("--warmup", "-1"), ("--batch-size", "17"),
+                                       ("--lr", "-0.001"), ("--lr", "nan"),
+                                       ("--weight-decay", "-1"), ("--weight-decay", "nan")])
     def test_bad_schedule_is_a_data_error(self, data_dir, tmp_path, capsys, flags):
         assert run_cli("train", "--triples", str(data_dir / "triples.tsv"),
                        "--vocab", str(data_dir / "vocab.txt"),
@@ -450,6 +452,13 @@ class TestExitCodes:
         assert run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
         assert capsys.readouterr().err == f"error: {key} must be >= 1\n"
         assert not (tmp_path / "out").exists()
+
+    def test_experiment_nan_lr_refused_before_anything_is_written(self, tmp_path, capsys):
+        cfg, out = tmp_path / "config.ini", tmp_path / "out"
+        cfg.write_text(CONFIG.replace("[train]\n", "[train]\nlr_peak = nan\n"))
+        assert run_cli("experiment", "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: lr_peak must be finite and > 0, got nan\n"
+        assert not (out / "config.txt").exists()
 
     def test_experiment_odd_batch_size_is_a_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "config.ini"
@@ -1062,9 +1071,9 @@ class TestInterruptedRuns:
 
 
 class TestTrainingWorkers:
-    """Models train in forked children, as many at a time as there are
-    cores; the dev evals that pick each checkpoint run in the calling
-    process."""
+    """Each model trains in a forked child, on any number of cores, as
+    many at a time as there are cores; the dev evals that pick each
+    checkpoint run in the calling process."""
 
     @pytest.fixture
     def snapshot_root(self, tmp_path, monkeypatch):
@@ -1081,7 +1090,8 @@ class TestTrainingWorkers:
         fork, forks = os.fork, []
 
         def counted_fork():
-            forks.append(1)
+            # the children alive once this one starts
+            forks.append(len(multiprocessing.active_children()) + 1)
             return fork()
 
         monkeypatch.setattr(os, "fork", counted_fork)
@@ -1092,8 +1102,10 @@ class TestTrainingWorkers:
             out = tmp_path / f"cores_{len(cores)}"
             experiment.run_experiment(spec, out, log=lambda *a: None)
             files[len(cores)] = _files(out)
-            # CONFIG's two models: none trains in a child on one core, each on two
-            assert len(forks) == (0 if len(cores) == 1 else 2)
+            # CONFIG's two models: each trains in a child of its own, one at
+            # a time on one core and side by side on two
+            assert len(forks) == 2
+            assert max(forks) == len(cores)
             assert not multiprocessing.active_children()
             assert not list(snapshot_root.iterdir())
         assert len(files[1]) > 20
@@ -1122,16 +1134,16 @@ class TestTrainingWorkers:
         cfg, clean = exp
         spec = experiment.spec_from_config(cfg)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
-        train_model = experiment._train_model
+        optimize = T.optimize
 
-        def second_diverges(job):
-            if job[-1].endswith("none_natural"):
+        def second_diverges(mdl, *args):
+            if mdl.config.position_mode == "none":
                 raise T.DivergenceError("planted")
-            return train_model(job)
+            return optimize(mdl, *args)
 
         out = tmp_path / "out"
         with monkeypatch.context() as m:
-            m.setattr(experiment, "_train_model", second_diverges)
+            m.setattr(T, "optimize", second_diverges)
             with pytest.raises(T.DivergenceError, match="planted"):
                 experiment.run_experiment(spec, out, log=lambda *a: None)
         assert [p.name for p in (out / "models").glob("*.ckpt")] == ["learned_natural.ckpt"]
@@ -1146,7 +1158,7 @@ class TestTrainingWorkers:
     def test_child_that_dies_is_an_error(self, exp, tmp_path, monkeypatch, snapshot_root):
         cfg, _ = exp
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(experiment, "_train_model", lambda job: os._exit(7))
+        monkeypatch.setattr(T, "optimize", lambda *args: os._exit(7))
         with pytest.raises(RuntimeError, match="model 1 of 2 exited with code 7"):
             experiment.run_experiment(experiment.spec_from_config(cfg), tmp_path / "out",
                                       log=lambda *a: None)
