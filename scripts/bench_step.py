@@ -46,10 +46,10 @@ out. The output keeps each round's factors, one per block. `--parent TREE` is an
 checkout, such as the parent commit; rounds alternate between that tree
 and this one, first one then the other, so that drift in the machine's
 speed falls on both alike. The output holds, for each tree, its commit,
-the precision its default model runs in (`numeric_precision`, 32 or
-64), and the median and quartiles of every timed call and the median of
-each round; and the machine. This checkout's entry is `change`, the other
-tree's `parent`.
+the dtype of its default model's weights (`weight_dtype`, such as
+`float32`), and the median and quartiles of every timed call and the
+median of each round; and the machine. This checkout's entry is
+`change`, the other tree's `parent`.
 """
 
 import os
@@ -191,7 +191,7 @@ def _worker(tree: str) -> dict:
         """Each kernel's call on random inputs of the model's dtype at `batch`;
         score row i masks the keys past the length of pair i."""
         rng = np.random.default_rng(batch)
-        dtype, T, d = cfg.dtype, KERNEL_T, cfg.hidden
+        dtype, T, d = mdl.params["tok_emb"].dtype, KERNEL_T, cfg.hidden
         z = rng.normal(0.0, 1.0, (batch, T, cfg.ff_dim)).astype(dtype)
         x, dy = (rng.normal(0.0, 1.0, (batch, T, d)).astype(dtype) for _ in range(2))
         g, b = np.ones(d, dtype), np.zeros(d, dtype)
@@ -221,7 +221,8 @@ def _worker(tree: str) -> dict:
     with tempfile.TemporaryDirectory(prefix="bench-step-") as root:
         result["data_stage_ms"] = timed("data_stage_ms", data_stage, fresh_dirs(root))
     result["kernel_factors"] = kernel_factors
-    result["numeric_precision"] = cfg.numeric_precision
+    # read from the weights, which a tree of any version has
+    result["weight_dtype"] = str(mdl.params["tok_emb"].dtype)
     result["mean_padded_len"] = {"loss_and_grads": mean_padded_len(STEP_BATCH),
                                  "forward": mean_padded_len(SCORE_BATCH)}
     return result
@@ -263,7 +264,7 @@ def _summary(times: list[float]) -> dict:
 
 
 def _entry(tree: str, rounds: list[dict]) -> dict:
-    entry = {"commit": _commit(tree), "numeric_precision": rounds[0]["numeric_precision"]}
+    entry = {"commit": _commit(tree), "weight_dtype": rounds[0]["weight_dtype"]}
     for key in TIMED:
         every = [t for r in rounds for t in r[key]]
         entry[key] = dict(_summary(every), **TIMED[key],

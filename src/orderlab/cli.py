@@ -113,6 +113,7 @@ def _cmd_train(args):
     vocab = tokenizer.load_vocab(args.vocab)
     cfg = _from_flags(M.ModelConfig(), args, vocab_size=len(vocab))
     tcfg = _from_flags(T.TrainConfig(), args, train_perturb=perturb.parse_mode(args.perturb))
+    tcfg.validate()  # before `init` draws from the seed
     mdl = M.init(cfg, args.seed)
     hook = None
     if args.dev_triples:

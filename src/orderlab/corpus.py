@@ -100,6 +100,8 @@ class SyntheticSpec:
     def validate(self):
         if self.vocab_size <= 0 or self.n_docs <= 0 or self.n_queries <= 0:
             raise ValueError("sizes must be positive")
+        if self.seed < 0:
+            raise ValueError(f"[synthetic] seed must be >= 0, got {self.seed}")
         for lo, hi in (self.doc_len_range, self.query_len_range):
             if lo <= 0 or hi < lo:
                 raise ValueError("length ranges must be valid positive intervals")

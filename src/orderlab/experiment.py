@@ -109,6 +109,8 @@ class ExperimentSpec:
         for key in ("rerank_k", "dev_queries", "test_queries"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"[experiment] seed must be >= 0, got {self.seed}")
         self.synthetic.validate()
         self.model.validate()
         self.train.validate()
@@ -622,7 +624,7 @@ def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
         for cond, (initial, *_), (tlog, saved) in zip(pending, jobs, done):
             # the snapshot record_eval keeps, which keeps the first eval at least
             for step, path in saved:
-                snapshot = T.from_flat(initial, np.fromfile(path, dtype=model_cfg.dtype))
+                snapshot = T.from_flat(initial, np.fromfile(path, dtype=initial.dtype))
                 if tlog.record_eval(step, dev_metric(snapshot, cond.train_perturb)):
                     mdl = snapshot
             # the checkpoint comes last: its presence marks a complete model

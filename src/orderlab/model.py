@@ -17,12 +17,11 @@ the gradients agree to rounding, as some two-row products go to other
 BLAS kernels. `train.grad_check` checks `loss_and_grads` against central
 finite differences.
 
-Models run in float32 unless a config sets `numeric_precision = 64`;
-`train.grad_check` checks a float64 copy of the weights. The kernels are
-float32-native: in float32 GELU's erf is a rational approximation within
-1e-6 of erf, while float64 keeps scipy's erf, exact for the gradient
-check; row sums are one einsum and the softmax row max is exact (see the
-numerics section).
+A model runs in its weights' dtype (`Model.dtype`): `init` and `load`
+give float32, and `train.grad_check` casts a float64 copy. The kernels
+are float32-native: in float32 GELU's erf is a rational within 1e-6 of
+erf, while float64 keeps scipy's erf, exact for the gradient check; row
+sums are one einsum and the softmax row max is exact (see numerics).
 """
 
 from __future__ import annotations
@@ -37,13 +36,13 @@ from itertools import chain
 import numpy as np
 from scipy.special import erf as scipy_erf
 
-from .tokenizer import TokenizedPair, PAD_ID, SEP_ID
+from .tokenizer import MIN_MAX_LEN, TokenizedPair, PAD_ID, SEP_ID
 
 LN_EPS = 1e-12
 N_SEGMENTS = 2  # query and passage
 INIT_SCALE = 0.02  # sd of the initial weights; no config sets it
 _MAGIC = b"ORDERLAB-CKPT\n"
-_VERSION = 2
+_VERSION = 3
 POSITION_MODES = ("learned", "none")
 
 
@@ -56,24 +55,19 @@ class ModelConfig:
     vocab_size: int = 1000
     max_len: int = 64
     position_mode: str = "learned"  # one of POSITION_MODES
-    numeric_precision: int = 32  # 32 | 64
 
     def validate(self):
         # sizes first: a checkpoint header may hold any JSON value
         for name in ("n_layers", "n_heads", "hidden", "ff_dim", "vocab_size", "max_len"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value <= 0:
+            if type(value) is not int or value <= 0:  # a JSON true is no size
                 raise ValueError(f"{name} must be a positive integer")
+        if self.max_len < MIN_MAX_LEN:
+            raise ValueError(f"max_len must be >= {MIN_MAX_LEN}")
         if self.hidden % self.n_heads != 0:
             raise ValueError("hidden must be divisible by n_heads")
         if self.position_mode not in POSITION_MODES:
             raise ValueError(f"unknown position_mode {self.position_mode!r}")
-        if self.numeric_precision not in (32, 64):
-            raise ValueError("numeric_precision must be 32 or 64")
-
-    @property
-    def dtype(self):
-        return np.float64 if self.numeric_precision == 64 else np.float32
 
     @property
     def head_dim(self) -> int:
@@ -84,6 +78,10 @@ class ModelConfig:
 class Model:
     config: ModelConfig
     params: dict[str, np.ndarray]
+
+    @property
+    def dtype(self):  # the weights' dtype, in which every pass runs
+        return self.params["tok_emb"].dtype
 
 
 @dataclass
@@ -138,7 +136,7 @@ def init(cfg: ModelConfig, seed: int) -> Model:
             arr = rng.normal(0.0, INIT_SCALE * 0.1, size=shape)
         else:
             arr = rng.normal(0.0, INIT_SCALE, size=shape)
-        params[name] = arr.astype(cfg.dtype)
+        params[name] = arr.astype(np.float32)
     return Model(cfg, params)
 
 
@@ -351,7 +349,7 @@ def _encode(model: Model, ids, segs, mask, rows=None):
     h, tape["emb_ln"] = layer_norm_fwd(emb, P["emb_ln_g"], P["emb_ln_b"])
 
     # additive key mask: 0 where attendable, -inf where padded
-    neg = np.where(mask[:, None, None, :] > 0, 0.0, -np.inf).astype(cfg.dtype)
+    neg = np.where(mask[:, None, None, :] > 0, 0.0, -np.inf).astype(model.dtype)
     scale = 1.0 / math.sqrt(cfg.head_dim)
 
     for l in range(cfg.n_layers):
@@ -507,7 +505,7 @@ def _backward(model: Model, tape, dlogits, grads=None):
 
 def forward(model: Model, pairs: list[TokenizedPair], capture=False) -> ForwardOutput:
     """Score a batch; `capture=True` records all per-layer hidden states."""
-    ids, segs, mask = pad_batch(pairs, dtype=model.config.dtype)
+    ids, segs, mask = pad_batch(pairs, dtype=model.dtype)
     logits, acts, _ = _forward(model, ids, segs, mask, capture=capture)
     return ForwardOutput(logits=logits, relevance_prob=softmax(logits)[:, 1],
                          activations=acts)
@@ -519,7 +517,7 @@ def loss_and_grads(model: Model, pairs: list[TokenizedPair], labels, grads=None)
     `grads`, if given, maps each parameter name to an array of its shape;
     the gradients are written there and that dict is returned.
     """
-    ids, segs, mask = pad_batch(pairs, dtype=model.config.dtype)
+    ids, segs, mask = pad_batch(pairs, dtype=model.dtype)
     logits, _, tape = _forward(model, ids, segs, mask)
     B = logits.shape[0]
     probs = softmax(logits)
@@ -596,7 +594,7 @@ def load(path) -> Model:
             n_bytes = math.prod(shape) * int(dtype_code[1:])
             data = np.frombuffer(_read(f, n_bytes, f"{name} data"),
                                  dtype="<" + dtype_code.decode())
-            params[name] = data.reshape(shape).astype(cfg.dtype)
+            params[name] = data.reshape(shape).astype(np.float32)
     expected = _param_shapes(cfg)
     if set(params) != set(expected):
         raise ValueError("checkpoint parameter names do not match config")

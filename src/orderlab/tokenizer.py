@@ -21,6 +21,7 @@ from . import perturb
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 RESERVED = [PAD, UNK, CLS, SEP]
 PAD_ID, UNK_ID, CLS_ID, SEP_ID = 0, 1, 2, 3
+MIN_MAX_LEN = 8  # the least max_len of `encode_pair` and of `model.ModelConfig`
 
 _WORD_SPLIT = re.compile(r"\w+|[^\w\s]")
 _COUNT_CHUNK = 256  # texts per regex pass of `word_counts`
@@ -144,8 +145,8 @@ def encode_pair(query_text: str, passage_text: str, vocab: Vocab, max_len: int,
     `text_ids`, if given, maps texts to their `token_ids` under `vocab`:
     a text found there is not tokenized again, and a new one is added.
     """
-    if max_len < 8:
-        raise ValueError("max_len must be >= 8")
+    if max_len < MIN_MAX_LEN:
+        raise ValueError(f"max_len must be >= {MIN_MAX_LEN}")
     if text_ids is None:
         text_ids = {}
     for text in (query_text, passage_text):
@@ -183,10 +184,6 @@ class PairMemo:
         self._pairs: dict[tuple[str, str], TokenizedPair] = {}
         self._text_ids: dict[str, list[int]] = {}
         self._perturbed: dict[tuple, TokenizedPair] = {}
-
-    def __len__(self):
-        """The number of distinct (query, passage) pairs encoded."""
-        return len(self._pairs)
 
     def encode(self, query_text: str, passage_text: str) -> TokenizedPair:
         key = (query_text, passage_text)

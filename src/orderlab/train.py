@@ -17,7 +17,7 @@ keeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,6 +52,8 @@ class TrainConfig:
             raise ValueError("total_steps and warmup_steps must be >= 0")
         if self.epoch_size < 1:
             raise ValueError("epoch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.warmup_steps > self.total_steps:
             raise ValueError("warmup_steps must not exceed total_steps")
         if self.batch_size < 2 or self.batch_size % 2:
@@ -176,7 +178,7 @@ def optimize(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab
     order_rng = np.random.default_rng(cfg.seed)
 
     layout, n_decay = _flat_layout(mdl.params)
-    params = np.empty(sum(p.size for p in mdl.params.values()), dtype=mdl.config.dtype)
+    params = np.empty(sum(p.size for p in mdl.params.values()), dtype=mdl.dtype)
     views = _views(params, layout)
     for name, view in views.items():
         view[...] = mdl.params[name]
@@ -257,16 +259,14 @@ def grad_check(mdl: M.Model, example, eps: float = 1e-5, n_coords: int = 200,
     """Max relative error between analytic and central-difference gradients.
 
     Samples roughly n_coords coordinates spread over every named
-    parameter. The check runs on a float64 copy of the model, whatever
-    its precision, and leaves `mdl` untouched: a float32 model's weights
-    are checked in float64 arithmetic. The relative
-    denominator is floored at 1e-6: below that the central difference is
-    dominated by round-off (~1e-11 absolute at eps=1e-5), so tiny
-    gradients are compared absolutely.
+    parameter, on a float64 copy of the weights (the one float64 model
+    the lab makes), and leaves `mdl` untouched. The relative denominator
+    is floored at 1e-6: below that the central difference is dominated
+    by round-off (~1e-11 absolute at eps=1e-5), so tiny gradients are
+    compared absolutely.
     """
     pairs, labels = example
-    mdl = M.Model(replace(mdl.config, numeric_precision=64),
-                  {name: p.astype(np.float64) for name, p in mdl.params.items()})
+    mdl = M.Model(mdl.config, {name: p.astype(np.float64) for name, p in mdl.params.items()})
     _, grads = M.loss_and_grads(mdl, pairs, labels)
     rng = np.random.default_rng(seed)
     per_param = max(1, -(-n_coords // len(mdl.params)))

@@ -17,10 +17,12 @@ def pairs_of(n, rng):
     return out
 
 
-def small_model(seed=0, **kw):
+def small_model(seed=0, bits=32, **kw):
+    """A small model whose weights are cast to float`bits`, as `train.grad_check` casts them."""
     cfg = M.ModelConfig(n_layers=2, n_heads=2, hidden=16, ff_dim=32,
                         vocab_size=len(VOCAB.tokens), max_len=32, **kw)
-    return M.init(cfg, seed)
+    mdl = M.init(cfg, seed)
+    return M.Model(cfg, {name: p.astype(f"float{bits}") for name, p in mdl.params.items()})
 
 
 class TestCkaLinear:
@@ -95,7 +97,7 @@ class TestCompare:
         # NaN in either precision
         data = pairs_of(24, np.random.default_rng(0))
         for precision in (32, 64):
-            mdl = small_model(1, numeric_precision=precision)
+            mdl = small_model(1, bits=precision)
             rep = cka.compare(mdl, perturb.NATURAL, mdl, perturb.NATURAL, data,
                               selector="cls_only", batch_size=12)
             assert len(rep.per_layer) == mdl.config.n_layers + 1

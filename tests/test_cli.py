@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import math
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -153,10 +154,16 @@ class TestRerankData:
         # a checkpoint written while ModelConfig held the three removed fields
         (1, lambda h: {**h, "n_segments": 2, "dropout_rate": 0.0, "init_scale": 0.02},
          "unsupported checkpoint version 1"),
-        (2, lambda h: {**h, "dropout_rate": 0.0}, "checkpoint config is not a ModelConfig"),
-        (2, lambda h: list(h.values()), "checkpoint config is not a ModelConfig"),
-        (2, lambda h: {**h, "hidden": str(h["hidden"])}, "hidden must be a positive integer"),
-    ], ids=["version_1", "unknown_header_key", "list_header", "string_size"])
+        # one written while it held numeric_precision
+        (2, lambda h: {**h, "numeric_precision": 32}, "unsupported checkpoint version 2"),
+        (3, lambda h: {**h, "dropout_rate": 0.0}, "checkpoint config is not a ModelConfig"),
+        (3, lambda h: list(h.values()), "checkpoint config is not a ModelConfig"),
+        (3, lambda h: {**h, "hidden": str(h["hidden"])}, "hidden must be a positive integer"),
+        # isinstance(True, int) holds, but a JSON true is no size
+        (3, lambda h: {**h, "n_layers": True, "n_heads": True},
+         "n_layers must be a positive integer"),
+    ], ids=["version_1", "version_2", "unknown_header_key", "list_header", "string_size",
+            "bool_size"])
     def test_bad_checkpoint_header_is_a_data_error(self, data_dir, checkpoint, tmp_path,
                                                    capsys, version, edit_header, message):
         data = checkpoint.read_bytes()
@@ -215,8 +222,8 @@ class TestRerankData:
             for _ in range(2):
                 assert experiment.rerank_run(run, mdl, vocab, queries, coll, 10, mode,
                                              memo=warm) == plain
-        # each pair was encoded once, by the first call
-        assert len(warm) == sum(len(v) for v in run.entries.values())
+        # each pair was encoded once, by the first call: the memo holds one per entry
+        assert len(warm._pairs) == sum(len(v) for v in run.entries.values())
 
     def test_memo_for_another_max_len_is_refused(self, data_dir, checkpoint):
         vocab = tokenizer.load_vocab(data_dir / "vocab.txt")
@@ -401,7 +408,8 @@ class TestExitCodes:
                                        ("--steps", "-3", "--warmup", "-5"),
                                        ("--warmup", "-1"), ("--batch-size", "17"),
                                        ("--lr", "-0.001"), ("--lr", "nan"),
-                                       ("--weight-decay", "-1"), ("--weight-decay", "nan")])
+                                       ("--weight-decay", "-1"), ("--weight-decay", "nan"),
+                                       ("--seed", "-1")])
     def test_bad_schedule_is_a_data_error(self, data_dir, tmp_path, capsys, flags):
         assert run_cli("train", "--triples", str(data_dir / "triples.tsv"),
                        "--vocab", str(data_dir / "vocab.txt"),
@@ -415,7 +423,9 @@ class TestExitCodes:
         (("--rule", "bigram_order", "--query-len", "1", "2"), "queries of >= 2 terms"),
         (("--zipf", "nan"), "zipf_exponent nan gives no finite"),
         (("--zipf", "-1000"), "zipf_exponent -1000.0 gives no finite"),
-    ], ids=["bigram_query_len_1_1", "bigram_query_len_1_2", "zipf_nan", "zipf_overflow"])
+        (("--seed", "-1"), "[synthetic] seed must be >= 0, got -1"),
+    ], ids=["bigram_query_len_1_1", "bigram_query_len_1_2", "zipf_nan", "zipf_overflow",
+            "negative_seed"])
     def test_infeasible_generate_spec_is_a_data_error(self, tmp_path, capsys, flags, message):
         assert run_cli(*GEN, "--out", str(tmp_path / "out"), *flags) == 2
         err = capsys.readouterr().err
@@ -453,11 +463,21 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {key} must be >= 1\n"
         assert not (tmp_path / "out").exists()
 
-    def test_experiment_nan_lr_refused_before_anything_is_written(self, tmp_path, capsys):
+    @pytest.mark.parametrize("edit, message", [
+        (("[train]\n", "[train]\nlr_peak = nan\n"), "lr_peak must be finite and > 0, got nan"),
+        # below the length encode_pair needs, which only the children would reach
+        (("[train]\n", "[model]\nmax_len = 4\n\n[train]\n"), "max_len must be >= 8"),
+        (("[experiment]\n", "[experiment]\nseed = -1\n"),
+         "[experiment] seed must be >= 0, got -1"),
+        (("seed = 5", "seed = -1"), "[synthetic] seed must be >= 0, got -1"),
+    ], ids=["nan_lr", "max_len_4", "negative_experiment_seed", "negative_synthetic_seed"])
+    def test_experiment_refused_before_anything_is_written(self, tmp_path, capsys, edit,
+                                                           message):
+        # refused before config.txt is written, so it blocks no corrected rerun
         cfg, out = tmp_path / "config.ini", tmp_path / "out"
-        cfg.write_text(CONFIG.replace("[train]\n", "[train]\nlr_peak = nan\n"))
+        cfg.write_text(CONFIG.replace(*edit))
         assert run_cli("experiment", "--config", str(cfg), "--out", str(out)) == 2
-        assert capsys.readouterr().err == "error: lr_peak must be finite and > 0, got nan\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "config.txt").exists()
 
     def test_experiment_odd_batch_size_is_a_data_error(self, tmp_path, capsys):
@@ -482,11 +502,13 @@ class TestExitCodes:
          + text[text.index("[experiment]"):], "unknown key shuffle_fixed in [train]"),
         (lambda text: text.replace("[train]\n", OLD_MODEL_SECTION + "[train]\n"),
          "unknown key n_segments in [model]"),
+        (lambda text: text.replace("[train]\n", "[model]\nnumeric_precision = 32\n\n[train]\n"),
+         "unknown key numeric_precision in [model]"),
         (lambda text: text.replace("learned/natural/sort", "learned/shuffled/natural"),
          "unknown perturbation mode 'shuffled'"),
     ], ids=["no_section_header", "duplicate_key", "stray_percent", "misspelt_key",
             "misspelt_section", "derived_key", "old_config_txt", "old_model_section",
-            "misspelt_mode"])
+            "old_precision_key", "misspelt_mode"])
     def test_malformed_config_is_a_data_error(self, tmp_path, capsys, break_config, message):
         cfg = tmp_path / "config.ini"
         cfg.write_text(break_config(CONFIG))
@@ -659,6 +681,25 @@ def test_bench_worker_refuses_a_tree_without_orderlab(tmp_path, script, worker):
     assert str(tmp_path) in done.stderr
 
 
+def _array_dtype_codes(data: bytes) -> list[bytes]:
+    """The dtype code of each array record of checkpoint bytes `data`."""
+    at = len(M._MAGIC) + 4
+    (cfg_len,) = struct.unpack_from("<Q", data, at)
+    at += 8 + cfg_len
+    (n_params,) = struct.unpack_from("<I", data, at)
+    at += 4
+    codes = []
+    for _ in range(n_params):
+        (name_len,) = struct.unpack_from("<H", data, at)
+        at += 2 + name_len
+        code, ndim = data[at:at + 2], data[at + 2]
+        shape = struct.unpack_from(f"<{ndim}Q", data, at + 3)
+        at += 3 + 8 * ndim + math.prod(shape) * int(code[1:])
+        codes.append(code)
+    assert at == len(data)
+    return codes
+
+
 @pytest.fixture(scope="module")
 def exp(tmp_path_factory):
     root = tmp_path_factory.mktemp("exp")
@@ -678,15 +719,19 @@ class TestExperimentCommand:
         assert lines[1].startswith("learned\tnatural\tnatural\t")
 
     def test_default_precision_is_float32(self, exp, tmp_path):
-        # CONFIG sets no precision: config.txt records 32, and each
-        # checkpoint holds f4 arrays, since loading one as float32 and
-        # saving it again gives the same bytes
+        # no config key sets a precision; each checkpoint holds f4 arrays,
+        # and loading it and saving it again gives the same bytes
         _, out = exp
-        assert "numeric_precision = 32\n" in (out / "config.txt").read_text()
+        text = (out / "config.txt").read_text()
+        model_keys = text[text.index("[model]\n"):text.index("[train]")].splitlines()[1:]
+        assert [line.split(" = ")[0] for line in model_keys if line] == [
+            "n_layers", "n_heads", "hidden", "ff_dim", "max_len"]
+        assert "precision" not in text
         ckpts = sorted((out / "models").glob("*.ckpt"))
         assert len(ckpts) == 2
         for ckpt in ckpts:
             mdl = M.load(ckpt)
+            assert set(_array_dtype_codes(ckpt.read_bytes())) == {b"f4"}
             assert {p.dtype for p in mdl.params.values()} == {np.dtype(np.float32)}
             M.save(mdl, tmp_path / "again.ckpt")
             assert (tmp_path / "again.ckpt").read_bytes() == ckpt.read_bytes()
@@ -973,7 +1018,6 @@ class TestExperimentCka:
         # NaN, and the last layer's CKA is still written for every model
         cfg = tmp_path / "config.ini"
         cfg.write_text(CONFIG.replace("total_steps = 40", "total_steps = 10")
-                       .replace("[train]", "[model]\nnumeric_precision = 32\n\n[train]")
                        .replace("learned/natural/natural, learned/natural/sort, none/natural/natural",
                                 "learned/natural/natural, learned/sort/sort, "
                                 "learned/shuffle:13/shuffle:13, none/natural/natural"))

@@ -17,6 +17,11 @@ def small_cfg(**kw):
     return ModelConfig(**base)
 
 
+def cast(mdl, bits):
+    """`mdl` with its weights cast to float`bits`, as `train.grad_check` casts them."""
+    return Model(mdl.config, {name: p.astype(f"float{bits}") for name, p in mdl.params.items()})
+
+
 VOCAB = Vocab(list(RESERVED) + [f"t{i}" for i in range(46)])
 
 
@@ -36,14 +41,26 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_cfg(position_mode="sinusoidal").validate()
         with pytest.raises(ValueError):
-            small_cfg(numeric_precision=16).validate()
-        with pytest.raises(ValueError):
             small_cfg(n_layers=0).validate()
+        with pytest.raises(ValueError, match="max_len must be >= 8"):
+            small_cfg(max_len=4).validate()
+        with pytest.raises(ValueError, match="n_layers must be a positive integer"):
+            small_cfg(n_layers=True, n_heads=True).validate()
 
     def test_dtype(self):
-        assert ModelConfig().numeric_precision == 32
-        assert small_cfg().dtype is np.float32
-        assert small_cfg(numeric_precision=64).dtype is np.float64
+        # init gives float32 weights, and a cast copy runs every pass in float64
+        mdl = init(small_cfg(), 0)
+        assert mdl.dtype == np.float32
+        assert {p.dtype for p in mdl.params.values()} == {np.dtype(np.float32)}
+        copy = cast(mdl, 64)
+        assert copy.dtype == np.float64 and copy.config == mdl.config
+        pair = pair_of("t0 t1", "t2 t3")
+        out = forward(copy, [pair], capture=True)
+        assert out.logits.dtype == np.float64
+        assert {a.dtype for a in out.activations} == {np.dtype(np.float64)}
+        loss, grads = M.loss_and_grads(copy, [pair], [1])
+        assert {g.dtype for g in grads.values()} == {np.dtype(np.float64)}
+        assert loss == pytest.approx(M.loss_and_grads(mdl, [pair], [1])[0], rel=1e-5)
 
 
 def n_params(mdl):
@@ -150,10 +167,10 @@ class TestLoss:
     def test_underflowed_true_class_gives_finite_loss(self, precision, margin):
         # the true class's probability underflows to 0; the loss is that of
         # the dtype's smallest normal probability, not inf
-        mdl = init(small_cfg(numeric_precision=precision), 0)
+        mdl = cast(init(small_cfg(), 0), precision)
         mdl.params["cls_b"][:] = [0.0, margin]
         loss, grads = M.loss_and_grads(mdl, [pair_of("t0 t1", "t2 t3")], [0])
-        assert loss == pytest.approx(-math.log(np.finfo(mdl.config.dtype).tiny), rel=1e-6)
+        assert loss == pytest.approx(-math.log(np.finfo(mdl.dtype).tiny), rel=1e-6)
         assert all(np.isfinite(g).all() for g in grads.values())
 
 
@@ -205,11 +222,13 @@ class TestCheckpoint:
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
     def test_float32_round_trip(self, tmp_path):
-        mdl = init(small_cfg(numeric_precision=32), 6)
-        M.save(mdl, tmp_path / "m.ckpt")
-        loaded = M.load(tmp_path / "m.ckpt")
-        assert loaded.params["tok_emb"].dtype == np.float32
-        assert np.array_equal(loaded.params["tok_emb"], mdl.params["tok_emb"])
+        # a float64 copy saves f8 arrays, and loads as the float32 weights
+        mdl = init(small_cfg(), 6)
+        for bits in (32, 64):
+            M.save(cast(mdl, bits), tmp_path / "m.ckpt")
+            loaded = M.load(tmp_path / "m.ckpt")
+            assert loaded.params["tok_emb"].dtype == np.float32
+            assert np.array_equal(loaded.params["tok_emb"], mdl.params["tok_emb"])
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "m.ckpt"
@@ -526,7 +545,7 @@ def _random_pair(rng, n):
 
 
 SWEEP_MODELS = [
-    dict(numeric_precision=prec, n_layers=layers, position_mode=pos, hidden=width,
+    dict(bits=prec, n_layers=layers, position_mode=pos, hidden=width,
          ff_dim=2 * width)
     for prec in (32, 64) for layers in (1, 2, 3) for pos in ("learned", "none")
     for width in (16, 32)
@@ -534,7 +553,13 @@ SWEEP_MODELS = [
 
 
 def _sweep_id(kw):
-    return "fp{numeric_precision}-L{n_layers}-{position_mode}-d{hidden}".format(**kw)
+    return "fp{bits}-L{n_layers}-{position_mode}-d{hidden}".format(**kw)
+
+
+def _sweep_model(kw, seed):
+    """The sweep model `kw` names, initialised from `seed`, in its precision."""
+    cfg = small_cfg(max_len=64, **{k: v for k, v in kw.items() if k != "bits"})
+    return cast(init(cfg, seed), kw["bits"])
 
 
 class TestClsOnlyPass:
@@ -544,7 +569,7 @@ class TestClsOnlyPass:
 
     @pytest.mark.parametrize("kw", SWEEP_MODELS, ids=_sweep_id)
     def test_logits_match_capture_path_bytewise(self, kw):
-        mdl = init(small_cfg(max_len=64, **kw), kw["n_layers"] * 7 + kw["hidden"])
+        mdl = _sweep_model(kw, kw["n_layers"] * 7 + kw["hidden"])
         rng = np.random.default_rng(kw["n_layers"] + kw["hidden"])
         mismatched = []
         for B in (1, 2, 3, 5, 8, 13, 16, 31, 32, 33, 64, 100):
@@ -563,17 +588,17 @@ class TestClsOnlyPass:
         # the reference is _backward on the capture path's full tape;
         # products over two rows may take another BLAS kernel than over
         # every row, so gradients agree to rounding
-        tol = 1e-13 if kw["numeric_precision"] == 64 else 1e-5
+        tol = 1e-13 if kw["bits"] == 64 else 1e-5
         rng = np.random.default_rng(kw["n_layers"] * 3 + kw["hidden"])
         worst = 0.0
-        mdl = init(small_cfg(max_len=64, **kw), kw["hidden"] + 1)
+        mdl = _sweep_model(kw, kw["hidden"] + 1)
         for B in (2, 5, 16, 33):
             for T in (4, 23, 64):
                 pairs = [_random_pair(rng, T)] + [
                     _random_pair(rng, int(rng.integers(4, T + 1))) for _ in range(B - 1)]
                 labels = rng.integers(0, 2, B)
                 loss, grads = M.loss_and_grads(mdl, pairs, labels)
-                ids, segs, mask = M.pad_batch(pairs, dtype=mdl.config.dtype)
+                ids, segs, mask = M.pad_batch(pairs, dtype=mdl.dtype)
                 logits, _, tape = M._forward(mdl, ids, segs, mask, capture=True)
                 probs = M.softmax(logits)
                 full_loss = -np.log(np.clip(probs[np.arange(B), labels], 1e-300, None)).mean()
@@ -581,7 +606,7 @@ class TestClsOnlyPass:
                 dlogits = probs.copy()
                 dlogits[np.arange(B), labels] -= 1.0
                 dlogits /= B
-                full = M._backward(mdl, tape, dlogits.astype(mdl.config.dtype))
+                full = M._backward(mdl, tape, dlogits.astype(mdl.dtype))
                 top = max(np.abs(g).max() for g in full.values())
                 worst = max(worst, max(np.abs(grads[n] - full[n]).max() for n in full) / top)
         assert worst <= tol
@@ -613,8 +638,7 @@ class TestEncodeBackward:
     @pytest.mark.parametrize("n_layers", [1, 2])
     @pytest.mark.parametrize("position_mode", ["learned", "none"])
     def test_every_row_matches_finite_differences(self, n_layers, position_mode):
-        mdl = init(small_cfg(n_layers=n_layers, position_mode=position_mode,
-                             numeric_precision=64), 11)
+        mdl = cast(init(small_cfg(n_layers=n_layers, position_mode=position_mode), 11), 64)
         rng = np.random.default_rng(n_layers)
         # the first pair sets the padded length; the others have padding
         ids, segs, mask = M.pad_batch([_random_pair(rng, n) for n in (12, 7, 9)])

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,10 +25,12 @@ def examples(query, pos, neg):
     return [encode_pair(query, pos, VOCAB, 32), encode_pair(query, neg, VOCAB, 32)], [1, 0]
 
 
-def small_model(seed=0, **kw):
+def small_model(seed=0, bits=32, **kw):
+    """A small model whose weights are cast to float`bits`, as `train.grad_check` casts them."""
     cfg = M.ModelConfig(n_layers=2, n_heads=2, hidden=16, ff_dim=32,
                         vocab_size=len(VOCAB.tokens), max_len=32, **kw)
-    return M.init(cfg, seed)
+    mdl = M.init(cfg, seed)
+    return M.Model(cfg, {name: p.astype(f"float{bits}") for name, p in mdl.params.items()})
 
 
 class TestSchedule:
@@ -208,7 +209,7 @@ class TestFlatAdam:
         cfg = T.TrainConfig(batch_size=2 * len(triples), lr_peak=1e-2, warmup_steps=2,
                             total_steps=8, epoch_size=8, seed=4, weight_decay=0.05,
                             grad_clip_norm=0.05)
-        start = small_model(5, numeric_precision=precision)
+        start = small_model(5, bits=precision)
         before = {k: v.copy() for k, v in start.params.items()}
         expected, norms = reference_train(start, triples, cfg, VOCAB)
         mdl, log = T.train(start, triples, cfg, VOCAB)
@@ -230,10 +231,9 @@ class TestGradCheck:
         assert T.grad_check(mdl, examples("t0 t1", "t0 t1 t2", "t30 t31"), n_coords=150) < 1e-4
 
     def test_float32_model_checked_on_its_float64_copy(self):
-        mdl = small_model(0, numeric_precision=32)
+        mdl = small_model(0)
         before = {name: p.copy() for name, p in mdl.params.items()}
-        copy = M.Model(replace(mdl.config, numeric_precision=64),
-                       {name: p.astype(np.float64) for name, p in mdl.params.items()})
+        copy = small_model(0, bits=64)
         example = examples("t0 t1", "t0 t1 t2", "t30 t31")
         assert T.grad_check(mdl, example, n_coords=60) == T.grad_check(copy, example, n_coords=60)
         for name, p in mdl.params.items():
