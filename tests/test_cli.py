@@ -465,7 +465,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("edit, message", [
         (("[train]\n", "[train]\nlr_peak = nan\n"), "lr_peak must be finite and > 0, got nan"),
-        # below the length encode_pair needs, which only the children would reach
+        # below the length encode_pair needs
         (("[train]\n", "[model]\nmax_len = 4\n\n[train]\n"), "max_len must be >= 8"),
         (("[experiment]\n", "[experiment]\nseed = -1\n"),
          "[experiment] seed must be >= 0, got -1"),
