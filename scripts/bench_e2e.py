@@ -25,9 +25,12 @@ each output's file count and how many are equal between the trees (for
 the default run, each tree's first), then each file that differs
 between the trees or from its tree's first timed run, and exits 1 if
 any does. It writes each tree's commit, each run's raw seconds and
-kernel factor, the median of the scaled seconds, the change/parent ratio
-of those medians, and the machine (CPU, cores, Python, numpy, scipy,
-BLAS). This checkout's entry is `change`, the other tree's `parent`.
+kernel factor, the medians of the raw and of the scaled seconds, the
+change/parent ratio of each pair of medians, and the machine (CPU,
+cores, Python, numpy, scipy, BLAS). It prints both ratios: the kernel
+times one core for a moment on each side of a run that trains on every
+core, so on a loaded machine its factor can spread more than the run's
+raw seconds, and the raw ratio is then the steadier reading. This checkout's entry is `change`, the other tree's `parent`.
 """
 
 import os
@@ -135,6 +138,8 @@ def main(argv=None) -> int:
     entries = {label: {"commit": _commit(trees[label]),
                        "seconds": [round(run["seconds"], 2) for run in runs[label]],
                        "factors": [round(run["factor"], 4) for run in runs[label]],
+                       "median_raw_s": round(statistics.median(
+                           run["seconds"] for run in runs[label]), 2),
                        "median_scaled_s": round(statistics.median(
                            run["seconds"] * run["factor"] for run in runs[label]), 2)}
                for label in trees}
@@ -146,15 +151,19 @@ def main(argv=None) -> int:
         "entries": entries,
         "change_over_parent": round(entries["change"]["median_scaled_s"]
                                     / entries["parent"]["median_scaled_s"], 4),
+        "raw_change_over_parent": round(entries["change"]["median_raw_s"]
+                                        / entries["parent"]["median_raw_s"], 4),
     }
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(result, f, indent=2)
         f.write("\n")
     print("\n".join(rows + differing))
     for label, entry in entries.items():
-        print(f"{label}: median {entry['median_scaled_s']} s scaled; raw {entry['seconds']}, "
+        print(f"{label}: median {entry['median_scaled_s']} s scaled, "
+              f"{entry['median_raw_s']} s raw; raw {entry['seconds']}, "
               f"factors {entry['factors']}")
-    print(f"change/parent: {result['change_over_parent']}")
+    print(f"change/parent: {result['change_over_parent']} scaled, "
+          f"{result['raw_change_over_parent']} raw")
     return 1 if differing else 0
 
 

@@ -13,11 +13,12 @@ encoder's hot entry points on pairs of the benchmark's `matrix` corpus
   2 dev queries x their BM25 top 50 under `shuffle:13`, through a run
   memo (`tokenizer.PairMemo`) that earlier calls have filled, as the
   second and later dev evals of a training run find it;
-- `rerank_query_natural` and `rerank_query_shuffle13`: the unit of the
-  benchmark's `rerank` workload, one `experiment.rerank_run` of one
-  query's BM25 top 100 with no memo, under `natural` and under
-  `shuffle:13`, on the workload's own set-up (`workloads.rerank_setup`,
-  seed 1); each call takes the next query;
+- `rerank_query_natural`, `rerank_query_sort` and
+  `rerank_query_shuffle13`: the unit of the benchmark's `rerank`
+  workload, one `experiment.rerank_run` of one query's BM25 top 100
+  with no memo, under each of the workload's modes (`natural`, `sort`
+  and `shuffle:13`), on the workload's own set-up
+  (`workloads.rerank_setup`, seed 1); each call takes the next query;
 - the encoder's kernels alone, each at a training step's batch (16)
   and a scoring batch's (64), on inputs of the model's precision at
   the batches' padded length of 23 (`KERNEL_T`), with the keys of each
@@ -84,7 +85,7 @@ TIMED = {"loss_and_grads_ms": {"batch": STEP_BATCH, **KERNEL_CALLS},
          **{f"rerank_query_{mode.replace(':', '')}_ms": {"queries": 1, "top_k": 100,
                                                          "mode": mode, "memo": "none",
                                                          **KERNEL_CALLS}
-            for mode in ("natural", f"shuffle:{EVAL_SEED}")},
+            for mode in ("natural", "sort", f"shuffle:{EVAL_SEED}")},
          **{f"{kernel}_b{batch}_ms": {"batch": batch, "padded_len": KERNEL_T, **KERNEL_CALLS}
             for kernel in ("gelu_cdf2", "layer_norm", "softmax")
             for batch in (STEP_BATCH, SCORE_BATCH)},
@@ -211,7 +212,7 @@ def _worker(tree: str) -> dict:
               "rerank_eval_ms": timed("rerank_eval_ms", lambda: experiment.rerank_run(
                   dev_run, mdl, vocab, queries, collection, dev_k, mode,
                   tag="dev", memo=memo))}
-    for query_mode in (perturb.NATURAL, mode):
+    for query_mode in (perturb.NATURAL, perturb.SORT_DESC, mode):
         key = f"rerank_query_{perturb.format_mode(query_mode).replace(':', '')}_ms"
         result[key] = timed(key, rerank_query(query_mode), query_runs())
     for batch in (STEP_BATCH, SCORE_BATCH):
@@ -319,6 +320,7 @@ def main(argv=None) -> int:
               f"({entry['forward_us_per_pair']} us/pair), "
               f"rerank_eval {entry['rerank_eval_ms']['median']} ms, "
               f"rerank_query natural {entry['rerank_query_natural_ms']['median']} ms, "
+              f"sort {entry['rerank_query_sort_ms']['median']} ms, "
               f"shuffle:{EVAL_SEED} {entry['rerank_query_shuffle13_ms']['median']} ms, "
               f"data_stage {entry['data_stage_ms']['median']} ms")
     print("change/parent: " + ", ".join(f"{key[:-3]} {ratio}"

@@ -18,7 +18,16 @@ _TOKEN = re.compile(r"[0-9a-z]+")
 
 
 def text_tokens(text: str) -> list[str]:
-    return _TOKEN.findall(text.lower())
+    """`_TOKEN.findall(text.lower())`, one whitespace chunk at a time: a
+    chunk of ASCII letters and digits alone is one token, and only the
+    other chunks go through the regex."""
+    tokens = []
+    for chunk in text.lower().split():
+        if chunk.isascii() and chunk.isalnum():
+            tokens.append(chunk)
+        else:
+            tokens += _TOKEN.findall(chunk)
+    return tokens
 
 
 @dataclass(frozen=True)

@@ -84,10 +84,11 @@ def default_conditions() -> list[Condition]:
 
 
 # no config sets these: the dev evals re-rank each dev query's BM25 top DEV_RERANK_K;
-# re-ranking and held-out accuracy score SCORE_BATCH_SIZE pairs per forward;
+# re-ranking and held-out accuracy score SCORE_BATCH_SIZE pairs per forward, so a
+# query's rerank_k (100) block is one forward;
 # CKA compares each test query's top CKA_DOCS_PER_QUERY, CKA_BATCH_SIZE per forward
 DEV_RERANK_K = 50
-SCORE_BATCH_SIZE = 64
+SCORE_BATCH_SIZE = 128
 CKA_BATCH_SIZE = 64
 CKA_DOCS_PER_QUERY = 5
 

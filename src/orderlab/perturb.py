@@ -17,13 +17,13 @@ need Lemire's rejection step (about one in 10^7) is shuffled by
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 
-if TYPE_CHECKING:  # tokenizer imports this module, for PairMemo.perturbed
-    from .tokenizer import TokenizedPair
+# tokenizer imports this module too, for PairMemo.perturbed: its names
+# are read at call time, so either module may be imported first
+from . import tokenizer
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,22 @@ def format_mode(mode: PerturbMode) -> str:
     return f"shuffle:{mode.seed}"
 
 
+def derive_seeds(seed: int, keys: list[str]) -> list[int]:
+    """The 64-bit stream seed of each per-example key under the global
+    seed: the first 8 bytes, little-endian, of sha256("{seed}|{key}").
+    The hash of the shared "{seed}|" is taken once and copied per key."""
+    prefix = hashlib.sha256(f"{seed}|".encode("utf-8"))
+    seeds = []
+    for key in keys:
+        h = prefix.copy()
+        h.update(key.encode("utf-8"))
+        seeds.append(int.from_bytes(h.digest()[:8], "little"))
+    return seeds
+
+
 def derive_seed(seed: int, key: str) -> int:
-    """64-bit stream seed from the global seed and a per-example key."""
-    digest = hashlib.sha256(f"{seed}|{key}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little")
+    """`derive_seeds` of one key."""
+    return derive_seeds(seed, [key])[0]
 
 
 def fisher_yates(values: list[int], rng: np.random.Generator) -> list[int]:
@@ -214,8 +226,8 @@ def _shuffle(chunks: list[list[int]], seeds: list[int]) -> list[list[int]]:
     return out
 
 
-def apply_many(pairs: list[TokenizedPair], mode: PerturbMode,
-               example_keys: list[str]) -> list[TokenizedPair]:
+def apply_many(pairs: list[tokenizer.TokenizedPair], mode: PerturbMode,
+               example_keys: list[str]) -> list[tokenizer.TokenizedPair]:
     """Perturb the query and passage spans of each pair independently;
     pure function.
 
@@ -229,20 +241,23 @@ def apply_many(pairs: list[TokenizedPair], mode: PerturbMode,
         raise ValueError(f"{len(pairs)} pairs but {len(example_keys)} example keys")
     if mode.kind == "natural" or not pairs:
         return list(pairs)
-    rows = [list(pair.ids) for pair in pairs]
-    spans = [(row, span, f"{key}|{side}")
-             for pair, row, key in zip(pairs, rows, example_keys)
-             for side, span in (("q", pair.query_span), ("p", pair.passage_span))]
-    chunks = [row[start:end + 1] for row, (start, end), _ in spans]
+    sep_id = tokenizer.SEP_ID
+    chunks = []
+    for pair in pairs:
+        ids = pair.ids
+        sep = ids.index(sep_id)  # the query span is ids[1:sep], the passage's ids[sep + 1:-1]
+        chunks += (ids[1:sep], ids[sep + 1:-1])
     if mode.kind == "sort_desc":
         chunks = [sorted(chunk, reverse=True) for chunk in chunks]
     else:
-        chunks = _shuffle(chunks, [derive_seed(mode.seed, key) for *_, key in spans])
-    for (row, (start, end), _), chunk in zip(spans, chunks):
-        row[start:end + 1] = chunk
-    return [replace(pair, ids=row) for pair, row in zip(pairs, rows)]
+        keys = [f"{key}|{side}" for key in example_keys for side in ("q", "p")]
+        chunks = _shuffle(chunks, derive_seeds(mode.seed, keys))
+    make = tokenizer.TokenizedPair
+    return [make([pair.ids[0], *chunks[2 * i], sep_id, *chunks[2 * i + 1], pair.ids[-1]])
+            for i, pair in enumerate(pairs)]
 
 
-def apply(pair: TokenizedPair, mode: PerturbMode, example_key: str = "") -> TokenizedPair:
+def apply(pair: tokenizer.TokenizedPair, mode: PerturbMode,
+          example_key: str = "") -> tokenizer.TokenizedPair:
     """`apply_many` of one pair."""
     return apply_many([pair], mode, [example_key])[0]

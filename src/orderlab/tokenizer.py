@@ -57,8 +57,20 @@ def load_vocab(path) -> Vocab:
 
 
 def _pretokenize(text: str) -> list[str]:
-    """Lowercase and split into words and single punctuation marks."""
-    return _WORD_SPLIT.findall(text.lower())
+    """Lowercase and split into words and single punctuation marks.
+
+    This is `_WORD_SPLIT.findall(text.lower())`, one whitespace chunk at
+    a time: no match spans whitespace, and a chunk of word characters
+    alone (`str.isalnum`, as `\\w` reads them, less "_") is one word, so
+    only the other chunks go through the regex.
+    """
+    words = []
+    for chunk in text.lower().split():
+        if chunk.isalnum():
+            words.append(chunk)
+        else:
+            words += _WORD_SPLIT.findall(chunk)
+    return words
 
 
 def word_counts(texts) -> Counter:
@@ -174,7 +186,8 @@ class PairMemo:
     (pair, mode, example key), a batch of them per `perturb.apply_many`
     call, so dev evals, conditions and any other caller that asks for the
     same perturbed example again get the pair made the first time. A natural
-    example is the encoded pair itself. The returned pairs are shared:
+    example is the encoded pair itself. Perturbed pairs are kept per mode,
+    under (query, passage, example key). The returned pairs are shared:
     treat them as read-only.
     """
 
@@ -183,7 +196,8 @@ class PairMemo:
         self.max_len = max_len
         self._pairs: dict[tuple[str, str], TokenizedPair] = {}
         self._text_ids: dict[str, list[int]] = {}
-        self._perturbed: dict[tuple, TokenizedPair] = {}
+        self._perturbed: dict[perturb.PerturbMode,
+                              dict[tuple[str, str, str], TokenizedPair]] = {}
 
     def encode(self, query_text: str, passage_text: str) -> TokenizedPair:
         key = (query_text, passage_text)
@@ -199,15 +213,15 @@ class PairMemo:
         under their example keys, each (query, passage, mode, key) made
         once: the ones this memo lacks are perturbed in one call, and a
         key that repeats within `texts` is perturbed once."""
-        pairs = [self.encode(query, passage) for query, passage in texts]
         if mode.kind == "natural":
-            return pairs
-        keys = [(query, passage, mode, key)
+            return [self.encode(query, passage) for query, passage in texts]
+        done = self._perturbed.setdefault(mode, {})
+        keys = [(query, passage, key)
                 for (query, passage), key in zip(texts, example_keys, strict=True)]
-        new = {key: pair for key, pair in zip(keys, pairs) if key not in self._perturbed}
-        made = perturb.apply_many(list(new.values()), mode, [key[3] for key in new])
-        self._perturbed.update(zip(new, made))
-        return [self._perturbed[key] for key in keys]
+        new = {key: self.encode(key[0], key[1]) for key in keys if key not in done}
+        done.update(zip(new, perturb.apply_many(list(new.values()), mode,
+                                                [key[2] for key in new])))
+        return [done[key] for key in keys]
 
 
 def memo_for(memo: PairMemo | None, vocab: Vocab, max_len: int) -> PairMemo:

@@ -225,6 +225,25 @@ class TestRerankData:
         # each pair was encoded once, by the first call: the memo holds one per entry
         assert len(warm._pairs) == sum(len(v) for v in run.entries.values())
 
+    def test_one_forward_per_query_block(self, data_dir, checkpoint, monkeypatch):
+        # a query's rerank_k = 100 block is scored in one forward, in any mode
+        coll = corpus.load_collection(data_dir / "collection.tsv")
+        queries = corpus.load_queries(data_dir / "queries.tsv")
+        vocab = tokenizer.load_vocab(data_dir / "vocab.txt")
+        mdl = M.load(checkpoint)
+        qid = min(queries.entries)
+        run = corpus.Run({qid: [corpus.RunEntry(doc_id, 100.0 - rank, rank, "bm25")
+                                for rank, doc_id in enumerate(sorted(coll.entries)[:100], 1)]})
+        forward = M.forward
+        batches = []
+        monkeypatch.setattr(M, "forward", lambda mdl, batch: batches.append(len(batch))
+                            or forward(mdl, batch))
+        for mode in (perturb.NATURAL, perturb.SORT_DESC, perturb.shuffle_mode(13)):
+            batches.clear()
+            out = experiment.rerank_run(run, mdl, vocab, queries, coll, 100, mode)
+            assert batches == [100]
+            assert len(out.entries[qid]) == 100
+
     def test_memo_for_another_max_len_is_refused(self, data_dir, checkpoint):
         vocab = tokenizer.load_vocab(data_dir / "vocab.txt")
         mdl = M.load(checkpoint)

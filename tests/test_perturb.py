@@ -176,6 +176,28 @@ def spans_of(pair):
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
 
+def sha256_seed(seed, key):
+    return int.from_bytes(hashlib.sha256(f"{seed}|{key}".encode("utf-8")).digest()[:8], "little")
+
+
+class TestDeriveSeed:
+    CASES = [(0, "q0001:d000002|q", 12141618654678629754),
+             (13, "r4705460|p", 17406094854769237514),
+             (2**64 - 1, "acc:7|neg|p", 7798960494393018571),
+             (5, "\u00e9|q", 7687280422724657344)]
+
+    @pytest.mark.parametrize("seed, key, want", CASES)
+    def test_pinned(self, seed, key, want):
+        assert perturb.derive_seed(seed, key) == sha256_seed(seed, key) == want
+
+    def test_batch_form(self):
+        keys = [f"{i}:d{i % 7}|{side}" for i in range(50) for side in "qp"] + ["", "\u00e9|q"]
+        for seed in (0, 13, 2**64 - 1):
+            assert perturb.derive_seeds(seed, keys) == [sha256_seed(seed, k) for k in keys]
+            assert perturb.derive_seeds(seed, keys) == [perturb.derive_seed(seed, k) for k in keys]
+        assert perturb.derive_seeds(3, []) == []
+
+
 class TestApplyMany:
     @pytest.mark.parametrize("mode_seed", [0, 13, 2**63 + 5, 2**64 - 1])
     def test_matches_per_span_reference(self, mode_seed):

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from orderlab import experiment
+from orderlab import bm25, experiment
 from orderlab import model as M
 from orderlab import perturb
 from orderlab import tokenizer as tok
@@ -241,6 +241,29 @@ class TestPairMemo:
             for (q, d), key in zip([texts[0], texts[1], texts[2], texts[1]], "abcb")]
         # natural examples are the encoded pairs themselves
         assert memo.perturbed(texts[:1], perturb.NATURAL, ["a"])[0] is memo.encode(*texts[0])
+
+
+# ASCII and non-ASCII letters and digits, "_", "²", "İ" (which lowercases
+# to "i" and a combining dot), punctuation and every kind of whitespace
+# the regexes and `str.split` must agree on
+FUZZ_CHARS = [*"aZ09_²İéßΣςKǅ٣５.,;-!'[]", "\xa0", "\u3000", "\x1c", "\t", "\n", " "]
+
+
+def fuzz_strings(n, seed=0):
+    rng = np.random.default_rng(seed)
+    yield from ("", " ", "\t\n", "\xa0\u3000\x1c")
+    for _ in range(n):
+        yield "".join(rng.choice(FUZZ_CHARS, size=int(rng.integers(0, 16))))
+
+
+class TestChunkedSplit:
+    def test_pretokenize_is_the_regex(self):
+        for s in fuzz_strings(20000):
+            assert tok._pretokenize(s) == tok._WORD_SPLIT.findall(s.lower()), repr(s)
+
+    def test_bm25_tokens_are_the_regex(self):
+        for s in fuzz_strings(20000, seed=1):
+            assert bm25.text_tokens(s) == bm25._TOKEN.findall(s.lower()), repr(s)
 
 
 class TestVocabClass:
