@@ -30,7 +30,8 @@ change/parent ratio of each pair of medians, and the machine (CPU,
 cores, Python, numpy, scipy, BLAS). It prints both ratios: the kernel
 times one core for a moment on each side of a run that trains on every
 core, so on a loaded machine its factor can spread more than the run's
-raw seconds, and the raw ratio is then the steadier reading. This checkout's entry is `change`, the other tree's `parent`.
+raw seconds, and the raw ratio is then the steadier reading. This
+checkout's entry is `change`, the other tree's `parent`.
 """
 
 import os

@@ -244,9 +244,10 @@ class TestPairMemo:
 
 
 # ASCII and non-ASCII letters and digits, "_", "²", "İ" (which lowercases
-# to "i" and a combining dot), punctuation and every kind of whitespace
-# the regexes and `str.split` must agree on
-FUZZ_CHARS = [*"aZ09_²İéßΣςKǅ٣５.,;-!'[]", "\xa0", "\u3000", "\x1c", "\t", "\n", " "]
+# to "i" and a combining dot), the Kelvin sign, punctuation, and the
+# whitespace on which `str.split` and the regexes' `\s` must agree
+FUZZ_CHARS = [*"aZ09_.,;-!'[]", *"²İéßΣςǅ٣５", "\u212a",
+              "\xa0", "\u3000", "\x1c", "\t", "\n", " "]
 
 
 def fuzz_strings(n, seed=0):
