@@ -8,7 +8,9 @@ encoder's hot entry points on pairs of the benchmark's `matrix` corpus
 
 - `loss_and_grads`: `model.loss_and_grads` at batch 16, one training
   step's forward and backward without the Adam update;
-- `forward`: `model.forward` at batch 64, one scoring batch;
+- `forward`: `model.forward` at batch 100, one scoring batch: the block
+  of a re-ranked query (its BM25 top `rerank_k` = 100), which the runner
+  scores in one forward;
 - `rerank_eval`: one dev-eval-shaped `experiment.rerank_run`, the spec's
   2 dev queries x their BM25 top 50 under `shuffle:13`, through a run
   memo (`tokenizer.PairMemo`) that earlier calls have filled, as the
@@ -20,7 +22,7 @@ encoder's hot entry points on pairs of the benchmark's `matrix` corpus
   and `shuffle:13`), on the workload's own set-up
   (`workloads.rerank_setup`, seed 1); each call takes the next query;
 - the encoder's kernels alone, each at a training step's batch (16)
-  and a scoring batch's (64), on inputs of the model's precision at
+  and a scoring batch's (100), on inputs of the model's precision at
   the batches' padded length of 23 (`KERNEL_T`), with the keys of each
   row past its pair's length masked: `gelu_cdf2` on the FFN
   pre-activation `(B, T, ff_dim)`, `layer_norm_fwd` then
@@ -72,7 +74,7 @@ import subprocess  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
 
-STEP_BATCH, SCORE_BATCH = 16, 64
+STEP_BATCH, SCORE_BATCH = 16, 100
 KERNEL_T = 23  # padded length of the kernels' inputs: a matrix batch's mean is 22.5-23.0
 SEED, EVAL_SEED = 1, 13  # matrix corpus seed; the dev evals' shuffle:13
 # timed calls a round, untimed ones before them, and timed calls between two kernel marks

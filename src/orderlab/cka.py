@@ -32,7 +32,10 @@ class DegenerateInputError(ValueError):
 class CkaReport:
     per_layer: list[float] = field(default_factory=list)
     per_batch: list[list[float]] = field(default_factory=list)  # [batch][layer]
-    n_batches: int = 0
+
+    @property
+    def n_batches(self) -> int:
+        return len(self.per_batch)
 
 
 def cka_linear(x: np.ndarray, y: np.ndarray) -> float:
@@ -115,7 +118,6 @@ def score(a: Capture, b: Capture, selector: str = "cls_only") -> CkaReport:
             raise ValueError("models capture different layer counts")
         values = [_cka_or_nan(xa, xb) for xa, xb in zip(rows_a, rows_b)]
         report.per_batch.append(values)
-        report.n_batches += 1
 
     if report.n_batches == 0:
         raise ValueError("no usable batches")

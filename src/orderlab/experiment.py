@@ -45,8 +45,8 @@ from . import model as M
 from . import perturb
 from . import train as T
 from .corpus import (Collection, Qrels, QuerySet, Run, RunEntry, SyntheticSpec, Triple,
-                     ValidationError, generate_synthetic, write_qrels, write_run, write_texts,
-                     write_triples)
+                     ValidationError, generate_synthetic, load_run, write_qrels, write_run,
+                     write_texts, write_triples)
 from .tokenizer import PairMemo, TokenizedPair, Vocab, build_vocab, memo_for, save_vocab
 from .tokenizer import encode_pair  # noqa: F401  (perfbench/spans.py traces it at this name)
 
@@ -439,16 +439,6 @@ def mine_triples(triples: list[Triple], queries: QuerySet, collection: Collectio
     return mined
 
 
-def _load_report_means(path) -> metrics.MetricsReport:
-    report = metrics.MetricsReport()
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            metric, scope, value = line.rstrip("\n").split("\t")
-            if scope == "all":
-                report.mean[metric] = float(value)
-    return report
-
-
 def _write_atomically(write, obj, path):
     """`write(obj, tmp)` to a temp file beside `path`, then rename it to
     `path`: an interrupted write leaves nothing at `path`."""
@@ -647,7 +637,7 @@ def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
         run_path = os.path.join(outdir, "runs", f"{label}.run")
         if os.path.exists(metrics_path) and os.path.exists(run_path):
             log(f"[experiment] condition {label} already computed, skipping")
-            results[label] = _load_report_means(metrics_path)
+            results[label] = metrics.evaluate(load_run(run_path), grades)
             continue
         try:
             reranked = rerank_run(test_run, trained[key], vocab, queries, collection,
@@ -661,16 +651,16 @@ def run_experiment(spec: ExperimentSpec, outdir, log=print) -> dict:
             results[label] = None
 
     # -- summary table
+    names = ("ndcg@10", "map", "recall@100", "mrr@10")
     with open(os.path.join(outdir, "summary.tsv"), "w", encoding="utf-8") as f:
-        f.write("position_mode\ttrain_perturb\teval_perturb\tndcg@10\tmap\trecall@100\tmrr@10\n")
+        f.write("\t".join(("position_mode", "train_perturb", "eval_perturb", *names)) + "\n")
         for cond in spec.conditions:
             report = results[cond.label()]
             row = cond.text().split("/")
             if report is None:
-                row.extend(["failed"] * 4)
+                row.extend(["failed"] * len(names))
             else:
-                row.extend(f"{report.mean[m]:.4f}"
-                           for m in ("ndcg@10", "map", "recall@100", "mrr@10"))
+                row.extend(f"{report.mean[m]:.4f}" for m in names)
             f.write("\t".join(row) + "\n")
 
     # -- CKA artifacts over test pairs, perturbed through the run's memo.

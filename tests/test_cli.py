@@ -776,6 +776,30 @@ class TestExperimentCommand:
         assert (out / "metrics" / f"{target}.tsv").exists()
         assert (out / "summary.tsv").read_bytes() == baseline
 
+    def test_resume_returns_the_first_runs_reports(self, exp, tmp_path):
+        # a skipped condition's report is evaluated from its run file, so
+        # it keeps the per-query values a fresh run returns
+        cfg, _ = exp
+        spec = experiment.spec_from_config(cfg)
+        out = tmp_path / "out"
+        first = experiment.run_experiment(spec, out, log=lambda *a: None)
+        messages = []
+        again = experiment.run_experiment(spec, out, log=messages.append)
+        assert sum("already computed" in m for m in messages) == len(spec.conditions)
+        assert all(report.per_query["ndcg@10"] for report in first.values())
+        assert again == first
+
+    def test_garbled_run_file_on_resume_is_a_data_error(self, exp, tmp_path, capsys):
+        cfg, clean = exp
+        out = tmp_path / "out"
+        shutil.copytree(clean, out)
+        garbled = out / "runs" / "learned_natural_sort.run"
+        garbled.write_text("not a run line\n")
+        capsys.readouterr()
+        assert run_cli("experiment", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(garbled) in err
+
     def test_other_config_refused_and_same_config_resumes(self, exp, tmp_path, capsys):
         # a run directory holds one config's models and conditions: a run
         # under another config would reuse them as its own
