@@ -4,11 +4,11 @@
 
 Run from the root of a source checkout. Every output is made in a fresh
 process that imports orderlab from one tree's `src/`, with one BLAS
-thread (which the processes it forks to train inherit) and glibc's
-default allocator, as in a researcher's run. A timed run is
-`experiment.run_experiment` at the default `ExperimentSpec()` into a
-fresh directory, which is what `orderlab experiment` without a config
-does, timed from the call to its return. Runs alternate between the
+thread (which the processes it forks to train inherit). A timed run is
+`orderlab experiment --out DIR` into a fresh directory, through the
+tree's `cli.main`, timed from the call to its return: the default
+`ExperimentSpec()` under whatever allocator setting that tree's command
+makes, as in a researcher's run. Runs alternate between the
 trees, this one first on odd runs, so that the two trees' r-th runs run
 back to back and drift in the machine's speed falls on both alike.
 Then each tree makes, untimed, the run directories of `matrix_spec(1)`
@@ -70,16 +70,16 @@ def _worker(tree: str, output: str) -> dict:
 
     with tempfile.TemporaryDirectory(prefix="bench-e2e-") as out:
         t0 = time.perf_counter()
-        if output.startswith("generate"):
-            if cli.main([*output.split(), "--out", out]) != 0:
-                raise SystemExit(f"orderlab {output} failed")
-        else:
-            spec = (experiment.ExperimentSpec() if output == "default"
-                    else workloads.matrix_spec(int(output[len("matrix_spec("):-1])))
+        if output.startswith("matrix_spec("):
+            spec = workloads.matrix_spec(int(output[len("matrix_spec("):-1]))
             experiment.run_experiment(spec, out, log=lambda *a: None)
+        else:
+            argv = ["experiment"] if output == "default" else output.split()
+            if cli.main([*argv, "--out", out]) != 0:
+                raise SystemExit(f"orderlab {output} failed")
         seconds = time.perf_counter() - t0
         return {"seconds": seconds, "digests": _digests(out),
-                "env": perfbench_run.environment("default")}
+                "env": perfbench_run.environment("as the tree's cli.main sets it")}
 
 
 def _differing(a: dict, b: dict) -> list[str]:

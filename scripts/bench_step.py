@@ -13,7 +13,7 @@ encoder's hot entry points on pairs of the benchmark's `matrix` corpus
   scores in one forward;
 - `rerank_eval`: one dev-eval-shaped `experiment.rerank_run`, the spec's
   2 dev queries x their BM25 top 50 under `shuffle:13`, through a run
-  memo (`tokenizer.PairMemo`) that earlier calls have filled, as the
+  memo (`experiment.PairMemo`) that earlier calls have filled, as the
   second and later dev evals of a training run find it;
 - `rerank_query_natural`, `rerank_query_sort` and
   `rerank_query_shuffle13`: the unit of the benchmark's `rerank`
@@ -128,7 +128,7 @@ def _worker(tree: str) -> dict:
     dev_k = experiment.DEV_RERANK_K
     dev_run = bm25.retrieve_run(bm25.build_index(collection),
                                 experiment._subset(queries, dev_ids), dev_k)
-    memo = tokenizer.PairMemo(vocab, cfg.max_len)
+    memo = experiment.PairMemo(vocab, cfg.max_len)
     speed = calibrate.Speed(probes=3)
     rerank_state, _, _ = workloads.rerank_setup(SEED, speed)
 

@@ -24,6 +24,9 @@ from . import model as M
 from . import perturb
 
 
+BATCH_SIZE = 64  # examples per capture forward; CKA is averaged per batch
+
+
 class DegenerateInputError(ValueError):
     """All columns of a representation have zero variance."""
 
@@ -80,7 +83,7 @@ def _rows(acts, pairs, selector):
 Capture = list[tuple[int, list, list[np.ndarray]]]
 
 
-def capture(mdl: M.Model, examples, batch_size: int = 64) -> Capture:
+def capture(mdl: M.Model, examples, batch_size: int = BATCH_SIZE) -> Capture:
     """Every layer's hidden states of one (model, perturbation) over
     `examples` (TokenizedPair, each as perturbed), from one capture
     forward per batch: per batch, its offset, perturbed pairs and L+1
@@ -127,7 +130,7 @@ def score(a: Capture, b: Capture, selector: str = "cls_only") -> CkaReport:
 
 def compare(model_a: M.Model, perturb_a: perturb.PerturbMode,
             model_b: M.Model, perturb_b: perturb.PerturbMode,
-            dataset, selector: str = "cls_only", batch_size: int = 64) -> CkaReport:
+            dataset, selector: str = "cls_only", batch_size: int = BATCH_SIZE) -> CkaReport:
     """Batch-averaged per-layer CKA between two (model, perturbation) conditions.
 
     `dataset` is a list of natural TokenizedPair; each example's index is

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 from dataclasses import fields, replace
@@ -72,16 +73,15 @@ def _add_retrieve(p):
     p.add_argument("--collection", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, default=100)
-    p.add_argument("--k1", type=float, default=1.2)
-    p.add_argument("--b", type=float, default=0.75)
+    p.add_argument("--k", type=int, default=experiment.ExperimentSpec().rerank_k)
+    _add_fields(p, bm25.Bm25Params(), {"--k1": "k1", "--b": "b"})
     p.add_argument("--tag", default="bm25")
 
 
 def _cmd_retrieve(args):
     coll = corpus.load_collection(args.collection)
     queries = corpus.load_queries(args.queries)
-    index = bm25.build_index(coll, bm25.Bm25Params(args.k1, args.b))
+    index = bm25.build_index(coll, _from_flags(bm25.Bm25Params(), args))
     run = bm25.retrieve_run(index, queries, args.k, args.tag)
     corpus.write_run(run, args.out)
     print(f"wrote run for {len(run.entries)} queries to {args.out}")
@@ -136,7 +136,7 @@ def _add_rerank(p):
     p.add_argument("--queries", required=True)
     p.add_argument("--collection", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, default=100)
+    p.add_argument("--k", type=int, default=experiment.ExperimentSpec().rerank_k)
     p.add_argument("--mode", default="natural", help="natural | sort | shuffle:<seed>")
     p.add_argument("--tag", default="rerank")
 
@@ -219,7 +219,7 @@ def _cmd_cka(args):
     texts = experiment.cka_pairs(corpus.load_run(args.run), queries, coll, args.depth)
     if model_a.config.max_len != model_b.config.max_len:
         raise ValueError("models disagree on max_len")
-    memo = tokenizer.PairMemo(vocab, model_a.config.max_len)
+    memo = perturb.PairMemo(vocab, model_a.config.max_len)
     a = experiment.cka_capture(model_a, memo, texts, perturb.parse_mode(args.mode_a))
     b = experiment.cka_capture(model_b, memo, texts, perturb.parse_mode(args.mode_b))
     report = cka.score(a, b, args.selector)
@@ -268,7 +268,27 @@ def build_parser():
     return parser
 
 
+def keep_freed_memory() -> bool:
+    """Set glibc's mmap and trim thresholds to 1 GiB with `mallopt`;
+    whether it took.
+
+    By default glibc maps each large block (numpy's batch temporaries)
+    with fresh pages and unmaps it on free, so a run faults in the same
+    memory again and again. Set, the heap serves those blocks and keeps
+    what they free. It takes effect for later allocations, numpy's
+    included, and forked trainers inherit it. Without glibc's `mallopt`,
+    or when it refuses, nothing is set.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return False
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    return bool(mallopt(m_mmap_threshold, 1 << 30) and mallopt(m_trim_threshold, 1 << 30))
+
+
 def main(argv=None) -> int:
+    keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -47,7 +47,8 @@ from . import train as T
 from .corpus import (Collection, Qrels, QuerySet, Run, RunEntry, SyntheticSpec, Triple,
                      ValidationError, generate_synthetic, load_run, write_qrels, write_run,
                      write_texts, write_triples)
-from .tokenizer import PairMemo, TokenizedPair, Vocab, build_vocab, memo_for, save_vocab
+from .perturb import PairMemo
+from .tokenizer import TokenizedPair, Vocab, build_vocab, save_vocab
 from .tokenizer import encode_pair  # noqa: F401  (perfbench/spans.py traces it at this name)
 
 
@@ -86,10 +87,9 @@ def default_conditions() -> list[Condition]:
 # no config sets these: the dev evals re-rank each dev query's BM25 top DEV_RERANK_K;
 # re-ranking and held-out accuracy score SCORE_BATCH_SIZE pairs per forward, so a
 # query's rerank_k (100) block is one forward;
-# CKA compares each test query's top CKA_DOCS_PER_QUERY, CKA_BATCH_SIZE per forward
+# CKA compares each test query's top CKA_DOCS_PER_QUERY, cka.BATCH_SIZE per forward
 DEV_RERANK_K = 50
 SCORE_BATCH_SIZE = 128
-CKA_BATCH_SIZE = 64
 CKA_DOCS_PER_QUERY = 5
 
 
@@ -244,11 +244,15 @@ def rerank_run(run: Run, mdl: M.Model, vocab: Vocab, queries: QuerySet,
     `memo`, if given, so that the calls of one run encode and perturb
     each example once, or else a memo of this call's own. A query or doc
     of the run that `queries` or `collection` lacks is a
-    `ValidationError`, and k below 1 a ValueError.
+    `ValidationError`; k below 1, or a memo of another vocabulary or
+    max_len, a ValueError.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    example = memo_for(memo, vocab, mdl.config.max_len).perturbed
+    if memo is None:
+        memo = PairMemo(vocab, mdl.config.max_len)
+    elif vocab is not memo.vocab or mdl.config.max_len != memo.max_len:
+        raise ValueError("pair memo was built for another vocabulary or max_len")
     out = Run()
     for qid in sorted(run.entries):
         entries = run.entries[qid]
@@ -258,8 +262,8 @@ def rerank_run(run: Run, mdl: M.Model, vocab: Vocab, queries: QuerySet,
         if error is not None:
             raise error
         query = queries.entries[qid]
-        pairs = example([(query, collection.entries[e.doc_id]) for e in block], mode,
-                        [f"{qid}:{e.doc_id}" for e in block])
+        pairs = memo.perturbed([(query, collection.entries[e.doc_id]) for e in block], mode,
+                               [f"{qid}:{e.doc_id}" for e in block])
         rescored = sorted(
             zip((e.doc_id for e in block), _scores(mdl, pairs)), key=lambda kv: (-kv[1], kv[0])
         )
@@ -344,11 +348,11 @@ def cka_pairs(run: Run, queries: QuerySet, collection: Collection,
 
 def cka_capture(mdl: M.Model, memo: PairMemo, texts: list[tuple[str, str]],
                 mode: perturb.PerturbMode) -> cka.Capture:
-    """`cka.capture` of `mdl` over `texts` under `mode`, CKA_BATCH_SIZE
-    examples per forward, example `i` perturbed under key `str(i)` through
-    `memo`: once per mode, however many models see it."""
+    """`cka.capture` of `mdl` over `texts` under `mode`, example `i`
+    perturbed under key `str(i)` through `memo`: once per mode, however
+    many models see it."""
     examples = memo.perturbed(texts, mode, [str(i) for i in range(len(texts))])
-    return cka.capture(mdl, examples, CKA_BATCH_SIZE)
+    return cka.capture(mdl, examples, cka.BATCH_SIZE)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ as arrays over the whole batch: the SeedSequence hash, PCG64's raw
 outputs in closed form, and Lemire's bounded draws. A span whose draws
 need Lemire's rejection step (about one in 10^7) is shuffled by
 `fisher_yates` with its own generator. `apply` is the one-example form.
+`PairMemo` keeps a run's encoded pairs and their perturbed forms, each
+made once.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# tokenizer imports this module too, for PairMemo.perturbed: its names
-# are read at call time, so either module may be imported first
 from . import tokenizer
 
 
@@ -261,3 +261,50 @@ def apply(pair: tokenizer.TokenizedPair, mode: PerturbMode,
           example_key: str = "") -> tokenizer.TokenizedPair:
     """`apply_many` of one pair."""
     return apply_many([pair], mode, [example_key])[0]
+
+
+class PairMemo:
+    """The one place a run's examples are encoded and perturbed, for one
+    vocabulary and max_len.
+
+    `encode` encodes a (query, passage) pair on first use and keeps it
+    for the memo's lifetime; each text is tokenized once, however many
+    pairs it is in. `perturbed` does the same for each
+    (pair, mode, example key), a batch of them per `apply_many` call, so
+    dev evals, conditions and any other caller that asks for the same
+    perturbed example again get the pair made the first time. A natural
+    example is the encoded pair itself. Perturbed pairs are kept per mode,
+    under (query, passage, example key). The returned pairs are shared:
+    treat them as read-only.
+    """
+
+    def __init__(self, vocab: tokenizer.Vocab, max_len: int):
+        self.vocab = vocab
+        self.max_len = max_len
+        self._pairs: dict[tuple[str, str], tokenizer.TokenizedPair] = {}
+        self._text_ids: dict[str, list[int]] = {}
+        self._perturbed: dict[PerturbMode,
+                              dict[tuple[str, str, str], tokenizer.TokenizedPair]] = {}
+
+    def encode(self, query_text: str, passage_text: str) -> tokenizer.TokenizedPair:
+        key = (query_text, passage_text)
+        pair = self._pairs.get(key)
+        if pair is None:
+            pair = self._pairs[key] = tokenizer.encode_pair(
+                query_text, passage_text, self.vocab, self.max_len, self._text_ids)
+        return pair
+
+    def perturbed(self, texts: list[tuple[str, str]], mode: PerturbMode,
+                  example_keys: list[str]) -> list[tokenizer.TokenizedPair]:
+        """`apply_many` of the encoded (query, passage) `texts` under their
+        example keys, each (query, passage, mode, key) made once: the ones
+        this memo lacks are perturbed in one call, and a key that repeats
+        within `texts` is perturbed once."""
+        if mode.kind == "natural":
+            return [self.encode(query, passage) for query, passage in texts]
+        done = self._perturbed.setdefault(mode, {})
+        keys = [(query, passage, key)
+                for (query, passage), key in zip(texts, example_keys, strict=True)]
+        new = {key: self.encode(key[0], key[1]) for key in keys if key not in done}
+        done.update(zip(new, apply_many(list(new.values()), mode, [key[2] for key in new])))
+        return [done[key] for key in keys]

@@ -5,8 +5,6 @@ corpus, then every word of it, each tier by frequency, so that every
 corpus word is a whole token. A word is its own token, else [UNK]. The
 character tier holds the ids after the reserved ones in every
 vocabulary the lab builds.
-`PairMemo` keeps a run's encoded pairs and their perturbed forms, each
-made once.
 """
 
 from __future__ import annotations
@@ -15,8 +13,6 @@ import re
 from collections import Counter
 from itertools import islice
 from dataclasses import dataclass, field
-
-from . import perturb
 
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 RESERVED = [PAD, UNK, CLS, SEP]
@@ -174,64 +170,6 @@ def encode_pair(query_text: str, passage_text: str, vocab: Vocab, max_len: int,
         p_ids = p_ids[:keep_p]
         q_ids = q_ids[:budget - len(p_ids)]
     return TokenizedPair([CLS_ID, *q_ids, SEP_ID, *p_ids, SEP_ID])
-
-
-class PairMemo:
-    """The one place a run's examples are encoded and perturbed, for one
-    vocabulary and max_len.
-
-    `encode` encodes a (query, passage) pair on first use and keeps it
-    for the memo's lifetime; each text is tokenized once, however many
-    pairs it is in. `perturbed` does the same for each
-    (pair, mode, example key), a batch of them per `perturb.apply_many`
-    call, so dev evals, conditions and any other caller that asks for the
-    same perturbed example again get the pair made the first time. A natural
-    example is the encoded pair itself. Perturbed pairs are kept per mode,
-    under (query, passage, example key). The returned pairs are shared:
-    treat them as read-only.
-    """
-
-    def __init__(self, vocab: Vocab, max_len: int):
-        self.vocab = vocab
-        self.max_len = max_len
-        self._pairs: dict[tuple[str, str], TokenizedPair] = {}
-        self._text_ids: dict[str, list[int]] = {}
-        self._perturbed: dict[perturb.PerturbMode,
-                              dict[tuple[str, str, str], TokenizedPair]] = {}
-
-    def encode(self, query_text: str, passage_text: str) -> TokenizedPair:
-        key = (query_text, passage_text)
-        pair = self._pairs.get(key)
-        if pair is None:
-            pair = self._pairs[key] = encode_pair(query_text, passage_text, self.vocab,
-                                                  self.max_len, self._text_ids)
-        return pair
-
-    def perturbed(self, texts: list[tuple[str, str]], mode: perturb.PerturbMode,
-                  example_keys: list[str]) -> list[TokenizedPair]:
-        """`perturb.apply_many` of the encoded (query, passage) `texts`
-        under their example keys, each (query, passage, mode, key) made
-        once: the ones this memo lacks are perturbed in one call, and a
-        key that repeats within `texts` is perturbed once."""
-        if mode.kind == "natural":
-            return [self.encode(query, passage) for query, passage in texts]
-        done = self._perturbed.setdefault(mode, {})
-        keys = [(query, passage, key)
-                for (query, passage), key in zip(texts, example_keys, strict=True)]
-        new = {key: self.encode(key[0], key[1]) for key in keys if key not in done}
-        done.update(zip(new, perturb.apply_many(list(new.values()), mode,
-                                                [key[2] for key in new])))
-        return [done[key] for key in keys]
-
-
-def memo_for(memo: PairMemo | None, vocab: Vocab, max_len: int) -> PairMemo:
-    """`memo`, once the caller's vocab and max_len are its own, or else a
-    new memo for them."""
-    if memo is None:
-        return PairMemo(vocab, max_len)
-    if vocab is not memo.vocab or max_len != memo.max_len:
-        raise ValueError("pair memo was built for another vocabulary or max_len")
-    return memo
 
 
 def decode_ids(ids: list[int], vocab: Vocab) -> list[str]:

@@ -24,7 +24,7 @@ import numpy as np
 from . import model as M
 from . import perturb
 from .corpus import Triple
-from .tokenizer import PairMemo, Vocab
+from .tokenizer import Vocab
 from .tokenizer import encode_pair  # noqa: F401  (perfbench/spans.py traces it at this name)
 
 
@@ -173,7 +173,7 @@ def optimize(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab
     max_len = mdl.config.max_len
     # natural encodings, made on a pair's first draw; perturbed per step
     # by perturb.apply_many, not kept by the memo: epoch:idx keys never repeat
-    encode = PairMemo(vocab, max_len).encode
+    encode = perturb.PairMemo(vocab, max_len).encode
 
     order_rng = np.random.default_rng(cfg.seed)
 

@@ -13,6 +13,7 @@ import sys
 import tempfile
 import warnings
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -211,11 +212,11 @@ class TestRerankData:
         vocab = tokenizer.load_vocab(data_dir / "vocab.txt")
         mdl = M.load(checkpoint)
         run = bm25.retrieve_run(bm25.build_index(coll), queries, 10)
-        warm = tokenizer.PairMemo(vocab, mdl.config.max_len)
+        warm = perturb.PairMemo(vocab, mdl.config.max_len)
         for mode in (perturb.shuffle_mode(13), perturb.NATURAL, perturb.SORT_DESC,
                      perturb.shuffle_mode(14)):
             plain = experiment.rerank_run(run, mdl, vocab, queries, coll, 10, mode)
-            fresh = tokenizer.PairMemo(vocab, mdl.config.max_len)
+            fresh = perturb.PairMemo(vocab, mdl.config.max_len)
             assert experiment.rerank_run(run, mdl, vocab, queries, coll, 10, mode,
                                          memo=fresh) == plain
             # the run's memo: its second call in a mode reuses the first's pairs
@@ -247,7 +248,7 @@ class TestRerankData:
     def test_memo_for_another_max_len_is_refused(self, data_dir, checkpoint):
         vocab = tokenizer.load_vocab(data_dir / "vocab.txt")
         mdl = M.load(checkpoint)
-        memo = tokenizer.PairMemo(vocab, mdl.config.max_len + 1)
+        memo = perturb.PairMemo(vocab, mdl.config.max_len + 1)
         with pytest.raises(ValueError, match="memo"):
             experiment.rerank_run(corpus.Run(), mdl, vocab, corpus.QuerySet(),
                                   corpus.Collection(), 10, memo=memo)
@@ -397,6 +398,35 @@ class TestPerturbText:
                        "--mode", "sort", "w0003 w0001 w0002") == 0
         out = capsys.readouterr().out.strip()
         assert out == "query: w0003 w0002 w0001"
+
+
+class TestKeepFreedMemory:
+    def test_no_libc_sets_nothing(self, monkeypatch):
+        def no_libc(name):
+            raise OSError(f"{name}: cannot open shared object file")
+        monkeypatch.setattr(cli.ctypes, "CDLL", no_libc)
+        assert cli.keep_freed_memory() is False
+
+    @pytest.mark.parametrize("libc", [SimpleNamespace(mallopt=lambda param, value: 0),
+                                      SimpleNamespace()])
+    def test_refused_or_missing_mallopt_sets_nothing(self, monkeypatch, libc):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        assert cli.keep_freed_memory() is False
+
+    def test_sets_both_thresholds_to_1_gib(self, monkeypatch):
+        calls = []
+        libc = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 1)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        assert cli.keep_freed_memory() is True
+        assert calls == [(-3, 1 << 30), (-1, 1 << 30)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+    @pytest.mark.parametrize("argv, code", [(["no-such-command"], 1), (["index"], 1),
+                                            (["index", "--collection", "/nonexistent"], 2)])
+    def test_main_sets_it_once_per_invocation(self, monkeypatch, argv, code):
+        calls = []
+        monkeypatch.setattr(cli, "keep_freed_memory", lambda: calls.append(1))
+        assert cli.main(argv) == code
+        assert calls == [1]
 
 
 class TestExitCodes:
@@ -665,6 +695,16 @@ class TestConfigSchema:
         args = cli.build_parser().parse_args(["generate", "--out", "x"])
         assert cli._from_flags(corpus.SyntheticSpec(), args) == corpus.SyntheticSpec()
 
+    def test_retrieve_and_rerank_defaults_are_the_run_defaults(self):
+        parser = cli.build_parser()
+        args = parser.parse_args(["retrieve", "--collection", "c", "--queries", "q",
+                                  "--out", "o"])
+        assert cli._from_flags(bm25.Bm25Params(), args) == bm25.Bm25Params()
+        assert args.k == experiment.ExperimentSpec().rerank_k
+        args = parser.parse_args(["rerank", "--run", "r", "--checkpoint", "c", "--vocab", "v",
+                                  "--queries", "q", "--collection", "c", "--out", "o"])
+        assert args.k == experiment.ExperimentSpec().rerank_k
+
     def test_train_defaults_are_the_config_defaults(self):
         args = cli.build_parser().parse_args(["train", "--triples", "t", "--vocab", "v",
                                               "--out", "o"])
@@ -894,7 +934,7 @@ class TestExperimentCommand:
 
         def cls_cka(seed):
             rep = cka.compare(mdl, perturb.NATURAL, mdl, perturb.shuffle_mode(seed), pairs,
-                              selector="cls_only", batch_size=experiment.CKA_BATCH_SIZE)
+                              selector="cls_only", batch_size=cka.BATCH_SIZE)
             return f"{rep.per_layer[-1]:.6f}"
 
         rows = [line.split("\t") for line in
@@ -998,7 +1038,7 @@ class TestExperimentCka:
                                 "learned/natural/natural, learned/sort/sort, "
                                 "learned/shuffle:13/shuffle:13, none/natural/natural"))
         spec = experiment.spec_from_config(cfg)
-        monkeypatch.setattr(experiment, "CKA_BATCH_SIZE", 8)
+        monkeypatch.setattr(cka, "BATCH_SIZE", 8)
         captured = []
         forward = M.forward
         cka_perturbs = []

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -190,6 +193,15 @@ class TestEncodePair:
         assert sorted(pair.ids) == want
 
 
+def test_importing_the_tokenizer_loads_no_perturb():
+    # the pair memo lives in perturb, which imports the tokenizer: not the reverse
+    code = "import sys, orderlab.tokenizer; print('orderlab.perturb' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(tok.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 class TestPairMemo:
     vocab = make_vocab([f"t{i}" for i in range(30)])
 
@@ -207,7 +219,7 @@ class TestPairMemo:
             return token_ids(text, vocab)
 
         monkeypatch.setattr(tok, "token_ids", counted)
-        memo = tok.PairMemo(self.vocab, max_len)
+        memo = perturb.PairMemo(self.vocab, max_len)
         got = [memo.encode(query, p).ids for p in passages]
         # a second query over the same passages: only the query is new
         got2 = [memo.encode("t4", p).ids for p in passages]
@@ -221,7 +233,7 @@ class TestPairMemo:
         # one apply_many call, over the two new keys, each once
         texts = [("t0 t1 t2", f"t{j} t{j + 1} t{j + 2} t{j + 3}") for j in range(3, 6)]
         mode = perturb.shuffle_mode(7)
-        memo = tok.PairMemo(self.vocab, 32)
+        memo = perturb.PairMemo(self.vocab, 32)
         (cached,) = memo.perturbed(texts[:1], mode, ["a"])
         batches = []
         apply_many = perturb.apply_many
