@@ -421,10 +421,12 @@ class TestKeepFreedMemory:
         assert calls == [(-3, 1 << 30), (-1, 1 << 30)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
 
     @pytest.mark.parametrize("argv, code", [(["no-such-command"], 1), (["index"], 1),
-                                            (["index", "--collection", "/nonexistent"], 2)])
-    def test_main_sets_it_once_per_invocation(self, monkeypatch, argv, code):
+                                            (["index", "--collection"], 2)])
+    def test_main_sets_it_once_per_invocation(self, monkeypatch, tmp_path, argv, code):
         calls = []
         monkeypatch.setattr(cli, "keep_freed_memory", lambda: calls.append(1))
+        if argv[-1] == "--collection":
+            argv = [*argv, str(tmp_path / "missing.tsv")]
         assert cli.main(argv) == code
         assert calls == [1]
 
