@@ -43,7 +43,7 @@ def _add_generate(p):
     _add_fields(p, corpus.SyntheticSpec(), {
         "--vocab-size": "vocab_size", "--n-docs": "n_docs", "--n-queries": "n_queries",
         "--doc-len": "doc_len_range", "--query-len": "query_len_range",
-        "--rule": "relevance_rule", "--zipf": "zipf_exponent", "--seed": "seed",
+        "--rule": "relevance_rule", "--seed": "seed",
     }, relevance_rule=corpus.RELEVANCE_RULES)
 
 
@@ -103,8 +103,7 @@ def _add_train(p):
     }, position_mode=M.POSITION_MODES)
     _add_fields(p, T.TrainConfig(), {
         "--batch-size": "batch_size", "--lr": "lr_peak", "--warmup": "warmup_steps",
-        "--steps": "total_steps", "--epoch-size": "epoch_size",
-        "--weight-decay": "weight_decay", "--seed": "seed",
+        "--steps": "total_steps", "--epoch-size": "epoch_size", "--seed": "seed",
     })
 
 

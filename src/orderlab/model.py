@@ -547,14 +547,13 @@ def save(model: Model, path):
         for name in sorted(model.params):
             arr = model.params[name]
             name_b = name.encode("utf-8")
-            dtype_code = b"f8" if arr.dtype == np.float64 else b"f4"
             f.write(struct.pack("<H", len(name_b)))
             f.write(name_b)
-            f.write(dtype_code)
+            f.write(b"f4")
             f.write(struct.pack("<B", arr.ndim))
             for dim in arr.shape:
                 f.write(struct.pack("<Q", dim))
-            f.write(arr.astype("<" + dtype_code.decode()).tobytes())
+            f.write(arr.astype("<f4").tobytes())
 
 
 def _read(f, n: int, what: str) -> bytes:
@@ -586,14 +585,12 @@ def load(path) -> Model:
             (name_len,) = struct.unpack("<H", _read(f, 2, "parameter name length"))
             name = _read(f, name_len, "parameter name").decode("utf-8")
             dtype_code = _read(f, 2, f"{name} dtype")
-            if dtype_code not in (b"f4", b"f8"):
-                raise ValueError(f"checkpoint array {name} has dtype {dtype_code!r}, not f4 or f8")
+            if dtype_code != b"f4":
+                raise ValueError(f"checkpoint array {name} has dtype {dtype_code!r}, not f4")
             (ndim,) = struct.unpack("<B", _read(f, 1, f"{name} rank"))
             shape = tuple(struct.unpack("<Q", _read(f, 8, f"{name} shape"))[0]
                           for _ in range(ndim))
-            n_bytes = math.prod(shape) * int(dtype_code[1:])
-            data = np.frombuffer(_read(f, n_bytes, f"{name} data"),
-                                 dtype="<" + dtype_code.decode())
+            data = np.frombuffer(_read(f, math.prod(shape) * 4, f"{name} data"), dtype="<f4")
             params[name] = data.reshape(shape).astype(np.float32)
     expected = _param_shapes(cfg)
     if set(params) != set(expected):

@@ -53,7 +53,10 @@ def parse_mode(text: str) -> PerturbMode:
     if text == "shuffle":
         return shuffle_mode(0)
     if text.startswith("shuffle:"):
-        return shuffle_mode(int(text[len("shuffle:"):]))
+        try:
+            return shuffle_mode(int(text[len("shuffle:"):]))
+        except ValueError:
+            pass  # a seed that is not an integer: an unknown mode
     raise ValueError(f"unknown perturbation mode {text!r}")
 
 

@@ -32,9 +32,8 @@ class Vocab:
         self.token_to_id = {t: i for i, t in enumerate(self.tokens)}
         if len(self.token_to_id) != len(self.tokens):
             raise ValueError("duplicate tokens in vocabulary")
-        for i, t in enumerate(RESERVED):
-            if self.tokens[i] != t:
-                raise ValueError(f"reserved token {t} missing at id {i}")
+        if self.tokens[:len(RESERVED)] != RESERVED:
+            raise ValueError("vocabulary does not start with " + " ".join(RESERVED))
 
     def __len__(self):
         return len(self.tokens)

@@ -29,6 +29,8 @@ from .tokenizer import encode_pair  # noqa: F401  (perfbench/spans.py traces it 
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # no config sets these
+WEIGHT_DECAY = 0.001    # decoupled, on the parameters with >= 2 dimensions
+GRAD_CLIP_NORM = 1.0    # on the global norm, before Adam
 
 
 class DivergenceError(RuntimeError):
@@ -44,8 +46,6 @@ class TrainConfig:
     epoch_size: int = 200            # optimizer steps between held-out evals
     seed: int = 13
     train_perturb: perturb.PerturbMode = perturb.NATURAL
-    weight_decay: float = 0.001
-    grad_clip_norm: float = 1.0
 
     def validate(self):
         if self.total_steps < 0 or self.warmup_steps < 0:
@@ -58,13 +58,8 @@ class TrainConfig:
             raise ValueError("warmup_steps must not exceed total_steps")
         if self.batch_size < 2 or self.batch_size % 2:
             raise ValueError("batch_size must be even and >= 2 (balanced pos/neg)")
-        # a NaN passes a plain `< 0` check, and `> 0` guards would then skip decay or clipping
         if not (math.isfinite(self.lr_peak) and self.lr_peak > 0):
             raise ValueError(f"lr_peak must be finite and > 0, got {self.lr_peak}")
-        for key in ("weight_decay", "grad_clip_norm"):
-            value = getattr(self, key)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{key} must be finite and >= 0, got {value}")
 
 
 @dataclass
@@ -225,10 +220,10 @@ def optimize(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab
                 f"non-finite loss {loss} or grad norm {gnorm} at step {step} "
                 f"(lr={lr_at(step, cfg):.2e})"
             )
-        if cfg.grad_clip_norm > 0 and gnorm > cfg.grad_clip_norm:
+        if gnorm > GRAD_CLIP_NORM:
             # a float64 factor, so a float32 model's gradients scale in
             # float64 and round once
-            grads *= np.float64(cfg.grad_clip_norm / gnorm)
+            grads *= np.float64(GRAD_CLIP_NORM / gnorm)
 
         lr = lr_at(step, cfg)
         t = step + 1
@@ -244,8 +239,7 @@ def optimize(mdl: M.Model, triples: list[Triple], cfg: TrainConfig, vocab: Vocab
         scratch += ADAM_EPS
         np.divide(adam_m, 1.0 - ADAM_BETA1 ** t, out=update)
         update /= scratch
-        if cfg.weight_decay > 0:
-            update[:n_decay] += cfg.weight_decay * params[:n_decay]
+        update[:n_decay] += WEIGHT_DECAY * params[:n_decay]
         update *= lr
         params -= update
 

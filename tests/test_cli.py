@@ -182,9 +182,10 @@ class TestRerankData:
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
     @pytest.mark.parametrize("edit_array, message", [
-        (lambda dtype, dims: (b"f3", dims), "has dtype b'f3', not f4 or f8"),
+        (lambda dtype, dims: (b"f3", dims), "has dtype b'f3', not f4"),
+        (lambda dtype, dims: (b"f8", dims), "has dtype b'f8', not f4"),
         (lambda dtype, dims: (dtype, struct.pack("<Q", 2 ** 58) + dims[8:]), "data needs"),
-    ], ids=["bad_dtype", "oversized_array"])
+    ], ids=["bad_dtype", "f8_dtype", "oversized_array"])
     def test_bad_checkpoint_array_is_a_data_error(self, data_dir, checkpoint, tmp_path,
                                                   capsys, edit_array, message):
         # the first parameter's record: name length, name, dtype code, rank, dims
@@ -399,6 +400,20 @@ class TestPerturbText:
         out = capsys.readouterr().out.strip()
         assert out == "query: w0003 w0002 w0001"
 
+    @pytest.mark.parametrize("lines", ["", "[PAD]\n[UNK]\n"], ids=["empty", "two_lines"])
+    def test_short_vocab_file_is_a_data_error(self, tmp_path, capsys, lines):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text(lines)
+        assert run_cli("perturb-text", "--vocab", str(vocab), "a b") == 2
+        err = capsys.readouterr().err
+        assert err == "error: vocabulary does not start with [PAD] [UNK] [CLS] [SEP]\n"
+
+    @pytest.mark.parametrize("mode", ["shuffle:x", "shuffle:1.5"])
+    def test_non_integer_shuffle_seed_is_an_unknown_mode(self, data_dir, capsys, mode):
+        assert run_cli("perturb-text", "--vocab", str(data_dir / "vocab.txt"),
+                       "--mode", mode, "w0001 w0002") == 2
+        assert capsys.readouterr().err == f"error: unknown perturbation mode {mode!r}\n"
+
 
 class TestKeepFreedMemory:
     def test_no_libc_sets_nothing(self, monkeypatch):
@@ -441,6 +456,14 @@ class TestExitCodes:
                        "--vocab", str(data_dir / "vocab.txt"),
                        "--out", str(tmp_path / "m.ckpt"), "--preset", "paper") == 1
 
+    def test_no_flag_for_the_constant_settings(self, data_dir, tmp_path):
+        # weight decay and the Zipf exponent are module constants
+        assert run_cli("train", "--triples", str(data_dir / "triples.tsv"),
+                       "--vocab", str(data_dir / "vocab.txt"),
+                       "--out", str(tmp_path / "m.ckpt"), "--weight-decay", "0.1") == 1
+        assert run_cli(*GEN, "--out", str(tmp_path / "out"), "--zipf", "1.2") == 1
+        assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "out").exists()
+
     def test_data_error_missing_file(self, tmp_path, capsys):
         assert run_cli("index", "--collection", str(tmp_path / "nope.tsv")) == 2
         # a directory where a file belongs is a data error in one line too
@@ -459,7 +482,6 @@ class TestExitCodes:
                                        ("--steps", "-3", "--warmup", "-5"),
                                        ("--warmup", "-1"), ("--batch-size", "17"),
                                        ("--lr", "-0.001"), ("--lr", "nan"),
-                                       ("--weight-decay", "-1"), ("--weight-decay", "nan"),
                                        ("--seed", "-1")])
     def test_bad_schedule_is_a_data_error(self, data_dir, tmp_path, capsys, flags):
         assert run_cli("train", "--triples", str(data_dir / "triples.tsv"),
@@ -472,11 +494,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("flags, message", [
         (("--rule", "bigram_order", "--query-len", "1", "1"), "queries of >= 2 terms"),
         (("--rule", "bigram_order", "--query-len", "1", "2"), "queries of >= 2 terms"),
-        (("--zipf", "nan"), "zipf_exponent nan gives no finite"),
-        (("--zipf", "-1000"), "zipf_exponent -1000.0 gives no finite"),
         (("--seed", "-1"), "[synthetic] seed must be >= 0, got -1"),
-    ], ids=["bigram_query_len_1_1", "bigram_query_len_1_2", "zipf_nan", "zipf_overflow",
-            "negative_seed"])
+    ], ids=["bigram_query_len_1_1", "bigram_query_len_1_2", "negative_seed"])
     def test_infeasible_generate_spec_is_a_data_error(self, tmp_path, capsys, flags, message):
         assert run_cli(*GEN, "--out", str(tmp_path / "out"), *flags) == 2
         err = capsys.readouterr().err
@@ -550,16 +569,26 @@ class TestExitCodes:
         (lambda text: text.replace("[train]\n", "[model]\nvocab_size = 50\n\n[train]\n"),
          "[model] vocab_size is set by the run"),
         (lambda text: text[:text.index("[train]")] + OLD_TRAIN_SECTION
-         + text[text.index("[experiment]"):], "unknown key shuffle_fixed in [train]"),
+         + text[text.index("[experiment]"):], "unknown key weight_decay in [train]"),
         (lambda text: text.replace("[train]\n", OLD_MODEL_SECTION + "[train]\n"),
          "unknown key n_segments in [model]"),
         (lambda text: text.replace("[train]\n", "[model]\nnumeric_precision = 32\n\n[train]\n"),
          "unknown key numeric_precision in [model]"),
         (lambda text: text.replace("learned/natural/sort", "learned/shuffled/natural"),
          "unknown perturbation mode 'shuffled'"),
+        (lambda text: text.replace("learned/natural/sort", "learned/shuffle:x/natural"),
+         "unknown perturbation mode 'shuffle:x'"),
+        # each as a config.txt written while it was a config field holds it
+        (lambda text: text.replace("[train]\n", "[train]\nweight_decay = 0.001\n"),
+         "unknown key weight_decay in [train]"),
+        (lambda text: text.replace("[train]\n", "[train]\ngrad_clip_norm = 1.0\n"),
+         "unknown key grad_clip_norm in [train]"),
+        (lambda text: text.replace("[synthetic]\n", "[synthetic]\nzipf_exponent = 1.1\n"),
+         "unknown key zipf_exponent in [synthetic]"),
     ], ids=["no_section_header", "duplicate_key", "stray_percent", "misspelt_key",
             "misspelt_section", "derived_key", "old_config_txt", "old_model_section",
-            "old_precision_key", "misspelt_mode"])
+            "old_precision_key", "misspelt_mode", "non_integer_shuffle_seed",
+            "old_weight_decay", "old_grad_clip_norm", "old_zipf_exponent"])
     def test_malformed_config_is_a_data_error(self, tmp_path, capsys, break_config, message):
         cfg = tmp_path / "config.ini"
         cfg.write_text(break_config(CONFIG))

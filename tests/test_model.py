@@ -222,7 +222,7 @@ class TestCheckpoint:
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
     def test_float32_round_trip(self, tmp_path):
-        # a float64 copy saves f8 arrays, and loads as the float32 weights
+        # a float64 copy saves f4 arrays too, and loads as the float32 weights
         mdl = init(small_cfg(), 6)
         for bits in (32, 64):
             M.save(cast(mdl, bits), tmp_path / "m.ckpt")

@@ -183,8 +183,8 @@ def reference_train(mdl, triples, cfg, vocab):
         _, grads = M.loss_and_grads(ref, pairs, labels)
         gnorm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
         norms.append(float(gnorm))
-        if cfg.grad_clip_norm > 0 and gnorm > cfg.grad_clip_norm:
-            scale = cfg.grad_clip_norm / gnorm
+        if gnorm > T.GRAD_CLIP_NORM:
+            scale = T.GRAD_CLIP_NORM / gnorm
             for g in grads.values():
                 g *= scale
         lr = T.lr_at(step, cfg)
@@ -196,26 +196,28 @@ def reference_train(mdl, triples, cfg, vocab):
             m_state[name] = T.ADAM_BETA1 * m_state[name] + (1 - T.ADAM_BETA1) * g
             v_state[name] = T.ADAM_BETA2 * v_state[name] + (1 - T.ADAM_BETA2) * g * g
             update = (m_state[name] / bc1) / (np.sqrt(v_state[name] / bc2) + T.ADAM_EPS)
-            if cfg.weight_decay > 0 and p.ndim >= 2:
-                update = update + cfg.weight_decay * p
+            if p.ndim >= 2:
+                update = update + T.WEIGHT_DECAY * p
             p -= lr * update
     return params, norms
 
 
 class TestFlatAdam:
     @pytest.mark.parametrize("precision", [64, 32])
-    def test_matches_per_parameter_adam_exactly(self, precision):
+    def test_matches_per_parameter_adam_exactly(self, precision, monkeypatch):
+        # a strong decay, and a clip norm below every step's gradient norm
+        monkeypatch.setattr(T, "WEIGHT_DECAY", 0.05)
+        monkeypatch.setattr(T, "GRAD_CLIP_NORM", 0.05)
         triples = toy_triples(6)
         cfg = T.TrainConfig(batch_size=2 * len(triples), lr_peak=1e-2, warmup_steps=2,
-                            total_steps=8, epoch_size=8, seed=4, weight_decay=0.05,
-                            grad_clip_norm=0.05)
+                            total_steps=8, epoch_size=8, seed=4)
         start = small_model(5, bits=precision)
         before = {k: v.copy() for k, v in start.params.items()}
         expected, norms = reference_train(start, triples, cfg, VOCAB)
         mdl, log = T.train(start, triples, cfg, VOCAB)
         # clipping was active on every step, and the log holds the pre-clip norm
         assert [s[3] for s in log.steps] == norms
-        assert min(norms) > cfg.grad_clip_norm
+        assert min(norms) > T.GRAD_CLIP_NORM
         assert list(mdl.params) == list(expected)
         for name, value in expected.items():
             assert mdl.params[name].dtype == value.dtype
