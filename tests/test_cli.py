@@ -482,7 +482,10 @@ class TestExitCodes:
                                        ("--steps", "-3", "--warmup", "-5"),
                                        ("--warmup", "-1"), ("--batch-size", "17"),
                                        ("--lr", "-0.001"), ("--lr", "nan"),
-                                       ("--seed", "-1")])
+                                       ("--seed", "-1")],
+                             # each case keeps the id it had beside the two deleted
+                             # --weight-decay cases, flags6 and flags7
+                             ids=[f"flags{i}" for i in (0, 1, 2, 3, 4, 5, 8)])
     def test_bad_schedule_is_a_data_error(self, data_dir, tmp_path, capsys, flags):
         assert run_cli("train", "--triples", str(data_dir / "triples.tsv"),
                        "--vocab", str(data_dir / "vocab.txt"),
