@@ -242,9 +242,9 @@ def _import_orderlab(tree: str):
         raise SystemExit(f"{tree}: orderlab would be imported from {found}, not from {src}")
 
 
-def _from_worker(script: str, tree: str, parent: str, *args: str) -> dict:
-    """The JSON object `script --worker TREE *args` prints last, in a fresh process."""
-    out = subprocess.run([sys.executable, os.path.abspath(script), "--worker", tree, *args,
+def _from_worker(tree: str, parent: str) -> dict:
+    """The JSON object this script's `--worker TREE` prints last, in a fresh process."""
+    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", tree,
                           "--parent", parent], stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(out.stdout.splitlines()[-1])
 
@@ -297,7 +297,7 @@ def main(argv=None) -> int:
     for r in range(args.rounds):
         order = list(trees) if r % 2 == 0 else list(reversed(trees))
         for label in order:
-            rounds[label].append(_from_worker(__file__, trees[label], trees["parent"]))
+            rounds[label].append(_from_worker(trees[label], trees["parent"]))
             med = statistics.median(rounds[label][-1]["loss_and_grads_ms"])
             print(f"round {r + 1} {label}: loss_and_grads median {med:.3f} ms", flush=True)
 

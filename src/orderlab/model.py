@@ -20,8 +20,9 @@ finite differences.
 A model runs in its weights' dtype (`Model.dtype`): `init` and `load`
 give float32, and `train.grad_check` casts a float64 copy. The kernels
 are float32-native: in float32 GELU's erf is a rational within 1e-6 of
-erf, while float64 keeps scipy's erf, exact for the gradient check; row
-sums are one einsum and the softmax row max is exact (see numerics).
+erf, while float64 takes the standard library's `math.erf`, exact for the
+gradient check; row sums are one einsum and the softmax row max is exact
+(see numerics).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from dataclasses import dataclass, asdict
 from itertools import chain
 
 import numpy as np
-from scipy.special import erf as scipy_erf
 
 from .tokenizer import MIN_MAX_LEN, TokenizedPair, PAD_ID, SEP_ID
 
@@ -144,11 +144,11 @@ def init(cfg: ModelConfig, seed: int) -> Model:
 # batch assembly
 
 
-def pad_batch(pairs: list[TokenizedPair], dtype=np.float64):
+def pad_batch(pairs: list[TokenizedPair]):
     """Stack pairs into ids/segments/mask arrays padded with [PAD].
 
     Row i holds pair i's ids in its first `len(ids)` columns, then
-    [PAD]; the mask is 1.0 over those columns and 0.0 after them. One
+    [PAD]; the boolean mask is True over those columns. One
     masked assignment fills every row: a boolean mask visits its cells
     row by row, the order in which the pairs' ids are chained. Segments
     follow the BERT convention: columns up to and including a row's
@@ -163,7 +163,7 @@ def pad_batch(pairs: list[TokenizedPair], dtype=np.float64):
                             count=int(lengths.sum()))
     first_sep = (ids == SEP_ID).argmax(axis=1)
     segs = ((cols > first_sep[:, None]) & real).astype(np.int64)
-    return ids, segs, real.astype(dtype)
+    return ids, segs, real
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +177,8 @@ def pad_batch(pairs: list[TokenizedPair], dtype=np.float64):
 # every result is that expression's bytes; none writes to an array it was
 # given. The kernels are cheap in float32 too:
 # - `gelu_cdf2` evaluates erf as a float32 rational in float32 (within 1e-6
-#   of 1 + erf in float64) and keeps scipy's erf in float64, where the
-#   gradient check needs it exact;
+#   of 1 + erf in float64) and takes `math.erf` element by element in
+#   float64, where the gradient check needs it exact;
 # - every sum along the last axis is `_rowsum`, one einsum whose SIMD sum
 #   groups a row's elements the same way at any address, so runs repeat;
 # - softmax takes its row max from a key-major copy; a max is exact in any
@@ -203,13 +203,17 @@ def _horner(coeffs, x2):
     return y
 
 
+# float64 erf: `math.erf` of each element
+_erf64 = np.vectorize(math.erf, otypes=[np.float64])
+
+
 def gelu_cdf2(x):
     """1 + erf(x / sqrt 2): twice the standard normal CDF, GELU's gate."""
     # exact (erf-based) GELU; a tanh approximation is not accurate enough
     # for 1e-4 finite-difference gradient checks
     c = x / np.asarray(math.sqrt(2.0), dtype=x.dtype)
     if x.dtype != np.float32:
-        scipy_erf(c, out=c)
+        c = _erf64(c)
         c += 1.0
         return c
     np.clip(c, -4.0, 4.0, out=c)
@@ -221,18 +225,14 @@ def gelu_cdf2(x):
     return y
 
 
-def gelu(x, cdf2=None):
-    """GELU; `cdf2` is `gelu_cdf2(x)` when the caller already has it."""
-    if cdf2 is None:
-        cdf2 = gelu_cdf2(x)
+def gelu(x, cdf2):
+    """GELU, given its gate `cdf2 = gelu_cdf2(x)`."""
     y = np.multiply(x, 0.5)
     y *= cdf2
     return y
 
 
-def gelu_grad(x, cdf2=None):
-    if cdf2 is None:
-        cdf2 = gelu_cdf2(x)
+def gelu_grad(x, cdf2):
     # 0.5 * cdf2 + x * phi(x)
     phi = np.multiply(x, -0.5)
     phi *= x
@@ -349,7 +349,7 @@ def _encode(model: Model, ids, segs, mask, rows=None):
     h, tape["emb_ln"] = layer_norm_fwd(emb, P["emb_ln_g"], P["emb_ln_b"])
 
     # additive key mask: 0 where attendable, -inf where padded
-    neg = np.where(mask[:, None, None, :] > 0, 0.0, -np.inf).astype(model.dtype)
+    neg = np.where(mask[:, None, None, :], 0.0, -np.inf).astype(model.dtype)
     scale = 1.0 / math.sqrt(cfg.head_dim)
 
     for l in range(cfg.n_layers):
@@ -505,7 +505,7 @@ def _backward(model: Model, tape, dlogits, grads=None):
 
 def forward(model: Model, pairs: list[TokenizedPair], capture=False) -> ForwardOutput:
     """Score a batch; `capture=True` records all per-layer hidden states."""
-    ids, segs, mask = pad_batch(pairs, dtype=model.dtype)
+    ids, segs, mask = pad_batch(pairs)
     logits, acts, _ = _forward(model, ids, segs, mask, capture=capture)
     return ForwardOutput(logits=logits, relevance_prob=softmax(logits)[:, 1],
                          activations=acts)
@@ -517,7 +517,7 @@ def loss_and_grads(model: Model, pairs: list[TokenizedPair], labels, grads=None)
     `grads`, if given, maps each parameter name to an array of its shape;
     the gradients are written there and that dict is returned.
     """
-    ids, segs, mask = pad_batch(pairs, dtype=model.dtype)
+    ids, segs, mask = pad_batch(pairs)
     logits, _, tape = _forward(model, ids, segs, mask)
     B = logits.shape[0]
     probs = softmax(logits)

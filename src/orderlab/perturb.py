@@ -303,11 +303,12 @@ class PairMemo:
         example keys, each (query, passage, mode, key) made once: the ones
         this memo lacks are perturbed in one call, and a key that repeats
         within `texts` is perturbed once."""
+        if len(texts) != len(example_keys):
+            raise ValueError(f"{len(texts)} pairs but {len(example_keys)} example keys")
         if mode.kind == "natural":
             return [self.encode(query, passage) for query, passage in texts]
         done = self._perturbed.setdefault(mode, {})
-        keys = [(query, passage, key)
-                for (query, passage), key in zip(texts, example_keys, strict=True)]
+        keys = [(query, passage, key) for (query, passage), key in zip(texts, example_keys)]
         new = {key: self.encode(key[0], key[1]) for key in keys if key not in done}
         done.update(zip(new, apply_many(list(new.values()), mode, [key[2] for key in new])))
         return [done[key] for key in keys]

@@ -759,19 +759,41 @@ def test_benchmark_trace_sites_resolve():
             assert callable(getattr(module, name, None)), f"{span}: {module.__name__}.{name}"
 
 
-@pytest.mark.parametrize("script, worker", [("bench_e2e.py", ["default"]),
-                                            ("bench_step.py", [])])
-def test_bench_worker_refuses_a_tree_without_orderlab(tmp_path, script, worker):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["bench_e2e.py", "--parent", "TREE"], id="bench_e2e.py-worker0"),
+    pytest.param(["bench_step.py", "--parent", "TREE", "--worker", "TREE"],
+                 id="bench_step.py-worker1")])
+def test_bench_worker_refuses_a_tree_without_orderlab(tmp_path, argv):
     # with this checkout's src/ on PYTHONPATH, a tree with no src/orderlab
-    # must stop the worker, not let it time or digest this checkout
+    # must stop the script, not let it time or digest this checkout:
+    # bench_e2e.py refuses it before it spawns any run process,
+    # bench_step.py in the worker it starts for the tree
     root = os.path.join(os.path.dirname(__file__), os.pardir)
+    script, *args = [str(tmp_path) if arg == "TREE" else arg for arg in argv]
     done = subprocess.run(
-        [sys.executable, os.path.join("scripts", script), "--parent", str(tmp_path),
-         "--worker", str(tmp_path), *worker],
+        [sys.executable, os.path.join("scripts", script), *args],
         cwd=root, env=dict(os.environ, PYTHONPATH="src"), capture_output=True, text=True,
         timeout=60)
     assert done.returncode != 0
     assert str(tmp_path) in done.stderr
+
+
+def test_cli_imports_only_numpy_and_the_standard_library():
+    # numpy is orderlab's one runtime dependency. An isolated interpreter
+    # has no PYTHONPATH, user site or working directory on its path; the
+    # packages that `import orderlab.cli` adds to those numpy loaded must
+    # be orderlab and the standard library's (multiprocessing aliases
+    # __main__ as __mp_main__)
+    src = os.path.realpath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import numpy; "
+            "tops = lambda: {name.partition('.')[0] for name in sys.modules}; "
+            "before = tops(); import orderlab.cli; print(orderlab.cli.__file__); "
+            "print(*sorted(tops() - before - set(sys.stdlib_module_names)))")
+    out = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True,
+                         text=True, check=True)
+    cli_file, added = out.stdout.splitlines()
+    assert os.path.realpath(cli_file) == os.path.join(src, "orderlab", "cli.py")
+    assert set(added.split()) <= {"orderlab", "__mp_main__"}
 
 
 def _array_dtype_codes(data: bytes) -> list[bytes]:

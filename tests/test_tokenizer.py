@@ -254,6 +254,16 @@ class TestPairMemo:
         # natural examples are the encoded pairs themselves
         assert memo.perturbed(texts[:1], perturb.NATURAL, ["a"])[0] is memo.encode(*texts[0])
 
+    @pytest.mark.parametrize("mode", [perturb.NATURAL, perturb.SORT_DESC, perturb.shuffle_mode(7)],
+                             ids=["natural", "sort", "shuffle"])
+    @pytest.mark.parametrize("n_keys", [1, 3])
+    def test_perturbed_refuses_a_key_list_of_another_length(self, mode, n_keys):
+        # as apply_many does in every mode, natural included
+        texts = [("t0 t1", "t2 t3"), ("t4", "t5 t6")]
+        memo = perturb.PairMemo(self.vocab, 32)
+        with pytest.raises(ValueError, match=f"2 pairs but {n_keys} example keys"):
+            memo.perturbed(texts, mode, ["k"] * n_keys)
+
 
 # ASCII and non-ASCII letters and digits, "_", "²", "İ" (which lowercases
 # to "i" and a combining dot), the Kelvin sign, punctuation, and the
