@@ -367,16 +367,16 @@ def numpy_softmax(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def ref_pad_batch(pairs):
+def ref_pad_batch(pairs, dtype):
     T = max(len(p.ids) for p in pairs)
     ids = np.full((len(pairs), T), 0, dtype=np.int64)
     segs = np.zeros((len(pairs), T), dtype=np.int64)
-    mask = np.zeros((len(pairs), T), dtype=bool)
+    mask = np.zeros((len(pairs), T), dtype=dtype)
     for i, p in enumerate(pairs):
         n, first_sep = len(p.ids), p.ids.index(SEP_ID)
         ids[i, :n] = p.ids
         segs[i, :n] = [0] * (first_sep + 1) + [1] * (n - first_sep - 1)
-        mask[i, :n] = True
+        mask[i, :n] = 1.0
     return ids, segs, mask
 
 
@@ -447,12 +447,16 @@ class TestKernelBytes:
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
         assert _frozen(x) == before
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("lengths", [[23] * 16, [4], [9, 23, 5, 23, 17, 4],
                                          list(range(4, 32)) * 2 + [4] * 8])
-    def test_pad_batch(self, lengths):
+    def test_pad_batch(self, dtype, lengths):
         rng = np.random.default_rng(len(lengths))
         pairs = [_random_pair(rng, n) for n in lengths]
-        for got, ref in zip(M.pad_batch(pairs), ref_pad_batch(pairs)):
+        ids, segs, mask = M.pad_batch(pairs)
+        # the mask is boolean; cast to a model dtype it is the 1.0/0.0 mask
+        assert mask.dtype == bool
+        for got, ref in zip((ids, segs, mask.astype(dtype)), ref_pad_batch(pairs, dtype)):
             assert got.dtype == ref.dtype and got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
 
